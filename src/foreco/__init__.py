@@ -24,11 +24,9 @@ from .channel import (
 )
 from .core import (
     Command,
-    JointUnit,
     Provenance,
     RecoveryConfig,
     Trace,
-    is_on_time,
     read_trace_csv,
     split_dataset,
     write_trace_csv,
@@ -44,6 +42,7 @@ from .evaluation import (
 )
 from .forecasting import (
     AdamConfig,
+    Forecaster,
     MaModel,
     VarModel,
     aic,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,37 +229,40 @@ def simulate_channel(trace: Trace, cfg: ChannelConfig) -> list[ChannelOutcome]:
         )
     probs = channel_rtx_probs(cfg)
     max_rtx = cfg.mac.max_rtx
-    branch_means = np.array([mean_delay_given_rtx(j, cfg.mac) for j in range(max_rtx)])
+    branch_means = [mean_delay_given_rtx(j, cfg.mac) for j in range(max_rtx)]
     t_loss = lost_frame_airtime(cfg.mac)
 
     rng = np.random.default_rng(cfg.seed)
     n = len(trace)
-    branches = rng.choice(max_rtx + 1, size=n, p=probs)
-    service_std = rng.exponential(1.0, size=n)
+    # Python floats from here on, so outcomes hold the annotated types.
+    branches = rng.choice(max_rtx + 1, size=n, p=probs).tolist()
+    service_std = rng.exponential(1.0, size=n).tolist()
     if cfg.transport_bound_ms > 0:
-        transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
+        transport = (cfg.transport_bound_ms * (1.0 - rng.random(n))).tolist()
     else:
-        transport = np.zeros(n)
+        transport = [0.0] * n
 
     outcomes: list[ChannelOutcome] = []
     pending_starts: deque[float] = deque()
-    last_departure = -np.inf
-    for i, cmd in enumerate(trace.samples):
-        t = cmd.gen_time_us / 1000.0
+    last_departure = -math.inf
+    start_us, period_us, seq0 = trace.start_us, trace.period_us, trace.seq0
+    for i in range(n):
+        seq = seq0 + i
+        t = (start_us + i * period_us) / 1000.0
         while pending_starts and pending_starts[0] <= t:
             pending_starts.popleft()
         if len(pending_starts) >= cfg.queue_cap:
-            outcomes.append(ChannelOutcome.loss(cmd.seq, LossCause.QUEUE_OVERFLOW))
+            outcomes.append(ChannelOutcome.loss(seq, LossCause.QUEUE_OVERFLOW))
             continue
         start = t if last_departure <= t else last_departure
-        j = int(branches[i])
+        j = branches[i]
         if j == max_rtx:
             duration = t_loss
-            outcomes.append(ChannelOutcome.loss(cmd.seq, LossCause.RTX_EXCEEDED))
+            outcomes.append(ChannelOutcome.loss(seq, LossCause.RTX_EXCEEDED))
         else:
             duration = service_std[i] * branch_means[j]
             delay = (start - t) + duration + transport[i]
-            outcomes.append(ChannelOutcome.delivery(cmd.seq, delay, j, start - t))
+            outcomes.append(ChannelOutcome.delivery(seq, delay, j, start - t))
         last_departure = start + duration
         pending_starts.append(start)
     return outcomes

@@ -121,6 +121,13 @@ def _json_float(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -222,11 +229,7 @@ def cmd_simulate(args) -> int:
     record_len = args.record_len
     if record_len is None:
         record_len = max(20, model.lag) if model is not None else 20
-    recovery_cfg = RecoveryConfig(
-        tolerance_ms=args.tolerance_ms,
-        record_len=record_len,
-        transport_bound_ms=channel.transport_bound_ms,
-    )
+    recovery_cfg = RecoveryConfig(tolerance_ms=args.tolerance_ms, record_len=record_len)
     max_step = None
     if args.step_limit_margin is not None:
         max_step = step_limit_from_trace(trace, margin=args.step_limit_margin)
@@ -291,7 +294,6 @@ def cmd_sweep(args) -> int:
     recovery_cfg = RecoveryConfig(
         tolerance_ms=spec.get("tolerance_ms", 0.0),
         record_len=spec.get("record_len", 20),
-        transport_bound_ms=template.transport_bound_ms,
     )
     model = None
     policy_names = spec.get("policies", ["forecast", "repeat-last"])
@@ -395,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="interference sweep over a grid spec JSON")
     p.add_argument("--trace", required=True)
     p.add_argument("--spec", required=True, help="sweep spec JSON")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
+    p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes (default: cores)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 

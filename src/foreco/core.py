@@ -1,4 +1,4 @@
-"""Domain types for command streams: commands, traces, and deadline arithmetic.
+"""Domain types for command streams: commands, traces, and CSV I/O.
 
 Timestamps are stored as integer microseconds so that event ordering in the
 channel simulation is deterministic; every public accessor and constructor
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -36,34 +38,18 @@ class Provenance(enum.Enum):
     REPEAT_LAST = "repeat-last"
 
 
-class JointUnit(enum.Enum):
-    RADIANS = "radians"
-    METERS = "meters"
-    MIXED = "mixed"
-
-
 @dataclass(frozen=True)
 class Command:
-    """One d-dimensional joint-state sample with generation/arrival timestamps.
-
-    An absent arrival time encodes a lost command; the delay of a delivered
-    command is arrival minus generation.
-    """
+    """One d-dimensional joint-state sample and its generation timestamp."""
 
     seq: int
     joints: tuple[float, ...]
     gen_time_us: int
-    arrival_time_us: int | None = None
     provenance: Provenance = Provenance.ORIGINAL
 
     def __post_init__(self):
         if not isinstance(self.joints, tuple):
             object.__setattr__(self, "joints", tuple(float(x) for x in self.joints))
-        if self.arrival_time_us is not None and self.arrival_time_us < self.gen_time_us:
-            raise ConfigError(
-                f"command {self.seq}: arrival {self.arrival_time_us} us precedes "
-                f"generation {self.gen_time_us} us"
-            )
 
     @property
     def dim(self) -> int:
@@ -73,66 +59,60 @@ class Command:
     def gen_time_ms(self) -> float:
         return us_to_ms(self.gen_time_us)
 
-    @property
-    def arrival_time_ms(self) -> float | None:
-        return None if self.arrival_time_us is None else us_to_ms(self.arrival_time_us)
-
-    @property
-    def delay_ms(self) -> float | None:
-        """Delivery delay in ms, or None for a lost command."""
-        if self.arrival_time_us is None:
-            return None
-        return us_to_ms(self.arrival_time_us - self.gen_time_us)
-
     @classmethod
     def at(
         cls,
         seq: int,
         joints: Iterable[float],
         gen_time_ms: float,
-        arrival_time_ms: float | None = None,
         provenance: Provenance = Provenance.ORIGINAL,
     ) -> "Command":
-        """Construct from millisecond timestamps."""
-        arrival = None if arrival_time_ms is None else ms_to_us(arrival_time_ms)
-        return cls(seq, tuple(float(x) for x in joints), ms_to_us(gen_time_ms), arrival, provenance)
+        """Construct from a millisecond timestamp."""
+        return cls(seq, tuple(float(x) for x in joints), ms_to_us(gen_time_ms), provenance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An ordered command sequence generated at a fixed period.
+    """H commands generated at a fixed period, stored as a read-only (H, d)
+    float array.
 
-    Invariants: seq indices are contiguous and generation times advance by
-    exactly one period per sample, anchored at the first sample. Traces built
-    by the public constructors start at seq 0; slices of a trace keep their
+    Sample i has seq `seq0 + i` and generation time `start_us + i *
+    period_us`, so contiguity and the schedule hold by construction. Traces
+    built by the public constructors start at seq 0; slices keep their
     original indices so that split halves concatenate back exactly.
     """
 
     period_us: int
-    dim: int
-    samples: tuple[Command, ...]
-    unit: JointUnit = JointUnit.RADIANS
+    start_us: int
+    seq0: int
+    joints: np.ndarray
 
     def __post_init__(self):
         if self.period_us <= 0:
             raise InvalidTrace(f"period must be positive, got {self.period_us} us")
-        if self.dim < 1:
-            raise InvalidTrace(f"dim must be >= 1, got {self.dim}")
-        if not isinstance(self.samples, tuple):
-            object.__setattr__(self, "samples", tuple(self.samples))
-        for i, cmd in enumerate(self.samples):
-            if cmd.dim != self.dim:
-                raise InvalidTrace(f"sample {i} has {cmd.dim} joints, expected {self.dim}")
-            if cmd.seq != self.samples[0].seq + i:
-                raise InvalidTrace(f"seq indices not contiguous at position {i}")
-            if cmd.gen_time_us != self.samples[0].gen_time_us + i * self.period_us:
-                raise InvalidTrace(f"generation time off-schedule at position {i}")
+        joints = np.array(self.joints, dtype=float)
+        if joints.ndim != 2 or joints.shape[0] < 1 or joints.shape[1] < 1:
+            raise InvalidTrace(f"joints must be an (H, d) array with H, d >= 1, got shape {joints.shape}")
+        joints.setflags(write=False)
+        object.__setattr__(self, "joints", joints)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.joints)
 
     def __getitem__(self, i: int) -> Command:
         return self.samples[i]
+
+    @cached_property
+    def samples(self) -> tuple[Command, ...]:
+        """The rows as Commands with Python-float joints, built once."""
+        return tuple(
+            Command(self.seq0 + i, tuple(row), self.start_us + i * self.period_us)
+            for i, row in enumerate(self.joints.tolist())
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.joints.shape[1]
 
     @property
     def period_ms(self) -> float:
@@ -140,50 +120,39 @@ class Trace:
 
     @property
     def start_ms(self) -> float:
-        return self.samples[0].gen_time_ms
+        return us_to_ms(self.start_us)
 
     def joints_matrix(self) -> np.ndarray:
-        """All joint vectors as an (H, d) float array."""
-        return np.array([c.joints for c in self.samples], dtype=float)
+        """All joint vectors as the stored read-only (H, d) float array."""
+        return self.joints
 
     def slice(self, start: int, stop: int) -> "Trace":
-        return replace(self, samples=self.samples[start:stop])
+        start, stop, _ = slice(start, stop).indices(len(self))
+        return Trace(
+            self.period_us,
+            self.start_us + start * self.period_us,
+            self.seq0 + start,
+            self.joints[start:stop],
+        )
 
     @classmethod
-    def from_joints(
-        cls,
-        joints,
-        period_ms: float,
-        start_ms: float = 0.0,
-        unit: JointUnit = JointUnit.RADIANS,
-    ) -> "Trace":
+    def from_joints(cls, joints, period_ms: float, start_ms: float = 0.0) -> "Trace":
         """Build a fresh trace (seq starting at 0) from an (H, d) array of joints."""
-        period_us = ms_to_us(period_ms)
-        start_us = ms_to_us(start_ms)
-        samples = tuple(
-            Command(i, tuple(float(x) for x in row), start_us + i * period_us)
-            for i, row in enumerate(joints)
-        )
-        if not samples:
-            raise InvalidTrace("cannot build a trace from an empty joint array")
-        return cls(period_us, samples[0].dim, samples, unit)
+        return cls(ms_to_us(period_ms), ms_to_us(start_ms), 0, joints)
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Deadline tolerance, history length, and transport delay bound."""
+    """Deadline tolerance and history length."""
 
     tolerance_ms: float = 0.0
     record_len: int = 20
-    transport_bound_ms: float = 0.0
 
     def __post_init__(self):
         if self.tolerance_ms < 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance_ms}")
         if self.record_len < 1:
             raise ConfigError(f"record length must be >= 1, got {self.record_len}")
-        if self.transport_bound_ms < 0:
-            raise ConfigError(f"transport bound must be >= 0, got {self.transport_bound_ms}")
 
 
 def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
@@ -192,8 +161,6 @@ def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
     The first output holds the first floor(alpha * H) samples, the second the
     remainder; concatenating the halves reproduces the input exactly.
     """
-    if len(trace) == 0:
-        raise InvalidTrace("cannot split an empty trace")
     if len(trace) < 2:
         raise InvalidTrace("need at least 2 samples to split")
     if not 0.0 < alpha < 1.0:
@@ -204,12 +171,6 @@ def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
     return trace.slice(0, cut), trace.slice(cut, len(trace))
 
 
-def is_on_time(cmd: Command, cfg: RecoveryConfig) -> bool:
-    """True iff the command arrived and its delay is within the tolerance."""
-    delay = cmd.delay_ms
-    return delay is not None and delay <= cfg.tolerance_ms
-
-
 # ---------------------------------------------------------------------------
 # Trace CSV format: header `t_ms,j1,...,jd`, one row per command, 6 decimals.
 
@@ -218,33 +179,43 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_ms"] + [f"j{k + 1}" for k in range(trace.dim)])
-        for cmd in trace.samples:
-            writer.writerow([f"{cmd.gen_time_ms:.6f}"] + [f"{x:.6f}" for x in cmd.joints])
+        for i, row in enumerate(trace.joints.tolist()):
+            t_ms = us_to_ms(trace.start_us + i * trace.period_us)
+            writer.writerow([f"{t_ms:.6f}"] + [f"{x:.6f}" for x in row])
 
 
-def read_trace_csv(path: str | Path, unit: JointUnit = JointUnit.RADIANS) -> Trace:
-    """Read a trace from CSV; the period is inferred from the first two rows."""
+def read_trace_csv(path: str | Path) -> Trace:
+    """Read a trace from CSV; the period is inferred from the first two rows.
+
+    Every row must have one cell per header column, each a finite number, and
+    its timestamp must sit on the fixed-period schedule.
+    """
     path = Path(path)
+    rows: list[list[float]] = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header or header[0] != "t_ms":
             raise InvalidTrace(f"{path}: expected header starting with t_ms")
-        dim = len(header) - 1
-        if dim < 1:
+        if len(header) < 2:
             raise InvalidTrace(f"{path}: no joint columns in header")
-        rows = [(float(r[0]), tuple(float(x) for x in r[1:])) for r in reader if r]
+        for i, cells in enumerate(r for r in reader if r):
+            if len(cells) != len(header):
+                raise InvalidTrace(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
+            try:
+                values = [float(x) for x in cells]
+            except ValueError:
+                raise InvalidTrace(f"{path}: row {i} has a non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise InvalidTrace(f"{path}: row {i} has a non-finite value")
+            rows.append(values)
     if len(rows) < 2:
         raise InvalidTrace(f"{path}: need at least 2 rows to infer the period")
-    period_us = ms_to_us(rows[1][0]) - ms_to_us(rows[0][0])
+    start_us = ms_to_us(rows[0][0])
+    period_us = ms_to_us(rows[1][0]) - start_us
     if period_us <= 0:
         raise InvalidTrace(f"{path}: non-increasing timestamps")
-    start_us = ms_to_us(rows[0][0])
-    samples = tuple(
-        Command(i, joints, start_us + i * period_us) for i, (_, joints) in enumerate(rows)
-    )
-    trace = Trace(period_us, dim, samples, unit)
-    for i, (t_ms, _) in enumerate(rows):
-        if ms_to_us(t_ms) != start_us + i * period_us:
+    for i, row in enumerate(rows):
+        if ms_to_us(row[0]) != start_us + i * period_us:
             raise InvalidTrace(f"{path}: row {i} timestamp off the fixed-period schedule")
-    return trace
+    return Trace(period_us, start_us, 0, np.array(rows)[:, 1:])

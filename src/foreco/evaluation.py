@@ -29,33 +29,15 @@ CellKey = tuple[int, float, float]  # (robot count, interferer prob, duration sl
 # ---------------------------------------------------------------------------
 # Error metric
 
-def _stream_matrix(stream) -> np.ndarray:
-    if isinstance(stream, Trace):
-        return stream.joints_matrix()
-    if isinstance(stream, ExecutedStream):
-        rows = []
-        last = None
-        for c in stream.commands:
-            if c is not None:
-                last = c.joints
-            rows.append(last)
-        if last is None:
-            raise ConfigError("stream has no executed commands")
-        first = next(r for r in rows if r is not None)
-        rows = [first if r is None else r for r in rows]  # leading gaps hold the first pose
-        return np.array(rows, dtype=float)
-    raise ConfigError(f"cannot compute an error metric over {type(stream).__name__}")
-
-
-def rmse(executed, reference) -> float:
+def rmse(executed: Trace | ExecutedStream, reference: Trace | ExecutedStream) -> float:
     """Root mean squared joint-space error between two command streams.
 
     Per slot the error is the squared euclidean distance across joints; the
     mean runs over all slots. Empty slots (drop mode) are held at the last
     executed command. Symmetric in its arguments.
     """
-    a = _stream_matrix(executed)
-    b = _stream_matrix(reference)
+    a = executed.joints_matrix()
+    b = reference.joints_matrix()
     if a.shape != b.shape:
         raise ConfigError(f"stream shapes differ: {a.shape} vs {b.shape}")
     diff = a - b
@@ -100,10 +82,10 @@ def controlled_loss_outcomes(
     for s in starts:
         lost[s : s + burst_len] = True
     return [
-        ChannelOutcome.loss(cmd.seq, LossCause.RTX_EXCEEDED)
-        if lost[i]
-        else ChannelOutcome.delivery(cmd.seq, 0.0, 0, 0.0)
-        for i, cmd in enumerate(trace.samples)
+        ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED)
+        if is_lost
+        else ChannelOutcome.delivery(trace.seq0 + i, 0.0, 0, 0.0)
+        for i, is_lost in enumerate(lost.tolist())
     ]
 
 
@@ -326,20 +308,17 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 # Forecast-window accuracy study
 
-def _closed_loop_errors(model, values: np.ndarray, window_max: int, stride: int) -> np.ndarray:
+def _closed_loop_errors(
+    model: VarModel | MaModel, values: np.ndarray, window_max: int, stride: int
+) -> np.ndarray:
     """Squared per-step distances of closed-loop forecasts.
 
     For every anchor (a true sample index), forecasts run window_max steps
     feeding on themselves; entry [a, s] is the squared distance at horizon
     s+1. Returns an (anchors, window_max) array.
     """
-    if isinstance(model, VarModel):
-        hist_len = max(model.lag, 1)
-    elif isinstance(model, MaModel):
-        hist_len = model.window
-    else:
-        raise ConfigError(f"window study supports VAR and MA models, not {type(model).__name__}")
-    n, dim = values.shape
+    hist_len = model.min_history
+    n = len(values)
     first = hist_len - 1
     last = n - 1 - window_max
     if last < first:
@@ -349,11 +328,7 @@ def _closed_loop_errors(model, values: np.ndarray, window_max: int, stride: int)
     for row, a in enumerate(anchors):
         recent = values[a - hist_len + 1 : a + 1].copy()
         for s in range(window_max):
-            if isinstance(model, VarModel):
-                flat = recent[::-1][: model.lag].reshape(-1)
-                pred = model.bias + model.stacked @ flat
-            else:
-                pred = recent.mean(axis=0)
+            pred = model.next_row(recent)
             diff = pred - values[a + 1 + s]
             errors[row, s] = float(diff @ diff)
             recent = np.vstack([recent[1:], pred])

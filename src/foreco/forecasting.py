@@ -13,11 +13,11 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Command, Provenance, Trace, ms_to_us
+from .core import Command, Provenance, Trace, ms_to_us, us_to_ms
 from .errors import (
     ConfigError,
     DegenerateCovariance,
@@ -30,6 +30,32 @@ from .errors import (
 # Relative pivot threshold below which a design-matrix column is declared
 # collinear with the preceding ones.
 RANK_TOL = 1e-10
+
+
+class Forecaster(Protocol):
+    """What predict and run_recovery require of a model.
+
+    min_history (>= 1) is the number of past commands predict_next reads;
+    predict_next returns the command one period after history[-1], with
+    forecast provenance. history is ordered oldest to newest.
+    """
+
+    dim: int
+    min_history: int
+
+    def predict_next(self, history: Sequence[Command], period_ms: float) -> Command: ...
+
+
+def _forecast_command(model, history: Sequence[Command], period_ms: float) -> Command:
+    """predict_next for models with an array step next_row(record) -> row."""
+    record = np.array([c.joints for c in history[-model.min_history:]])
+    last = history[-1]
+    return Command(
+        seq=last.seq + 1,
+        joints=tuple(model.next_row(record).tolist()),
+        gen_time_us=last.gen_time_us + ms_to_us(period_ms),
+        provenance=Provenance.FORECAST,
+    )
 
 
 @dataclass(frozen=True)
@@ -70,6 +96,16 @@ class VarModel:
         if self.n_params < 0:
             object.__setattr__(self, "n_params", self.dim * self.dim * self.lag)
 
+    @property
+    def min_history(self) -> int:
+        return max(self.lag, 1)
+
+    def next_row(self, record: np.ndarray) -> np.ndarray:
+        """The next joint row after an (n, d) record, oldest row first, n >= lag."""
+        return self.bias + self.stacked @ record[::-1][: self.lag].reshape(-1)
+
+    predict_next = _forecast_command
+
 
 @dataclass(frozen=True)
 class MaModel:
@@ -81,6 +117,16 @@ class MaModel:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
+
+    @property
+    def min_history(self) -> int:
+        return self.window
+
+    def next_row(self, record: np.ndarray) -> np.ndarray:
+        """The mean of the last `window` rows of an (n, d) record."""
+        return record[-self.window:].mean(axis=0)
+
+    predict_next = _forecast_command
 
 
 @dataclass(frozen=True)
@@ -246,14 +292,13 @@ def fit_var_adam(
     return _weights_to_model(weights, residuals, dim, lag, "adam")
 
 
-def predict(model, history: Sequence[Command], period_ms: float | None = None) -> Command:
+def predict(model: Forecaster, history: Sequence[Command], period_ms: float | None = None) -> Command:
     """One-step forecast from the most recent commands.
 
     history is ordered oldest-to-newest and may mix original and forecast
     commands (closed-loop use). The result carries forecast provenance and a
-    generation time one period after the last history entry. Besides VarModel
-    and MaModel, any object exposing predict_next(history, period_ms) works,
-    which is how plug-in forecasters and test oracles are wired in.
+    generation time one period after the last history entry. Without
+    period_ms, the period is the spacing of the last two history entries.
     """
     if not history:
         raise InsufficientHistory("history is empty")
@@ -263,38 +308,11 @@ def predict(model, history: Sequence[Command], period_ms: float | None = None) -
         period_us = history[-1].gen_time_us - history[-2].gen_time_us
     else:
         period_us = ms_to_us(period_ms)
-
-    if hasattr(model, "predict_next"):
-        return model.predict_next(history, period_us / 1000.0)
-
-    if isinstance(model, VarModel):
-        need = model.lag
-    elif isinstance(model, MaModel):
-        need = model.window
-    else:
-        raise ConfigError(f"unsupported model type {type(model).__name__}")
-    if len(history) < need:
-        raise InsufficientHistory(f"need {need} past commands, have {len(history)}")
-    last = history[-1]
-    if last.dim != model.dim:
-        raise ConfigError(f"model dim {model.dim} does not match command dim {last.dim}")
-
-    if isinstance(model, VarModel):
-        if model.lag:
-            recent = np.concatenate([history[-i].joints for i in range(1, model.lag + 1)])
-            joints = model.bias + model.stacked @ recent
-        else:
-            joints = model.bias
-    else:
-        block = np.array([c.joints for c in history[-model.window:]])
-        joints = block.mean(axis=0)
-
-    return Command(
-        seq=last.seq + 1,
-        joints=tuple(float(x) for x in joints),
-        gen_time_us=last.gen_time_us + period_us,
-        provenance=Provenance.FORECAST,
-    )
+    if len(history) < model.min_history:
+        raise InsufficientHistory(f"need {model.min_history} past commands, have {len(history)}")
+    if history[-1].dim != model.dim:
+        raise ConfigError(f"model dim {model.dim} does not match command dim {history[-1].dim}")
+    return model.predict_next(history, us_to_ms(period_us))
 
 
 def one_step_residuals(model: VarModel, data: Trace, start: int | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelOutcome
 from .core import Command, Provenance, RecoveryConfig, Trace
 from .errors import ConfigError
-from .forecasting import MaModel, VarModel, predict
+from .forecasting import Forecaster, predict
 
 
 class PolicyMode(enum.Enum):
@@ -42,7 +42,7 @@ class RecoveryPolicy:
 
     mode: PolicyMode
     cfg: RecoveryConfig = RecoveryConfig()
-    model: object | None = None
+    model: Forecaster | None = None
     max_step_per_joint: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -98,20 +98,19 @@ class ExecutedStream:
     def __len__(self) -> int:
         return len(self.commands)
 
-
-def _history_needed(model) -> int:
-    if isinstance(model, VarModel):
-        needed = model.lag
-    elif isinstance(model, MaModel):
-        needed = model.window
-    else:
-        needed = int(getattr(model, "min_history", 1))
-    return max(needed, 1)  # even a constant forecaster needs a slot anchor
-
-
-def _model_dim(model) -> int | None:
-    dim = getattr(model, "dim", None)
-    return None if dim is None else int(dim)
+    def joints_matrix(self) -> np.ndarray:
+        """Joints per slot as an (H, d) float array. An empty slot holds the
+        last executed command; leading empty slots hold the first one."""
+        executed = [c.joints for c in self.commands if c is not None]
+        if not executed:
+            raise ConfigError("stream has no executed commands")
+        rows = []
+        last = executed[0]
+        for c in self.commands:
+            if c is not None:
+                last = c.joints
+            rows.append(last)
+        return np.array(rows, dtype=float)
 
 
 def replay_deadline(outcome: ChannelOutcome, period_ms: float, cfg: RecoveryConfig) -> bool:
@@ -136,14 +135,13 @@ def run_recovery(
         raise ConfigError(f"{len(outcomes)} outcomes for {len(trace)} commands")
     cfg = policy.cfg
     model = policy.model
+    period_ms = trace.period_ms
     if policy.mode is PolicyMode.FORECAST:
-        dim = _model_dim(model)
-        if dim is not None and dim != trace.dim:
-            raise ConfigError(f"model dim {dim} does not match trace dim {trace.dim}")
-        needed = _history_needed(model)
-        if needed > cfg.record_len:
+        if model.dim != trace.dim:
+            raise ConfigError(f"model dim {model.dim} does not match trace dim {trace.dim}")
+        if model.min_history > cfg.record_len:
             raise ConfigError(
-                f"model needs {needed} past commands but the record keeps {cfg.record_len}"
+                f"model needs {model.min_history} past commands but the record keeps {cfg.record_len}"
             )
 
     history: deque[Command] = deque(maxlen=cfg.record_len)
@@ -151,15 +149,15 @@ def run_recovery(
     on_time = forecast = repeated = dropped = 0
 
     for cmd, outcome in zip(trace.samples, outcomes):
-        if replay_deadline(outcome, trace.period_ms, cfg):
+        if replay_deadline(outcome, period_ms, cfg):
             executed = cmd
             on_time += 1
         else:
             action = policy.mode
-            if action is PolicyMode.FORECAST and len(history) < _history_needed(model):
+            if action is PolicyMode.FORECAST and len(history) < model.min_history:
                 action = PolicyMode.REPEAT_LAST  # not enough history yet
             if action is PolicyMode.FORECAST:
-                predicted = predict(model, list(history), period_ms=trace.period_ms)
+                predicted = predict(model, list(history), period_ms=period_ms)
                 joints = predicted.joints
                 if policy.max_step_per_joint is not None:
                     prev = history[-1].joints

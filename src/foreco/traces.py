@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JointUnit, Trace
+from .core import Trace
 from .errors import ConfigError
 
 PROFILES = ("pick-and-place", "sine-mix", "constant")
@@ -67,7 +67,6 @@ def synthetic_trace(
     period_ms: float = 20.0,
     dim: int = 6,
     noise: float = 1e-3,
-    unit: JointUnit = JointUnit.RADIANS,
 ) -> Trace:
     """Generate a deterministic synthetic trace of the given profile.
 
@@ -86,7 +85,7 @@ def synthetic_trace(
     if profile == "constant":
         pose = np.round(rng.uniform(-1.0, 1.0, size=dim), 6)
         joints = np.tile(pose, (n, 1))
-        return Trace.from_joints(joints, period_ms, unit=unit)
+        return Trace.from_joints(joints, period_ms)
 
     if profile == "pick-and-place":
         joints = _pick_and_place(n, dim, period_ms, rng)
@@ -94,4 +93,4 @@ def synthetic_trace(
         joints = _sine_mix(n, dim, period_ms, rng)
     if noise > 0:
         joints = joints + rng.normal(0.0, noise, size=joints.shape)
-    return Trace.from_joints(np.round(joints, 6), period_ms, unit=unit)
+    return Trace.from_joints(np.round(joints, 6), period_ms)

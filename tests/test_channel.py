@@ -1,5 +1,6 @@
 """Wireless link model: attempt statistics, delay closed forms, queue runs."""
 
+import csv
 import json
 import math
 
@@ -305,6 +306,23 @@ class TestChannelFiles:
         assert lines[1] == "0,delivered,0.42,1,"
         assert lines[2] == "1,lost,,,rtx-exceeded"
         assert lines[3] == "2,lost,,,queue-overflow"
+
+    def test_simulated_delays_written_as_plain_floats(self, tmp_path):
+        cfg = ChannelConfig(
+            interference=InterferenceParams(p_if=0.5, t_if_slots=16.0, n_stations=15),
+            transport_bound_ms=0.5,
+            seed=3,
+        )
+        outcomes = simulate_channel(flat_trace(500), cfg)
+        path = tmp_path / "outcomes.csv"
+        write_outcomes_csv(outcomes, path)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        delivered = [(o, row) for o, row in zip(outcomes, rows) if o.delivered]
+        assert delivered
+        for o, row in delivered:
+            assert type(o.delay_ms) is float and type(o.waited_ms) is float
+            assert float(row[2]) == o.delay_ms
 
     def test_lost_airtime_exceeds_worst_delivery_backoff(self):
         mac = MacParams()

@@ -117,6 +117,25 @@ class TestTrain:
         assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
+class TestMalformedTrace:
+    GOOD = "t_ms,j1,j2\n0.000000,0.1,0.2\n20.000000,0.3,0.4\n"
+
+    @pytest.mark.parametrize("row", [
+        "40.000000,0.5",           # ragged row
+        "40.000000,0.5,abc",       # non-numeric cell
+        "40.000000,nan,0.6",       # not finite
+        "45.000000,0.5,0.6",       # off the fixed-period schedule
+    ])
+    def test_train_exits_3_with_data_error(self, tmp_path, capsys, row):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(self.GOOD + row + "\n")
+        rc = main(["train", "--trace", str(trace), "--lag", "1", "--out", str(tmp_path / "m.json")])
+        assert rc == 3
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"]["kind"] == "data"
+        assert str(trace) in doc["error"]["message"]
+
+
 class TestSimulate:
     def test_lossless_channel_passes_everything(self, trace_csv, tmp_path):
         ch = tmp_path / "ch.json"
@@ -248,6 +267,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected_before_any_work(self, tmp_path, jobs):
+        out_dir = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--trace", str(tmp_path / "missing.csv"), "--spec", "x",
+                  "--jobs", jobs, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
 
     def test_unknown_policy_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,15 +1,13 @@
-"""Domain types: commands, traces, splitting, deadline checks, CSV round trips."""
+"""Domain types: commands, traces, splitting, CSV round trips."""
 
 import numpy as np
 import pytest
 
 from foreco.core import (
     Command,
-    JointUnit,
     Provenance,
     RecoveryConfig,
     Trace,
-    is_on_time,
     read_trace_csv,
     split_dataset,
     write_trace_csv,
@@ -20,22 +18,6 @@ from foreco.errors import ConfigError, InvalidTrace
 def simple_trace(n=10, d=2, period_ms=20.0):
     joints = np.arange(n * d, dtype=float).reshape(n, d) / 10.0
     return Trace.from_joints(joints, period_ms)
-
-
-class TestCommand:
-    def test_delay_and_unit_conversion(self):
-        cmd = Command.at(0, (0.1, 0.2), gen_time_ms=100.0, arrival_time_ms=103.5)
-        assert cmd.gen_time_ms == 100.0
-        assert cmd.delay_ms == 3.5
-
-    def test_lost_command_has_no_delay(self):
-        cmd = Command.at(0, (0.1,), gen_time_ms=0.0)
-        assert cmd.arrival_time_ms is None
-        assert cmd.delay_ms is None
-
-    def test_arrival_before_generation_rejected(self):
-        with pytest.raises(ConfigError):
-            Command.at(0, (0.0,), gen_time_ms=10.0, arrival_time_ms=9.0)
 
 
 class TestTrace:
@@ -51,24 +33,40 @@ class TestTrace:
             for i, cmd in enumerate(tr.samples):
                 assert cmd.gen_time_us == start + i * tr.period_us
 
-    def test_off_schedule_sample_rejected(self):
-        good = simple_trace(n=3)
-        bad = (good.samples[0], good.samples[1],
-               Command(2, good.samples[2].joints, good.samples[2].gen_time_us + 1))
-        with pytest.raises(InvalidTrace):
-            Trace(good.period_us, good.dim, bad)
-
-    def test_non_contiguous_seq_rejected(self):
-        good = simple_trace(n=3)
-        bad = (good.samples[0], good.samples[2])
-        with pytest.raises(InvalidTrace):
-            Trace(good.period_us, good.dim, bad)
-
     def test_dim_mismatch_rejected(self):
-        good = simple_trace(n=3, d=2)
-        bad = good.samples[:2] + (Command(2, (1.0,), good.samples[2].gen_time_us),)
-        with pytest.raises(InvalidTrace):
-            Trace(good.period_us, good.dim, bad)
+        for joints in (np.zeros(3), np.zeros((3, 0)), np.zeros((0, 2)), np.zeros((2, 2, 2))):
+            with pytest.raises(InvalidTrace):
+                Trace(20_000, 0, 0, joints)
+
+    def test_samples_match_per_sample_construction(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            h, d = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            period_us, start_us = int(rng.integers(1, 50_000)), int(rng.integers(0, 10**9))
+            seq0 = int(rng.integers(0, 1000))
+            joints = rng.normal(size=(h, d))
+            tr = Trace(period_us, start_us, seq0, joints)
+            expected = tuple(
+                Command(seq0 + i, tuple(float(x) for x in joints[i]), start_us + i * period_us)
+                for i in range(h)
+            )
+            assert tr.samples == expected
+            assert all(type(x) is float for c in tr.samples for x in c.joints)
+            assert tr[h - 1] is tr.samples[h - 1]
+            cut = int(rng.integers(0, h + 1))
+            if 0 < cut < h:
+                head, tail = tr.slice(0, cut), tr.slice(cut, h)
+                assert head.samples + tail.samples == tr.samples
+                assert np.array_equal(np.vstack([head.joints_matrix(), tail.joints_matrix()]), joints)
+
+    def test_joints_matrix_is_stored_read_only_copy(self):
+        joints = np.ones((4, 2))
+        tr = Trace.from_joints(joints, 20.0)
+        joints[0, 0] = 5.0
+        assert tr.joints_matrix() is tr.joints_matrix()
+        assert tr.joints_matrix()[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            tr.joints_matrix()[0, 0] = 2.0
 
 
 class TestSplitDataset:
@@ -94,38 +92,13 @@ class TestSplitDataset:
 
     def test_empty_and_tiny_traces_rejected(self):
         with pytest.raises(InvalidTrace):
-            split_dataset(Trace(20_000, 1, ()), 0.5)
+            split_dataset(Trace.from_joints(np.zeros((0, 1)), 20.0), 0.5)
         with pytest.raises(InvalidTrace):
             split_dataset(simple_trace(n=1), 0.5)
 
 
-class TestIsOnTime:
-    def test_zero_delay_zero_tolerance(self):
-        cmd = Command.at(0, (0.0,), 0.0, arrival_time_ms=0.0)
-        assert is_on_time(cmd, RecoveryConfig(tolerance_ms=0.0))
-
-    def test_late_command(self):
-        cmd = Command.at(0, (0.0,), 0.0, arrival_time_ms=5.0)
-        assert not is_on_time(cmd, RecoveryConfig(tolerance_ms=0.0))
-
-    def test_lost_command(self):
-        cmd = Command.at(0, (0.0,), 0.0)
-        assert not is_on_time(cmd, RecoveryConfig(tolerance_ms=1e9))
-
-    def test_monotone_in_tolerance(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            delay = float(rng.uniform(0.0, 50.0))
-            cmd = Command.at(0, (0.0,), 0.0, arrival_time_ms=delay)
-            t1, t2 = sorted(rng.uniform(0.0, 50.0, size=2))
-            if is_on_time(cmd, RecoveryConfig(tolerance_ms=t1)):
-                assert is_on_time(cmd, RecoveryConfig(tolerance_ms=t2))
-
-
 class TestRecoveryConfig:
-    @pytest.mark.parametrize(
-        "kwargs", [{"tolerance_ms": -1.0}, {"record_len": 0}, {"transport_bound_ms": -0.1}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"tolerance_ms": -1.0}, {"record_len": 0}])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RecoveryConfig(**kwargs)
@@ -135,7 +108,7 @@ class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         joints = np.round(rng.uniform(-2.0, 2.0, size=(40, 6)), 6)
-        tr = Trace.from_joints(joints, 20.0, unit=JointUnit.RADIANS)
+        tr = Trace.from_joints(joints, 20.0)
         path = tmp_path / "trace.csv"
         write_trace_csv(tr, path)
         back = read_trace_csv(path)

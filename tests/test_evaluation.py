@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from foreco.channel import ChannelConfig, simulate_channel
-from foreco.core import RecoveryConfig, Trace
+from foreco.core import Command, RecoveryConfig, Trace
 from foreco.errors import ConfigError
 from foreco.evaluation import (
     SweepGrid,
     SweepResult,
+    _closed_loop_errors,
     controlled_loss_outcomes,
     default_grid,
     forecast_window_study,
     rmse,
     run_sweep,
 )
-from foreco.forecasting import fit_var_ols
+from foreco.forecasting import MaModel, fit_var_ols, predict
 from foreco.recovery import PolicyMode, RecoveryPolicy, run_recovery
 import foreco
 
@@ -73,6 +74,17 @@ class TestRmse:
         # slot 5 held at slot 4's value; one step of a linspace is 1/9
         expected = np.sqrt(((1 / 9) ** 2) / 10)
         assert rmse(stream, ref) == pytest.approx(expected)
+
+    def test_leading_gaps_hold_first_executed(self):
+        ref = Trace.from_joints(np.linspace(0, 1, 10)[:, None], 20.0)
+        from foreco.channel import ChannelOutcome, LossCause
+
+        outcomes = [ChannelOutcome.loss(i, LossCause.RTX_EXCEEDED) for i in range(10)]
+        with pytest.raises(ConfigError):
+            rmse(run_recovery(ref, outcomes, RecoveryPolicy(PolicyMode.DROP)), ref)
+        outcomes[2] = ChannelOutcome.delivery(2, 0.0, 0, 0.0)
+        stream = run_recovery(ref, outcomes, RecoveryPolicy(PolicyMode.DROP))
+        assert stream.joints_matrix()[:, 0] == pytest.approx([2 / 9] * 10)
 
 
 class TestControlledLossOutcomes:
@@ -231,6 +243,26 @@ class TestForecastWindowStudy:
         study = forecast_window_study(train, test, window_max=3,
                                       models=("var",), record_candidates=(1,))
         assert study["var"]["curve"][0] < 1e-9
+
+    @pytest.mark.parametrize("family, record", [("var", 1), ("var", 5), ("var", 20), ("ma", 4)])
+    def test_array_step_matches_predict_over_commands(self, pick_and_place_split, family, record):
+        # slow reference: feed closed-loop forecasts back as Command histories
+        train, test = pick_and_place_split
+        model = fit_var_ols(train, record) if family == "var" else MaModel(train.dim, record)
+        values = test.joints_matrix()[:200]
+        window_max, stride = 6, 7
+        got = _closed_loop_errors(model, values, window_max, stride)
+        anchors = range(model.min_history - 1, len(values) - window_max, stride)
+        expected = np.empty((len(anchors), window_max))
+        for row, a in enumerate(anchors):
+            history = [Command.at(i, values[i], gen_time_ms=20.0 * i)
+                       for i in range(a - model.min_history + 1, a + 1)]
+            for s in range(window_max):
+                nxt = predict(model, history, period_ms=20.0)
+                diff = np.array(nxt.joints) - values[a + 1 + s]
+                expected[row, s] = float(diff @ diff)
+                history = history[1:] + [nxt]
+        assert np.array_equal(got, expected)
 
     def test_unknown_family_rejected(self, pick_and_place_split):
         train, test = pick_and_place_split
