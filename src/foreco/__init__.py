@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelConfig,
     ChannelOutcome,
+    ChannelOutcomes,
     InterferenceParams,
     LossCause,
     MacParams,

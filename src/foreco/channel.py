@@ -15,12 +15,13 @@ import enum
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Trace, ms_to_us
+from .core import Trace, checked_number, ms_to_us
 from .errors import AlwaysLost, ConfigError, OutOfRange
 
 
@@ -94,6 +95,8 @@ class ChannelConfig:
             raise ConfigError("command period must be positive")
         if self.transport_bound_ms < 0:
             raise ConfigError("transport delay bound must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rtx_probs is not None:
             probs = tuple(float(p) for p in self.rtx_probs)
             object.__setattr__(self, "rtx_probs", probs)
@@ -129,6 +132,97 @@ class ChannelOutcome:
     @classmethod
     def loss(cls, seq: int, cause: LossCause) -> "ChannelOutcome":
         return cls(seq, False, cause=cause)
+
+
+# Cause codes of ChannelOutcomes.cause: index into this tuple.
+_CAUSES = (None, LossCause.RTX_EXCEEDED, LossCause.QUEUE_OVERFLOW)
+_CAUSE_CODES = {cause: code for code, cause in enumerate(_CAUSES)}
+DELIVERED, RTX_EXCEEDED, QUEUE_OVERFLOW = range(len(_CAUSES))
+
+# The columns of ChannelOutcomes and their dtypes, in constructor order.
+_COLUMNS = (
+    ("seq", np.int64),
+    ("delivered", bool),
+    ("delay_ms", float),
+    ("rtx", np.int64),
+    ("waited_ms", float),
+    ("cause", np.int8),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelOutcomes(Sequence[ChannelOutcome]):
+    """Per-command outcomes of one run as read-only columns of equal length.
+
+    A lost command has delay_ms and waited_ms NaN, rtx -1 and a nonzero cause
+    code (an index into ``_CAUSES``); a delivered one has cause code 0. As a
+    sequence it yields ChannelOutcome values built on access, so code that
+    reads single outcomes works unchanged; bulk code reads the columns.
+    """
+
+    seq: np.ndarray
+    delivered: np.ndarray
+    delay_ms: np.ndarray
+    rtx: np.ndarray
+    waited_ms: np.ndarray
+    cause: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.seq)
+        for name, dtype in _COLUMNS:
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.shape != (n,):
+                raise ConfigError(f"outcome column {name} has shape {column.shape}, expected ({n},)")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if not np.array_equal(self.delivered, self.cause == DELIVERED):
+            raise ConfigError("an outcome is delivered exactly when its cause code is 0")
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Sequence[ChannelOutcome]) -> "ChannelOutcomes":
+        """The columns of a sequence of outcomes; columns pass through as is."""
+        if isinstance(outcomes, ChannelOutcomes):
+            return outcomes
+        nan = math.nan
+        return cls(
+            [o.seq for o in outcomes],
+            [o.delivered for o in outcomes],
+            [o.delay_ms if o.delivered else nan for o in outcomes],
+            [o.rtx if o.delivered else -1 for o in outcomes],
+            [o.waited_ms if o.delivered else nan for o in outcomes],
+            [_CAUSE_CODES[o.cause] for o in outcomes],
+        )
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChannelOutcomes(*(getattr(self, name)[i] for name, _ in _COLUMNS))
+        return self._outcome(
+            int(self.seq[i]), float(self.delay_ms[i]), int(self.rtx[i]),
+            float(self.waited_ms[i]), int(self.cause[i]),
+        )
+
+    def __iter__(self):
+        columns = (getattr(self, name).tolist() for name, _ in _COLUMNS if name != "delivered")
+        return (self._outcome(*row) for row in zip(*columns))
+
+    @staticmethod
+    def _outcome(seq: int, delay_ms: float, rtx: int, waited_ms: float, cause: int) -> ChannelOutcome:
+        if cause == DELIVERED:
+            return ChannelOutcome.delivery(seq, delay_ms, rtx, waited_ms)
+        return ChannelOutcome.loss(seq, _CAUSES[cause])
+
+    def __eq__(self, other):
+        if isinstance(other, ChannelOutcomes):
+            return all(
+                np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                for name, _ in _COLUMNS
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
 
 def attempt_failure_prob(cfg: ChannelConfig) -> float:
@@ -212,7 +306,100 @@ def expected_delay_bound(cfg: ChannelConfig) -> tuple[float, float]:
     return cfg.transport_bound_ms + mixture / (1.0 - loss), 1.0 - loss
 
 
-def simulate_channel(trace: Trace, cfg: ChannelConfig) -> list[ChannelOutcome]:
+def _frame_draws(trace: Trace, cfg: ChannelConfig):
+    """Arrival times (ms), attempt counts, server times and transport delays
+    of every frame, drawn in a fixed order from the config seed.
+
+    A deliverable attempt count j takes an exponential server time with mean
+    mean_delay_given_rtx(j); a frame exhausting its attempts (j == max_rtx)
+    holds the server for the full failed-attempt airtime.
+    """
+    probs = channel_rtx_probs(cfg)
+    max_rtx = cfg.mac.max_rtx
+    means = np.array([mean_delay_given_rtx(j, cfg.mac) for j in range(max_rtx)] + [0.0])
+
+    rng = np.random.default_rng(cfg.seed)
+    n = len(trace)
+    branches = rng.choice(max_rtx + 1, size=n, p=probs)
+    service = rng.exponential(1.0, size=n) * means[branches]
+    service[branches == max_rtx] = lost_frame_airtime(cfg.mac)
+    if cfg.transport_bound_ms > 0:
+        transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
+    else:
+        transport = np.zeros(n)
+    arrivals = (trace.start_us + np.arange(n) * trace.period_us) / 1000.0
+    return arrivals, branches, service, transport
+
+
+def _fifo_starts(arrivals: np.ndarray, service: np.ndarray, queue_cap: int) -> np.ndarray | None:
+    """Service start times of a FIFO queue whose waiting room never fills,
+    or None when it may fill or the iteration did not settle.
+
+    Departures solve dep[i] = max(t[i], dep[i-1]) + s[i]. Iterating that map
+    on whole arrays, from dep = t + s, fixes one more frame of each busy period
+    per step; once a step changes nothing, every entry satisfies the
+    recursion with the very operations the per-frame loop performs, so the
+    values equal the loop's bit for bit (a cumsum would reassociate the sums).
+    The frames waiting when frame i arrives are those of 0..i-1 whose start
+    lies after t[i]; starts are sorted, so searchsorted counts them.
+    """
+    n = len(arrivals)
+    departures = arrivals + service
+    previous = np.empty(n)
+    previous[0] = -math.inf
+    for _ in range(queue_cap):
+        previous[1:] = departures[:-1]
+        starts = np.maximum(arrivals, previous)
+        updated = starts + service
+        if np.array_equal(updated, departures):
+            break
+        departures = updated
+    else:
+        return None
+    index = np.arange(n)
+    waiting = index - np.minimum(np.searchsorted(starts, arrivals, side="right"), index)
+    if waiting.max() >= queue_cap:
+        return None
+    return starts
+
+
+def _simulate_loop(trace: Trace, cfg: ChannelConfig, arrivals, branches, service, transport) -> ChannelOutcomes:
+    """The queue stepped one frame at a time; exact for any waiting-room cap."""
+    max_rtx = cfg.mac.max_rtx
+    n = len(trace)
+    delivered = [False] * n
+    delay = [math.nan] * n
+    rtx = [-1] * n
+    waited = [math.nan] * n
+    cause = [DELIVERED] * n
+    pending_starts: deque[float] = deque()
+    last_departure = -math.inf
+    arrivals, branches = arrivals.tolist(), branches.tolist()
+    service, transport = service.tolist(), transport.tolist()
+    for i in range(n):
+        t = arrivals[i]
+        while pending_starts and pending_starts[0] <= t:
+            pending_starts.popleft()
+        if len(pending_starts) >= cfg.queue_cap:
+            cause[i] = QUEUE_OVERFLOW
+            continue
+        start = t if last_departure <= t else last_departure
+        j = branches[i]
+        duration = service[i]
+        if j == max_rtx:
+            cause[i] = RTX_EXCEEDED
+        else:
+            delivered[i] = True
+            delay[i] = (start - t) + duration + transport[i]
+            rtx[i] = j
+            waited[i] = start - t
+        last_departure = start + duration
+        pending_starts.append(start)
+    seq = np.arange(trace.seq0, trace.seq0 + n)
+    return ChannelOutcomes(seq, delivered, delay, rtx, waited, cause)
+
+
+def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
     """Push a command trace through the access-point queue.
 
     Arrivals follow the trace schedule; the waiting room holds queue_cap
@@ -222,50 +409,28 @@ def simulate_channel(trace: Trace, cfg: ChannelConfig) -> list[ChannelOutcome]:
     holds the server for the full failed-attempt airtime and is then dropped.
     Delivered delay = wait + service + a uniform (0, D] transport delay.
     Runs are reproducible from the config seed.
+
+    The queue is solved on whole arrays when the waiting room cannot fill,
+    and stepped frame by frame otherwise; both give identical outcomes.
     """
     if trace.period_us != ms_to_us(cfg.period_ms):
         raise ConfigError(
             f"trace period {trace.period_ms} ms does not match channel period {cfg.period_ms} ms"
         )
-    probs = channel_rtx_probs(cfg)
-    max_rtx = cfg.mac.max_rtx
-    branch_means = [mean_delay_given_rtx(j, cfg.mac) for j in range(max_rtx)]
-    t_loss = lost_frame_airtime(cfg.mac)
-
-    rng = np.random.default_rng(cfg.seed)
-    n = len(trace)
-    # Python floats from here on, so outcomes hold the annotated types.
-    branches = rng.choice(max_rtx + 1, size=n, p=probs).tolist()
-    service_std = rng.exponential(1.0, size=n).tolist()
-    if cfg.transport_bound_ms > 0:
-        transport = (cfg.transport_bound_ms * (1.0 - rng.random(n))).tolist()
-    else:
-        transport = [0.0] * n
-
-    outcomes: list[ChannelOutcome] = []
-    pending_starts: deque[float] = deque()
-    last_departure = -math.inf
-    start_us, period_us, seq0 = trace.start_us, trace.period_us, trace.seq0
-    for i in range(n):
-        seq = seq0 + i
-        t = (start_us + i * period_us) / 1000.0
-        while pending_starts and pending_starts[0] <= t:
-            pending_starts.popleft()
-        if len(pending_starts) >= cfg.queue_cap:
-            outcomes.append(ChannelOutcome.loss(seq, LossCause.QUEUE_OVERFLOW))
-            continue
-        start = t if last_departure <= t else last_departure
-        j = branches[i]
-        if j == max_rtx:
-            duration = t_loss
-            outcomes.append(ChannelOutcome.loss(seq, LossCause.RTX_EXCEEDED))
-        else:
-            duration = service_std[i] * branch_means[j]
-            delay = (start - t) + duration + transport[i]
-            outcomes.append(ChannelOutcome.delivery(seq, delay, j, start - t))
-        last_departure = start + duration
-        pending_starts.append(start)
-    return outcomes
+    arrivals, branches, service, transport = _frame_draws(trace, cfg)
+    starts = _fifo_starts(arrivals, service, cfg.queue_cap)
+    if starts is None:
+        return _simulate_loop(trace, cfg, arrivals, branches, service, transport)
+    lost = branches == cfg.mac.max_rtx
+    waited = np.where(lost, math.nan, starts - arrivals)
+    return ChannelOutcomes(
+        seq=np.arange(trace.seq0, trace.seq0 + len(trace)),
+        delivered=~lost,
+        delay_ms=waited + service + transport,
+        rtx=np.where(lost, -1, branches),
+        waited_ms=waited,
+        cause=np.where(lost, RTX_EXCEEDED, DELIVERED),
+    )
 
 
 def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, float]:
@@ -302,10 +467,8 @@ def verify_unbounded_delay(
     period = cfg.period_ms
     trace = Trace.from_joints(np.zeros((n_samples, 1)), period_ms=period)
     outcomes = simulate_channel(trace, cfg)
-    exceed = sum(
-        1 for o in outcomes if (not o.delivered) or (o.delay_ms is not None and o.delay_ms > k_ms)
-    )
-    return analytic_loss, exceed / n_samples
+    exceed = np.count_nonzero(~outcomes.delivered | (outcomes.delay_ms > k_ms))
+    return analytic_loss, int(exceed) / n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +500,34 @@ def channel_config_to_dict(cfg: ChannelConfig) -> dict:
     return doc
 
 
+def _checked_fields(doc, section: str, cls, extra: tuple[str, ...] = ()) -> dict:
+    """doc itself, once it is an object whose keys are numeric fields of cls
+    (or extra keys) holding numbers of the field's type."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section or 'channel config'}: expected an object, got {doc!r}")
+    kinds = {f.name: f.type for f in fields(cls) if f.type in ("int", "float")}
+    for key, value in doc.items():
+        name = f"{section}.{key}" if section else key
+        if key in kinds:
+            checked_number(value, name, integer=kinds[key] == "int")
+        elif key not in extra:
+            raise ConfigError(f"{name}: unknown key")
+    return doc
+
+
 def channel_config_from_dict(doc: dict) -> ChannelConfig:
-    mac = MacParams(**doc.get("mac", {}))
-    interference = InterferenceParams(**doc.get("interference", {}))
+    """The config a JSON document describes; an unknown key or a value of the
+    wrong type raises ConfigError naming the field."""
+    _checked_fields(doc, "", ChannelConfig, extra=("mac", "interference", "a_j"))
+    mac = MacParams(**_checked_fields(doc.get("mac", {}), "mac", MacParams))
+    interference = InterferenceParams(
+        **_checked_fields(doc.get("interference", {}), "interference", InterferenceParams)
+    )
     rtx_probs = doc.get("a_j")
+    if rtx_probs is not None:
+        if not isinstance(rtx_probs, list):
+            raise ConfigError(f"a_j: expected a list of numbers, got {rtx_probs!r}")
+        rtx_probs = tuple(checked_number(p, f"a_j[{k}]") for k, p in enumerate(rtx_probs))
     return ChannelConfig(
         mac=mac,
         interference=interference,
@@ -348,24 +535,29 @@ def channel_config_from_dict(doc: dict) -> ChannelConfig:
         period_ms=doc.get("period_ms", 20.0),
         transport_bound_ms=doc.get("transport_bound_ms", 0.0),
         seed=doc.get("seed", 0),
-        rtx_probs=None if rtx_probs is None else tuple(rtx_probs),
+        rtx_probs=rtx_probs,
     )
 
 
 def load_channel_config(path: str | Path) -> ChannelConfig:
-    return channel_config_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return channel_config_from_dict(json.loads(Path(path).read_text()))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def save_channel_config(cfg: ChannelConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(channel_config_to_dict(cfg), indent=2) + "\n")
 
 
-def write_outcomes_csv(outcomes: list[ChannelOutcome], path: str | Path) -> None:
+def write_outcomes_csv(outcomes: Sequence[ChannelOutcome], path: str | Path) -> None:
+    columns = ChannelOutcomes.from_outcomes(outcomes)
+    rows = zip(columns.seq.tolist(), columns.delay_ms.tolist(), columns.rtx.tolist(), columns.cause.tolist())
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seq", "status", "delay_ms", "rtx", "cause"])
-        for o in outcomes:
-            if o.delivered:
-                writer.writerow([o.seq, "delivered", repr(o.delay_ms), o.rtx, ""])
+        for seq, delay, rtx, cause in rows:
+            if cause == DELIVERED:
+                writer.writerow([seq, "delivered", repr(delay), rtx, ""])
             else:
-                writer.writerow([o.seq, "lost", "", "", o.cause.value])
+                writer.writerow([seq, "lost", "", "", _CAUSES[cause].value])

@@ -21,12 +21,13 @@ from pathlib import Path
 
 from . import __version__
 from .channel import (
+    ChannelConfig,
     channel_config_from_dict,
     load_channel_config,
     simulate_channel,
     write_outcomes_csv,
 )
-from .core import RecoveryConfig, read_trace_csv, write_trace_csv
+from .core import RecoveryConfig, checked_number, read_trace_csv, write_trace_csv
 from .errors import ConfigError, ForecoError
 from .evaluation import SweepGrid, rmse, run_sweep
 from .forecasting import (
@@ -237,60 +238,97 @@ def cmd_simulate(args) -> int:
 
     outcomes = simulate_channel(trace, channel)
     stream = run_recovery(trace, outcomes, policy)
-    error = rmse(stream, trace)
+    # A stream that executed nothing has no error to measure.
+    error = rmse(stream, trace) if stream.stats.dropped < len(stream) else None
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_outcomes_csv(outcomes, out_dir / "outcomes.csv")
     write_executed_csv(stream, out_dir / "executed.csv")
     write_stats_json(stream, out_dir / "stats.json")
-    summary = {
-        "policy": policy.label,
-        "rmse": error,
-        "stats": stream.stats.to_dict(),
-        "commands": len(trace),
-        "channel_seed": channel.seed,
-        "tolerance_ms": recovery_cfg.tolerance_ms,
-        "record_len": recovery_cfg.record_len,
-    }
+    summary = {"policy": policy.label, "rmse": error}
+    if error is None:
+        summary["rmse_note"] = "no command was executed: every slot missed its deadline and was dropped"
+    summary.update(
+        stats=stream.stats.to_dict(),
+        commands=len(trace),
+        channel_seed=channel.seed,
+        tolerance_ms=recovery_cfg.tolerance_ms,
+        record_len=recovery_cfg.record_len,
+    )
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
 
     for name in ("outcomes.csv", "executed.csv", "stats.json", "summary.json"):
         manifest.add_output(out_dir / name)
     manifest.write(out_dir / "manifest.json")
-    print(f"policy={policy.label} rmse={error:.6g} on_time={stream.stats.on_time}/{len(trace)}")
+    shown = "null" if error is None else f"{error:.6g}"
+    print(f"policy={policy.label} rmse={shown} on_time={stream.stats.on_time}/{len(trace)}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
-def _load_sweep_spec(path: Path) -> dict:
+# Optional numeric fields of a sweep spec: name -> must be an integer.
+_SPEC_NUMBERS = {
+    "repetitions": True,
+    "master_seed": True,
+    "tolerance_ms": False,
+    "record_len": True,
+    "step_limit_margin": False,
+}
+
+
+def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig]:
+    """The spec, its grid and its channel template. A missing field, a grid
+    axis that is not a non-empty list of numbers (integers for robot counts)
+    or a value of the wrong type raises ConfigError naming file and field."""
     spec = json.loads(path.read_text())
-    for field in ("probs", "durations", "robot_counts", "channel"):
-        if field not in spec:
-            raise ConfigError(f"sweep spec is missing {field!r}")
-    return spec
+    try:
+        if not isinstance(spec, dict):
+            raise ConfigError(f"expected an object, got {spec!r}")
+        for field in ("probs", "durations", "robot_counts", "channel"):
+            if field not in spec:
+                raise ConfigError(f"sweep spec is missing {field!r}")
+        for field in ("probs", "durations", "robot_counts"):
+            axis = spec[field]
+            if not isinstance(axis, list) or not axis:
+                raise ConfigError(f"{field}: expected a non-empty list of numbers, got {axis!r}")
+            for k, value in enumerate(axis):
+                checked_number(value, f"{field}[{k}]", integer=field == "robot_counts")
+        for field, integer in _SPEC_NUMBERS.items():
+            if field in spec:
+                checked_number(spec[field], field, integer)
+        policies = spec.get("policies", [])
+        if not isinstance(policies, list) or not all(isinstance(name, str) for name in policies):
+            raise ConfigError(f"policies: expected a list of names, got {policies!r}")
+        if spec.get("model") is not None and not isinstance(spec["model"], str):
+            raise ConfigError(f"model: expected a path, got {spec['model']!r}")
+        grid = SweepGrid(
+            probs=tuple(spec["probs"]),
+            durations=tuple(spec["durations"]),
+            robot_counts=tuple(spec["robot_counts"]),
+            repetitions=spec.get("repetitions", 40),
+            master_seed=spec.get("master_seed", 0),
+        )
+        try:
+            template = channel_config_from_dict(spec["channel"])
+        except ConfigError as exc:
+            raise ConfigError(f"channel: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return spec, grid, template
 
 
 def cmd_sweep(args) -> int:
     trace = read_trace_csv(args.trace)
     spec_path = Path(args.spec)
-    spec = _load_sweep_spec(spec_path)
+    spec, grid, template = _load_sweep_spec(spec_path)
 
     manifest = Manifest(args.argv)
     manifest.add_input(args.trace)
     manifest.add_input(spec_path)
-
-    grid = SweepGrid(
-        probs=tuple(spec["probs"]),
-        durations=tuple(spec["durations"]),
-        robot_counts=tuple(spec["robot_counts"]),
-        repetitions=spec.get("repetitions", 40),
-        master_seed=spec.get("master_seed", 0),
-    )
     manifest.add_seed("master", grid.master_seed)
-    template = channel_config_from_dict(spec["channel"])
     recovery_cfg = RecoveryConfig(
         tolerance_ms=spec.get("tolerance_ms", 0.0),
         record_len=spec.get("record_len", 20),

@@ -155,6 +155,18 @@ class RecoveryConfig:
             raise ConfigError(f"record length must be >= 1, got {self.record_len}")
 
 
+def checked_number(value, name: str, integer: bool = False):
+    """value itself if it is a finite JSON number (an integer when integer
+    is set); otherwise a ConfigError naming the field."""
+    if integer:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{name}: expected {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return value
+
+
 def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
     """Split a trace into a leading training part and a trailing test part.
 

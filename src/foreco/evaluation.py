@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelOutcome, LossCause, simulate_channel
+from .channel import DELIVERED, RTX_EXCEEDED, ChannelConfig, ChannelOutcomes, simulate_channel
 from .core import Trace
 from .errors import ConfigError
 from .forecasting import MaModel, VarModel, fit_var_ols
@@ -54,8 +53,8 @@ def controlled_loss_outcomes(
     seed: int,
     min_start: int = 0,
     min_gap: int = 20,
-) -> list[ChannelOutcome]:
-    """Outcome list with every command on time except seeded bursts of
+) -> ChannelOutcomes:
+    """Outcomes with every command on time except seeded bursts of
     consecutive losses, mimicking a controller that drops runs of commands.
 
     Bursts start at or after min_start, are placed uniformly at random, and
@@ -81,12 +80,15 @@ def controlled_loss_outcomes(
     lost = np.zeros(n, dtype=bool)
     for s in starts:
         lost[s : s + burst_len] = True
-    return [
-        ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED)
-        if is_lost
-        else ChannelOutcome.delivery(trace.seq0 + i, 0.0, 0, 0.0)
-        for i, is_lost in enumerate(lost.tolist())
-    ]
+    on_time = np.where(lost, math.nan, 0.0)
+    return ChannelOutcomes(
+        seq=np.arange(trace.seq0, trace.seq0 + n),
+        delivered=~lost,
+        delay_ms=on_time,
+        rtx=np.where(lost, -1, 0),
+        waited_ms=on_time,
+        cause=np.where(lost, RTX_EXCEEDED, DELIVERED),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +111,8 @@ class SweepGrid:
                 raise ConfigError(f"sweep axis {name} is empty")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     def cells(self) -> list[CellKey]:
         return [
@@ -289,6 +293,10 @@ def run_sweep(
     }
 
     if jobs > 1:
+        # Imported here: multiprocessing is a sizeable share of `import
+        # foreco`, and only the parallel path needs it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(trace, channel_template, policies)
         ) as pool:

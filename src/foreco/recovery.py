@@ -11,14 +11,13 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelOutcome
+from .channel import ChannelOutcome, ChannelOutcomes
 from .core import Command, Provenance, RecoveryConfig, Trace
 from .errors import ConfigError
 from .forecasting import Forecaster, predict
@@ -90,17 +89,33 @@ class RecoveryStats:
 
 @dataclass(frozen=True)
 class ExecutedStream:
-    """One entry per command slot; None marks a slot left empty (drop mode)."""
+    """One entry per command slot; None marks a slot left empty (drop mode).
+
+    The (H, d) joints array that joints_matrix returns is cached in a
+    non-init field: run_recovery hands over the array it filled, any other
+    stream builds it from commands on first use. dataclasses.replace starts
+    the copy without it.
+    """
 
     commands: tuple[Command | None, ...]
     stats: RecoveryStats
+    _joints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.commands)
 
     def joints_matrix(self) -> np.ndarray:
-        """Joints per slot as an (H, d) float array. An empty slot holds the
-        last executed command; leading empty slots hold the first one."""
+        """Joints per slot as a read-only (H, d) float array. An empty slot
+        holds the last executed command; leading empty slots hold the first."""
+        if self._joints is None:
+            self._cache_joints(self._joints_from_commands())
+        return self._joints
+
+    def _cache_joints(self, joints: np.ndarray) -> None:
+        joints.setflags(write=False)
+        object.__setattr__(self, "_joints", joints)
+
+    def _joints_from_commands(self) -> np.ndarray:
         executed = [c.joints for c in self.commands if c is not None]
         if not executed:
             raise ConfigError("stream has no executed commands")
@@ -113,10 +128,19 @@ class ExecutedStream:
         return np.array(rows, dtype=float)
 
 
+def _deadline_ms(period_ms: float, cfg: RecoveryConfig) -> float:
+    return period_ms + cfg.tolerance_ms
+
+
 def replay_deadline(outcome: ChannelOutcome, period_ms: float, cfg: RecoveryConfig) -> bool:
     """True iff the command was delivered within one period plus the tolerance,
     i.e. before the next slot's scheduled deadline. The bound is inclusive."""
-    return outcome.delivered and outcome.delay_ms <= period_ms + cfg.tolerance_ms
+    return outcome.delivered and outcome.delay_ms <= _deadline_ms(period_ms, cfg)
+
+
+def on_time_mask(outcomes: ChannelOutcomes, period_ms: float, cfg: RecoveryConfig) -> np.ndarray:
+    """replay_deadline for every outcome at once, as a boolean array."""
+    return outcomes.delivered & (outcomes.delay_ms <= _deadline_ms(period_ms, cfg))
 
 
 def run_recovery(
@@ -133,6 +157,7 @@ def run_recovery(
     """
     if len(outcomes) != len(trace):
         raise ConfigError(f"{len(outcomes)} outcomes for {len(trace)} commands")
+    outcomes = ChannelOutcomes.from_outcomes(outcomes)
     cfg = policy.cfg
     model = policy.model
     period_ms = trace.period_ms
@@ -144,48 +169,59 @@ def run_recovery(
                 f"model needs {model.min_history} past commands but the record keeps {cfg.record_len}"
             )
 
-    history: deque[Command] = deque(maxlen=cfg.record_len)
-    slots: list[Command | None] = []
-    on_time = forecast = repeated = dropped = 0
-
-    for cmd, outcome in zip(trace.samples, outcomes):
-        if replay_deadline(outcome, period_ms, cfg):
-            executed = cmd
-            on_time += 1
+    on_time = on_time_mask(outcomes, period_ms, cfg)
+    missed = np.flatnonzero(~on_time).tolist()
+    # The first on-time slot is the first executed one: a miss before it
+    # finds no history and is dropped. From there on, forecast and
+    # repeat-last fill every slot, so the history at slot i is the slots
+    # from max(first, i - record_len) up to i.
+    first = int(np.argmax(on_time)) if on_time.any() else len(trace)
+    slots: list[Command | None] = list(trace.samples)
+    joints = np.array(trace.joints)
+    forecast = repeated = dropped = 0
+    for i in missed:
+        cmd = slots[i]
+        if policy.mode is PolicyMode.DROP or i < first:
+            slots[i] = None
+            dropped += 1
+            continue
+        prev = slots[i - 1].joints
+        if policy.mode is PolicyMode.FORECAST and i - first >= model.min_history:
+            history = slots[max(first, i - cfg.record_len) : i]
+            predicted = predict(model, history, period_ms=period_ms)
+            row = predicted.joints
+            if policy.max_step_per_joint is not None:
+                row = tuple(
+                    p + min(max(j - p, -lim), lim)
+                    for j, p, lim in zip(row, prev, policy.max_step_per_joint)
+                )
+            slots[i] = replace(predicted, seq=cmd.seq, gen_time_us=cmd.gen_time_us, joints=row)
+            forecast += 1
         else:
-            action = policy.mode
-            if action is PolicyMode.FORECAST and len(history) < model.min_history:
-                action = PolicyMode.REPEAT_LAST  # not enough history yet
-            if action is PolicyMode.FORECAST:
-                predicted = predict(model, list(history), period_ms=period_ms)
-                joints = predicted.joints
-                if policy.max_step_per_joint is not None:
-                    prev = history[-1].joints
-                    joints = tuple(
-                        p + min(max(j - p, -lim), lim)
-                        for j, p, lim in zip(joints, prev, policy.max_step_per_joint)
-                    )
-                executed = replace(
-                    predicted, seq=cmd.seq, gen_time_us=cmd.gen_time_us, joints=joints
-                )
-                forecast += 1
-            elif action is PolicyMode.REPEAT_LAST and history:
-                executed = Command(
-                    seq=cmd.seq,
-                    joints=history[-1].joints,
-                    gen_time_us=cmd.gen_time_us,
-                    provenance=Provenance.REPEAT_LAST,
-                )
-                repeated += 1
-            else:
-                executed = None
-                dropped += 1
-        slots.append(executed)
-        if executed is not None:
-            history.append(executed)
+            row = prev
+            slots[i] = Command(
+                seq=cmd.seq, joints=row, gen_time_us=cmd.gen_time_us, provenance=Provenance.REPEAT_LAST
+            )
+            repeated += 1
+        joints[i] = row
 
-    stats = RecoveryStats(on_time, forecast, repeated, dropped)
-    return ExecutedStream(tuple(slots), stats)
+    stats = RecoveryStats(len(trace) - len(missed), forecast, repeated, dropped)
+    stream = ExecutedStream(tuple(slots), stats)
+    if dropped < len(trace):
+        if dropped:
+            joints = joints[_held_rows([c is not None for c in slots])]
+        stream._cache_joints(joints)
+    return stream
+
+
+def _held_rows(executed: list[bool]) -> np.ndarray:
+    """For each slot, the index of the executed slot whose row it holds: its
+    own, else the last one before it, else (leading gaps) the first one."""
+    executed = np.array(executed)
+    index = np.where(executed, np.arange(len(executed)), 0)
+    np.maximum.accumulate(index, out=index)
+    index[: np.argmax(executed)] = np.argmax(executed)
+    return index
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:

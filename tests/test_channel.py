@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 from foreco.channel import (
     ChannelConfig,
     ChannelOutcome,
+    ChannelOutcomes,
     InterferenceParams,
     LossCause,
     MacParams,
     attempt_failure_prob,
+    channel_config_from_dict,
     channel_rtx_probs,
     expected_delay_bound,
     load_channel_config,
@@ -327,3 +330,111 @@ class TestChannelFiles:
     def test_lost_airtime_exceeds_worst_delivery_backoff(self):
         mac = MacParams()
         assert lost_frame_airtime(mac) > mean_delay_given_rtx(mac.max_rtx - 1, mac) - mac.t_s_ms
+
+
+class TestChannelOutcomes:
+    OUTCOMES = [
+        ChannelOutcome.delivery(5, 0.42, 1, 0.1),
+        ChannelOutcome.loss(6, LossCause.RTX_EXCEEDED),
+        ChannelOutcome.loss(7, LossCause.QUEUE_OVERFLOW),
+        ChannelOutcome.delivery(8, 21.5, 0, 0.0),
+    ]
+
+    def columns(self) -> ChannelOutcomes:
+        return ChannelOutcomes.from_outcomes(self.OUTCOMES)
+
+    def test_columns_of_a_list(self):
+        out = self.columns()
+        assert out.seq.tolist() == [5, 6, 7, 8]
+        assert out.delivered.tolist() == [True, False, False, True]
+        assert out.rtx.tolist() == [1, -1, -1, 0]
+        assert np.isnan(out.delay_ms[1:3]).all() and np.isnan(out.waited_ms[1:3]).all()
+        assert out.delay_ms[[0, 3]].tolist() == [0.42, 21.5]
+        assert ChannelOutcomes.from_outcomes(out) is out
+
+    def test_sequence_view_round_trips(self):
+        out = self.columns()
+        assert len(out) == 4
+        assert list(out) == self.OUTCOMES
+        assert [out[i] for i in range(4)] == self.OUTCOMES
+        assert out[-1] == self.OUTCOMES[-1]
+        assert out == self.OUTCOMES and self.OUTCOMES == out
+        assert out[1:3] == self.OUTCOMES[1:3]
+        assert isinstance(out[1:3], ChannelOutcomes)
+        assert self.OUTCOMES[2] in out
+        with pytest.raises(IndexError):
+            out[4]
+
+    def test_items_hold_python_scalars(self):
+        item = self.columns()[0]
+        assert type(item.seq) is int and type(item.rtx) is int
+        assert type(item.delay_ms) is float and type(item.waited_ms) is float
+
+    def test_equality_is_exact(self):
+        out = self.columns()
+        assert out == ChannelOutcomes.from_outcomes(list(self.OUTCOMES))
+        moved = list(self.OUTCOMES)
+        moved[0] = ChannelOutcome.delivery(5, math.nextafter(0.42, 1.0), 1, 0.1)
+        assert out != ChannelOutcomes.from_outcomes(moved)
+        assert out != moved
+        assert out != self.OUTCOMES[:3]
+
+    def test_columns_are_read_only(self):
+        out = self.columns()
+        with pytest.raises(ValueError):
+            out.delay_ms[0] = 1.0
+
+    def test_inconsistent_columns_rejected(self):
+        out = self.columns()
+        with pytest.raises(ConfigError):
+            ChannelOutcomes(out.seq, ~out.delivered, out.delay_ms, out.rtx, out.waited_ms, out.cause)
+        with pytest.raises(ConfigError):
+            ChannelOutcomes(out.seq, out.delivered[:2], out.delay_ms, out.rtx, out.waited_ms, out.cause)
+
+    def test_simulate_returns_columns(self):
+        out = simulate_channel(flat_trace(300).slice(100, 300), quiet_config())
+        assert isinstance(out, ChannelOutcomes)
+        assert out.seq.tolist() == list(range(100, 300))
+
+    def test_unbounded_delay_counts_from_columns(self):
+        cfg = ChannelConfig(
+            interference=InterferenceParams(p_if=0.7, t_if_slots=16.0, n_stations=20), seed=4
+        )
+        _, observed = verify_unbounded_delay(cfg, 5.0, 10_000)
+        outcomes = simulate_channel(flat_trace(10_000), cfg)
+        exceed = sum(1 for o in outcomes if not o.delivered or o.delay_ms > 5.0)
+        assert observed == exceed / 10_000
+
+
+class TestChannelConfigLoader:
+    @pytest.mark.parametrize("doc, field", [
+        ({"mac": {"bogus": 1}}, "mac.bogus"),
+        ({"interference": {"p": 0.5}}, "interference.p"),
+        ({"bogus": 1}, "bogus"),
+        ({"mac": {"w0": "16"}}, "mac.w0"),
+        ({"mac": {"w0": 16.0}}, "mac.w0"),
+        ({"mac": {"t_s_ms": True}}, "mac.t_s_ms"),
+        ({"interference": {"p_if": float("nan")}}, "interference.p_if"),
+        ({"queue_cap": "50"}, "queue_cap"),
+        ({"seed": 1.5}, "seed"),
+        ({"a_j": "0.5"}, "a_j"),
+        ({"a_j": [0.5, None]}, "a_j[1]"),
+        ({"mac": []}, "mac"),
+    ])
+    def test_unknown_or_ill_typed_field_named(self, doc, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
+            channel_config_from_dict(doc)
+
+    def test_file_named_in_message(self, tmp_path):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"mac": {"bogus": 1}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: mac.bogus")):
+            load_channel_config(path)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError):
+            channel_config_from_dict({"seed": -1})
+
+    def test_integers_accepted_for_float_fields(self):
+        cfg = channel_config_from_dict({"mac": {"t_s_ms": 1}, "period_ms": 20})
+        assert cfg.mac.t_s_ms == 1 and cfg.period_ms == 20

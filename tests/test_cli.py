@@ -136,7 +136,69 @@ class TestMalformedTrace:
         assert str(trace) in doc["error"]["message"]
 
 
+class TestMalformedConfig:
+    """Channel JSON and sweep spec inputs that must fail as typed config
+    errors (exit 3) naming the file and the field, never as internal ones."""
+
+    SPEC = {"probs": [0.5], "durations": [2.0], "robot_counts": [5], "repetitions": 1,
+            "channel": {}, "policies": ["repeat-last"]}
+
+    @pytest.mark.parametrize("command, doc, field", [
+        ("simulate", {"mac": {"bogus": 1}}, "mac.bogus"),
+        ("simulate", {"interference": {"n_stations": 2.5}}, "interference.n_stations"),
+        ("simulate", {"queue_cap": "50"}, "queue_cap"),
+        ("simulate", {"bogus": 1}, "bogus"),
+        ("simulate", {"seed": -1}, "seed"),
+        ("simulate", [1, 2], "expected an object"),
+        ("sweep", dict(SPEC, probs="0.5"), "probs"),
+        ("sweep", dict(SPEC, durations=[]), "durations"),
+        ("sweep", dict(SPEC, robot_counts=[5, "7"]), "robot_counts[1]"),
+        ("sweep", dict(SPEC, robot_counts=[2.5]), "robot_counts[0]"),
+        ("sweep", dict(SPEC, probs=[True]), "probs[0]"),
+        ("sweep", dict(SPEC, repetitions="2"), "repetitions"),
+        ("sweep", dict(SPEC, master_seed=-1), "master seed"),
+        ("sweep", dict(SPEC, policies="repeat-last"), "policies"),
+        ("sweep", dict(SPEC, channel={"mac": {"bogus": 1}}), "channel: mac.bogus"),
+    ])
+    def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--trace", str(trace_csv), "--channel", str(path),
+                    "--policy", "repeat-last", "--out-dir", str(out_dir)]
+        else:
+            argv = ["sweep", "--trace", str(trace_csv), "--spec", str(path), "--jobs", "1",
+                    "--out-dir", str(out_dir)]
+        rc = main(argv)
+        assert rc == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith(f"{path}: ")
+        assert field in error["message"]
+        assert not out_dir.exists()
+
+
 class TestSimulate:
+    def test_all_lost_channel_writes_outputs_with_null_rmse(self, trace_csv, tmp_path, capsys):
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps({"mac": {"max_rtx": 2}, "a_j": [0.0, 0.0, 1.0], "seed": 1}))
+        out_dir = tmp_path / "run"
+        rc = main(["simulate", "--trace", str(trace_csv), "--channel", str(ch),
+                   "--policy", "repeat-last", "--out-dir", str(out_dir)])
+        assert rc == 0
+        assert "rmse=null" in capsys.readouterr().out
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["rmse"] is None
+        assert "dropped" in summary["rmse_note"]
+        assert summary["stats"]["dropped"] == 1500
+        assert json.loads((out_dir / "stats.json").read_text())["dropped"] == 1500
+        assert (out_dir / "executed.csv").read_text().splitlines() == ["seq,provenance"]
+        rows = (out_dir / "outcomes.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1500 and all(r.endswith(",lost,,,rtx-exceeded") for r in rows)
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert len(manifest["outputs"]) == 4
+
     def test_lossless_channel_passes_everything(self, trace_csv, tmp_path):
         ch = tmp_path / "ch.json"
         write_channel(ch)  # single station, no interference

@@ -1,0 +1,329 @@
+"""Fast paths against the slow references they replaced, on randomized inputs.
+
+The array FIFO queue of simulate_channel is checked against the per-frame
+loop, and the bulk run_recovery against the per-slot loop kept below. Both
+comparisons are exact: no tolerance.
+"""
+
+from collections import deque
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from foreco import channel
+from foreco.channel import (
+    ChannelConfig,
+    ChannelOutcome,
+    ChannelOutcomes,
+    InterferenceParams,
+    LossCause,
+    MacParams,
+    simulate_channel,
+)
+from foreco.core import Command, Provenance, RecoveryConfig, Trace
+from foreco.forecasting import MaModel, fit_var_ols, predict
+from foreco.recovery import (
+    ExecutedStream,
+    PolicyMode,
+    RecoveryPolicy,
+    RecoveryStats,
+    on_time_mask,
+    replay_deadline,
+    run_recovery,
+    step_limit_from_trace,
+)
+
+
+# ---------------------------------------------------------------------------
+# Array queue against the per-frame loop
+
+def random_channel_case(rng: np.random.Generator) -> tuple[Trace, ChannelConfig]:
+    """A sliced trace (seq0 and start_us nonzero) and a channel with random
+    MAC and interference parameters, waiting-room cap and transport bound."""
+    mac = MacParams(
+        t_s_ms=float(rng.uniform(0.05, 1.5)),
+        t_col_ms=float(rng.uniform(0.05, 1.5)),
+        slot_ms=float(rng.uniform(0.002, 0.05)),
+        w0=int(rng.integers(2, 64)),
+        max_window_exp=int(rng.integers(0, 7)),
+        max_rtx=int(rng.integers(1, 10)),
+    )
+    interference = InterferenceParams(
+        p_if=float(rng.uniform(0.0, 1.0)),
+        t_if_slots=float(rng.choice([0.0, 1.0, 8.0, 32.0])),
+        n_stations=int(rng.integers(1, 40)),
+        attempt_prob=float(rng.uniform(0.0, 0.3)),
+    )
+    period_ms = float(rng.choice([0.5, 1.0, 2.0, 5.0, 20.0]))
+    cfg = ChannelConfig(
+        mac=mac,
+        interference=interference,
+        queue_cap=int(rng.choice([1, 2, 3, 5, 12, 50])),
+        period_ms=period_ms,
+        transport_bound_ms=float(rng.choice([0.0, 0.5, 7.0])),
+        seed=int(rng.integers(0, 2**32)),
+    )
+    n = int(rng.integers(2, 1500))
+    full = Trace.from_joints(np.zeros((n, 1)), period_ms, start_ms=float(rng.integers(0, 1000)))
+    start = int(rng.integers(0, n - 1))
+    return full.slice(start, int(rng.integers(start + 1, n + 1))), cfg
+
+
+def loop_outcomes(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
+    return channel._simulate_loop(trace, cfg, *channel._frame_draws(trace, cfg))
+
+
+def takes_array_path(trace: Trace, cfg: ChannelConfig) -> bool:
+    arrivals, _, service, _ = channel._frame_draws(trace, cfg)
+    return channel._fifo_starts(arrivals, service, cfg.queue_cap) is not None
+
+
+class TestArrayQueue:
+    def test_random_cases_equal_the_loop_exactly(self):
+        rng = np.random.default_rng(20240611)
+        paths = {True: 0, False: 0}
+        for _ in range(300):
+            trace, cfg = random_channel_case(rng)
+            fast = simulate_channel(trace, cfg)
+            oracle = loop_outcomes(trace, cfg)
+            assert fast == oracle
+            assert list(fast) == list(oracle)
+            assert fast.seq[0] == trace.seq0
+            paths[takes_array_path(trace, cfg)] += 1
+        # both paths must be exercised for the comparison to mean anything
+        assert paths[True] >= 100
+        assert paths[False] >= 20
+
+    @pytest.mark.parametrize("p_if", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("bound", [0.0, 0.5])
+    def test_default_grid_cells_take_the_array_path(self, p_if, bound):
+        trace = Trace.from_joints(np.zeros((1500, 1)), 20.0).slice(300, 1500)
+        for robots in (5, 25):
+            interference = InterferenceParams(p_if=p_if, t_if_slots=32.0, n_stations=robots)
+            cfg = ChannelConfig(interference=interference, transport_bound_ms=bound, seed=robots)
+            assert takes_array_path(trace, cfg)
+            assert simulate_channel(trace, cfg) == loop_outcomes(trace, cfg)
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_binding_cap_falls_back_to_the_loop(self, cap):
+        # 1 ms period against ~3 ms of airtime per frame: the room fills
+        trace = Trace.from_joints(np.zeros((400, 1)), 1.0)
+        mac = MacParams(t_s_ms=3.0)
+        cfg = ChannelConfig(mac=mac, queue_cap=cap, period_ms=1.0, seed=cap)
+        assert not takes_array_path(trace, cfg)
+        out = simulate_channel(trace, cfg)
+        assert out == loop_outcomes(trace, cfg)
+        assert np.any(out.cause == channel.QUEUE_OVERFLOW)
+
+    def test_waiting_count_at_the_cap_is_detected(self):
+        # four frames arrive before the first leaves: the last finds two waiting
+        arrivals = np.array([0.0, 1.0, 2.0, 3.0])
+        service = np.array([10.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(
+            channel._fifo_starts(arrivals, service, 4), [0.0, 10.0, 11.0, 12.0]
+        )
+        assert channel._fifo_starts(arrivals, service, 2) is None
+
+
+# ---------------------------------------------------------------------------
+# Bulk recovery against the per-slot loop
+
+def per_slot_recovery(trace: Trace, outcomes, policy: RecoveryPolicy) -> ExecutedStream:
+    """The per-slot recovery loop that run_recovery replaced, kept as the
+    reference: one deadline test, history deque and policy branch per slot."""
+    cfg = policy.cfg
+    model = policy.model
+    period_ms = trace.period_ms
+    history: deque[Command] = deque(maxlen=cfg.record_len)
+    slots: list[Command | None] = []
+    on_time = forecast = repeated = dropped = 0
+    for cmd, outcome in zip(trace.samples, outcomes):
+        if replay_deadline(outcome, period_ms, cfg):
+            executed = cmd
+            on_time += 1
+        else:
+            action = policy.mode
+            if action is PolicyMode.FORECAST and len(history) < model.min_history:
+                action = PolicyMode.REPEAT_LAST
+            if action is PolicyMode.FORECAST:
+                predicted = predict(model, list(history), period_ms=period_ms)
+                joints = predicted.joints
+                if policy.max_step_per_joint is not None:
+                    prev = history[-1].joints
+                    joints = tuple(
+                        p + min(max(j - p, -lim), lim)
+                        for j, p, lim in zip(joints, prev, policy.max_step_per_joint)
+                    )
+                executed = replace(predicted, seq=cmd.seq, gen_time_us=cmd.gen_time_us, joints=joints)
+                forecast += 1
+            elif action is PolicyMode.REPEAT_LAST and history:
+                executed = Command(
+                    seq=cmd.seq, joints=history[-1].joints, gen_time_us=cmd.gen_time_us,
+                    provenance=Provenance.REPEAT_LAST,
+                )
+                repeated += 1
+            else:
+                executed = None
+                dropped += 1
+        slots.append(executed)
+        if executed is not None:
+            history.append(executed)
+    return ExecutedStream(tuple(slots), RecoveryStats(on_time, forecast, repeated, dropped))
+
+
+def random_outcomes(rng: np.random.Generator, trace: Trace, deadline_ms: float) -> list[ChannelOutcome]:
+    """Losses and late deliveries at a random rate, sometimes in bursts, and
+    delays scattered around the deadline, exactly at it included."""
+    n = len(trace)
+    kind = rng.choice(["none", "all", "scatter", "bursts", "leading"])
+    missed = np.zeros(n, dtype=bool)
+    if kind == "all":
+        missed[:] = True
+    elif kind == "scatter":
+        missed = rng.random(n) < rng.uniform(0.05, 0.9)
+    elif kind in ("bursts", "leading"):
+        for start in rng.integers(0, n, size=int(rng.integers(1, 6))):
+            missed[start : start + int(rng.integers(1, 60))] = True
+        if kind == "leading":
+            missed[: int(rng.integers(1, 40))] = True
+    outcomes = []
+    for i, miss in enumerate(missed.tolist()):
+        seq = trace.seq0 + i
+        if miss and rng.random() < 0.5:
+            outcomes.append(ChannelOutcome.loss(seq, LossCause.RTX_EXCEEDED))
+        elif miss:
+            late = float(np.nextafter(deadline_ms, np.inf)) if rng.random() < 0.3 else deadline_ms + float(rng.uniform(0.01, 40))
+            outcomes.append(ChannelOutcome.delivery(seq, late, 1, 0.0))
+        else:
+            delay = deadline_ms if rng.random() < 0.1 else float(rng.uniform(0.0, deadline_ms))
+            outcomes.append(ChannelOutcome.delivery(seq, delay, 0, 0.0))
+    return outcomes
+
+
+def smooth_trace(rng: np.random.Generator, n: int, d: int) -> Trace:
+    t = np.arange(n) * 0.02
+    joints = np.sin(2 * np.pi * np.outer(t, rng.uniform(0.2, 0.5, d)) + rng.uniform(0, 6, d))
+    joints += rng.normal(0.0, 1e-3, joints.shape)
+    full = Trace.from_joints(joints, 20.0, start_ms=40.0)
+    return full.slice(int(rng.integers(0, 30)), n)
+
+
+def assert_same_stream(fast: ExecutedStream, slow: ExecutedStream) -> None:
+    assert fast.stats == slow.stats
+    assert fast.commands == slow.commands
+    if slow.stats.dropped < len(slow):
+        np.testing.assert_array_equal(fast.joints_matrix(), slow.joints_matrix())
+
+
+class WholeRecordMean:
+    """A duck-typed forecaster that reads every command it is given, so a
+    history window of the wrong length changes its forecasts."""
+
+    dim = 3
+    min_history = 2
+
+    def predict_next(self, history, period_ms):
+        last = history[-1]
+        joints = np.mean([c.joints for c in history], axis=0) + 0.01 * len(history)
+        return Command(last.seq + 1, tuple(joints.tolist()), last.gen_time_us + round(period_ms * 1000),
+                       provenance=Provenance.FORECAST)
+
+
+class TestBulkRecovery:
+    def test_random_cases_equal_the_per_slot_loop(self):
+        rng = np.random.default_rng(7)
+        train = smooth_trace(rng, 800, 3)
+        models = [fit_var_ols(train, lag) for lag in (1, 3, 8)] + [MaModel(3, 4), WholeRecordMean()]
+        limits = step_limit_from_trace(train, margin=1.2)
+        for case in range(60):
+            trace = smooth_trace(rng, int(rng.integers(40, 400)), 3)
+            cfg = RecoveryConfig(
+                tolerance_ms=float(rng.choice([0.0, 2.5])), record_len=int(rng.integers(8, 25))
+            )
+            outcomes = random_outcomes(rng, trace, trace.period_ms + cfg.tolerance_ms)
+            model = models[case % len(models)]
+            step = limits if rng.random() < 0.5 else None
+            policies = [
+                RecoveryPolicy(PolicyMode.FORECAST, cfg, model, max_step_per_joint=step),
+                RecoveryPolicy(PolicyMode.REPEAT_LAST, cfg),
+                RecoveryPolicy(PolicyMode.DROP, cfg),
+            ]
+            columns = ChannelOutcomes.from_outcomes(outcomes)
+            for policy in policies:
+                slow = per_slot_recovery(trace, outcomes, policy)
+                assert_same_stream(run_recovery(trace, outcomes, policy), slow)
+                assert_same_stream(run_recovery(trace, columns, policy), slow)
+
+    def test_simulated_channel_outcomes(self, pick_and_place_split):
+        train, test = pick_and_place_split
+        model = fit_var_ols(train, 20, ridge=0.1)
+        cfg = RecoveryConfig(record_len=20)
+        policy = RecoveryPolicy(
+            PolicyMode.FORECAST, cfg, model, max_step_per_joint=step_limit_from_trace(train, 1.5)
+        )
+        interference = InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25)
+        outcomes = simulate_channel(test, ChannelConfig(interference=interference, seed=3))
+        assert_same_stream(run_recovery(test, outcomes, policy), per_slot_recovery(test, outcomes, policy))
+
+    def test_on_time_commands_are_the_trace_objects(self):
+        rng = np.random.default_rng(1)
+        trace = smooth_trace(rng, 200, 2)
+        outcomes = random_outcomes(rng, trace, trace.period_ms)
+        stream = run_recovery(trace, outcomes, RecoveryPolicy(PolicyMode.REPEAT_LAST))
+        mask = on_time_mask(ChannelOutcomes.from_outcomes(outcomes), trace.period_ms, RecoveryConfig())
+        for hit, executed, sent in zip(mask, stream.commands, trace.samples):
+            if hit:
+                assert executed is sent
+
+
+class TestCachedJoints:
+    def stream(self, mode=PolicyMode.DROP):
+        rng = np.random.default_rng(4)
+        trace = smooth_trace(rng, 120, 3)
+        outcomes = random_outcomes(np.random.default_rng(11), trace, trace.period_ms)
+        outcomes[0] = ChannelOutcome.loss(trace.seq0, LossCause.QUEUE_OVERFLOW)
+        outcomes[1] = ChannelOutcome.delivery(trace.seq0 + 1, 0.0, 0, 0.0)
+        return run_recovery(trace, outcomes, RecoveryPolicy(mode))
+
+    @pytest.mark.parametrize("mode", [PolicyMode.DROP, PolicyMode.REPEAT_LAST])
+    def test_equals_the_rebuild_from_commands(self, mode):
+        stream = self.stream(mode)
+        assert stream._joints is not None
+        np.testing.assert_array_equal(stream.joints_matrix(), stream._joints_from_commands())
+
+    def test_read_only(self):
+        joints = self.stream().joints_matrix()
+        assert not joints.flags.writeable
+        with pytest.raises(ValueError):
+            joints[0, 0] = 1.0
+
+    def test_replace_recomputes_from_commands(self):
+        stream = self.stream(PolicyMode.REPEAT_LAST)
+        same = replace(stream, commands=stream.commands)
+        assert same._joints is None
+        np.testing.assert_array_equal(same.joints_matrix(), stream.joints_matrix())
+        shifted = replace(stream, commands=(None,) + stream.commands[:-1])
+        np.testing.assert_array_equal(
+            shifted.joints_matrix(),
+            np.vstack([stream.joints_matrix()[1:2], stream.joints_matrix()[:-1]]),
+        )
+        assert not shifted.joints_matrix().flags.writeable
+
+    def test_rebuilt_array_is_cached(self):
+        stream = replace(self.stream(), stats=RecoveryStats())
+        assert stream.joints_matrix() is stream.joints_matrix()
+
+
+class TestDeadlineMask:
+    @pytest.mark.parametrize("period_ms, tolerance_ms", [(20.0, 0.0), (20.0, 0.3), (0.1, 0.2), (7.0, 1e-9)])
+    def test_matches_replay_deadline_at_the_inclusive_boundary(self, period_ms, tolerance_ms):
+        cfg = RecoveryConfig(tolerance_ms=tolerance_ms)
+        bound = period_ms + tolerance_ms
+        delays = [bound, np.nextafter(bound, np.inf), np.nextafter(bound, -np.inf), 0.0, 2 * bound]
+        outcomes = [ChannelOutcome.delivery(i, float(x), 0, 0.0) for i, x in enumerate(delays)]
+        outcomes.append(ChannelOutcome.loss(len(delays), LossCause.RTX_EXCEEDED))
+        outcomes.append(ChannelOutcome.loss(len(delays) + 1, LossCause.QUEUE_OVERFLOW))
+        mask = on_time_mask(ChannelOutcomes.from_outcomes(outcomes), period_ms, cfg)
+        assert mask.tolist() == [replay_deadline(o, period_ms, cfg) for o in outcomes]
+        assert mask.tolist() == [True, False, True, True, False, False, False]
