@@ -16,7 +16,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -331,72 +331,42 @@ def _frame_draws(trace: Trace, cfg: ChannelConfig):
     return arrivals, branches, service, transport
 
 
-def _fifo_starts(arrivals: np.ndarray, service: np.ndarray, queue_cap: int) -> np.ndarray | None:
-    """Service start times of a FIFO queue whose waiting room never fills,
-    or None when it may fill or the iteration did not settle.
+def _queue_starts(arrivals: np.ndarray, service: np.ndarray, queue_cap: int):
+    """(starts, overflow): the service start time of every frame of the FIFO
+    queue, and which frames found queue_cap frames waiting and were dropped
+    (their start is unused).
 
-    Departures solve dep[i] = max(t[i], dep[i-1]) + s[i]. Iterating that map
-    on whole arrays, from dep = t + s, fixes one more frame of each busy period
-    per step; once a step changes nothing, every entry satisfies the
-    recursion with the very operations the per-frame loop performs, so the
-    values equal the loop's bit for bit (a cumsum would reassociate the sums).
-    The frames waiting when frame i arrives are those of 0..i-1 whose start
-    lies after t[i]; starts are sorted, so searchsorted counts them.
+    A frame starts on arrival unless the server is still busy. A busy period
+    is entered at a frame whose predecessor, started on arrival, is still in
+    service; one array compare finds these entries. From each entry the
+    per-frame recursion (start = last departure, departure = start + s, a
+    drop when the waiting room is full) is stepped until an arrival finds
+    the server idle. These are the per-frame loop's own IEEE operations, so
+    the starts equal its values bit for bit. An entry at or before the frame
+    where the last walk stopped is false: its predecessor lies in that walk
+    or was dropped.
     """
     n = len(arrivals)
-    departures = arrivals + service
-    previous = np.empty(n)
-    previous[0] = -math.inf
-    for _ in range(queue_cap):
-        previous[1:] = departures[:-1]
-        starts = np.maximum(arrivals, previous)
-        updated = starts + service
-        if np.array_equal(updated, departures):
-            break
-        departures = updated
-    else:
-        return None
-    index = np.arange(n)
-    waiting = index - np.minimum(np.searchsorted(starts, arrivals, side="right"), index)
-    if waiting.max() >= queue_cap:
-        return None
-    return starts
-
-
-def _simulate_loop(trace: Trace, cfg: ChannelConfig, arrivals, branches, service, transport) -> ChannelOutcomes:
-    """The queue stepped one frame at a time; exact for any waiting-room cap."""
-    max_rtx = cfg.mac.max_rtx
-    n = len(trace)
-    delivered = [False] * n
-    delay = [math.nan] * n
-    rtx = [-1] * n
-    waited = [math.nan] * n
-    cause = [DELIVERED] * n
-    pending_starts: deque[float] = deque()
-    last_departure = -math.inf
-    arrivals, branches = arrivals.tolist(), branches.tolist()
-    service, transport = service.tolist(), transport.tolist()
-    for i in range(n):
-        t = arrivals[i]
-        while pending_starts and pending_starts[0] <= t:
-            pending_starts.popleft()
-        if len(pending_starts) >= cfg.queue_cap:
-            cause[i] = QUEUE_OVERFLOW
+    starts = arrivals.copy()
+    overflow = np.zeros(n, dtype=bool)
+    i = 0
+    for k in (np.flatnonzero(arrivals[:-1] + service[:-1] > arrivals[1:]) + 1).tolist():
+        if k <= i:
             continue
-        start = t if last_departure <= t else last_departure
-        j = branches[i]
-        duration = service[i]
-        if j == max_rtx:
-            cause[i] = RTX_EXCEEDED
-        else:
-            delivered[i] = True
-            delay[i] = (start - t) + duration + transport[i]
-            rtx[i] = j
-            waited[i] = start - t
-        last_departure = start + duration
-        pending_starts.append(start)
-    seq = np.arange(trace.seq0, trace.seq0 + n)
-    return ChannelOutcomes(seq, delivered, delay, rtx, waited, cause)
+        departure = arrivals[k - 1] + service[k - 1]
+        waiting: deque[float] = deque()
+        i = k
+        while i < n and departure > arrivals[i]:
+            while waiting and waiting[0] <= arrivals[i]:
+                waiting.popleft()
+            if len(waiting) >= queue_cap:
+                overflow[i] = True
+            else:
+                starts[i] = departure
+                waiting.append(departure)
+                departure = departure + service[i]
+            i += 1
+    return starts, overflow
 
 
 def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
@@ -409,27 +379,24 @@ def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
     holds the server for the full failed-attempt airtime and is then dropped.
     Delivered delay = wait + service + a uniform (0, D] transport delay.
     Runs are reproducible from the config seed.
-
-    The queue is solved on whole arrays when the waiting room cannot fill,
-    and stepped frame by frame otherwise; both give identical outcomes.
     """
     if trace.period_us != ms_to_us(cfg.period_ms):
         raise ConfigError(
             f"trace period {trace.period_ms} ms does not match channel period {cfg.period_ms} ms"
         )
     arrivals, branches, service, transport = _frame_draws(trace, cfg)
-    starts = _fifo_starts(arrivals, service, cfg.queue_cap)
-    if starts is None:
-        return _simulate_loop(trace, cfg, arrivals, branches, service, transport)
-    lost = branches == cfg.mac.max_rtx
-    waited = np.where(lost, math.nan, starts - arrivals)
+    starts, overflow = _queue_starts(arrivals, service, cfg.queue_cap)
+    cause = np.where(branches == cfg.mac.max_rtx, RTX_EXCEEDED, DELIVERED)
+    cause[overflow] = QUEUE_OVERFLOW
+    delivered = cause == DELIVERED
+    waited = np.where(delivered, starts - arrivals, math.nan)
     return ChannelOutcomes(
         seq=np.arange(trace.seq0, trace.seq0 + len(trace)),
-        delivered=~lost,
+        delivered=delivered,
         delay_ms=waited + service + transport,
-        rtx=np.where(lost, -1, branches),
+        rtx=np.where(delivered, branches, -1),
         waited_ms=waited,
-        cause=np.where(lost, RTX_EXCEEDED, DELIVERED),
+        cause=cause,
     )
 
 
@@ -475,28 +442,10 @@ def verify_unbounded_delay(
 # File formats
 
 def channel_config_to_dict(cfg: ChannelConfig) -> dict:
-    doc = {
-        "mac": {
-            "t_s_ms": cfg.mac.t_s_ms,
-            "t_col_ms": cfg.mac.t_col_ms,
-            "slot_ms": cfg.mac.slot_ms,
-            "w0": cfg.mac.w0,
-            "max_window_exp": cfg.mac.max_window_exp,
-            "max_rtx": cfg.mac.max_rtx,
-        },
-        "interference": {
-            "p_if": cfg.interference.p_if,
-            "t_if_slots": cfg.interference.t_if_slots,
-            "n_stations": cfg.interference.n_stations,
-            "attempt_prob": cfg.interference.attempt_prob,
-        },
-        "queue_cap": cfg.queue_cap,
-        "period_ms": cfg.period_ms,
-        "transport_bound_ms": cfg.transport_bound_ms,
-        "seed": cfg.seed,
-    }
-    if cfg.rtx_probs is not None:
-        doc["a_j"] = list(cfg.rtx_probs)
+    doc = asdict(cfg)
+    rtx_probs = doc.pop("rtx_probs")
+    if rtx_probs is not None:
+        doc["a_j"] = list(rtx_probs)
     return doc
 
 

@@ -129,6 +129,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _lag_order(text: str) -> int | str:
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text}") from None
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -158,7 +167,7 @@ def cmd_train(args) -> int:
         lag = best_lag
         log.info("auto lag selection picked lag=%d", lag)
     else:
-        lag = int(args.lag)
+        lag = args.lag
         report["best_lag"] = lag
 
     if args.trainer == "ols":
@@ -401,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a forecaster on a trace CSV")
     p.add_argument("--trace", required=True)
-    p.add_argument("--lag", default="auto", help="lag order, or 'auto' for criterion-based selection")
+    p.add_argument(
+        "--lag", type=_lag_order, default="auto", help="lag order, or 'auto' for criterion-based selection"
+    )
     p.add_argument("--max-lag", type=int, default=20, help="largest lag scanned with --lag auto")
     p.add_argument("--trainer", choices=("ols", "adam"), default="ols")
     p.add_argument("--ridge", type=float, default=0.0, help="ridge penalty for collinear designs (ols)")

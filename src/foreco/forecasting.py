@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Command, Provenance, Trace, ms_to_us, us_to_ms
+from .core import Command, Provenance, Trace, checked_number, ms_to_us, us_to_ms
 from .errors import (
     ConfigError,
     DegenerateCovariance,
@@ -72,7 +72,6 @@ class VarModel:
     bias: np.ndarray
     coeffs: np.ndarray
     residual_cov: np.ndarray
-    n_params: int = field(default=-1)
     trainer: str = "ols"
     trained_at: str | None = None
     # (d, lag*d) horizontal stack of coeffs, precomputed for fast prediction
@@ -93,8 +92,10 @@ class VarModel:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "residual_cov", cov)
         object.__setattr__(self, "stacked", stacked)
-        if self.n_params < 0:
-            object.__setattr__(self, "n_params", self.dim * self.dim * self.lag)
+
+    @property
+    def n_params(self) -> int:
+        return self.dim * self.dim * self.lag
 
     @property
     def min_history(self) -> int:
@@ -410,16 +411,41 @@ def model_to_dict(model: VarModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> VarModel:
-    dim = int(doc["dim"])
-    lag = int(doc["lag"])
+    """The model a JSON document describes; a missing or unknown key, a value
+    of the wrong type or a weight list of the wrong length raises ConfigError
+    naming the field."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"expected an object, got {doc!r}")
+    required = ("dim", "lag", "bias", "coeffs", "residual_cov")
+    for key in doc:
+        if key not in required + ("trainer", "trained_at"):
+            raise ConfigError(f"{key}: unknown key")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{key}: missing key")
+    dim = checked_number(doc["dim"], "dim", integer=True)
+    lag = checked_number(doc["lag"], "lag", integer=True)
+    if dim < 1 or lag < 0:
+        raise ConfigError(f"dim must be >= 1 and lag >= 0, got dim={dim}, lag={lag}")
+    weights = {}
+    for key, size in (("bias", dim), ("coeffs", lag * dim * dim), ("residual_cov", dim * dim)):
+        values = doc[key]
+        if not isinstance(values, list) or len(values) != size:
+            raise ConfigError(f"{key}: expected a list of {size} numbers, got {values!r}")
+        weights[key] = np.array([checked_number(v, f"{key}[{k}]") for k, v in enumerate(values)])
+    trainer, trained_at = doc.get("trainer", "ols"), doc.get("trained_at")
+    if not isinstance(trainer, str):
+        raise ConfigError(f"trainer: expected a string, got {trainer!r}")
+    if trained_at is not None and not isinstance(trained_at, str):
+        raise ConfigError(f"trained_at: expected a string or null, got {trained_at!r}")
     return VarModel(
         dim=dim,
         lag=lag,
-        bias=np.array(doc["bias"], dtype=float),
-        coeffs=np.array(doc["coeffs"], dtype=float).reshape(lag, dim, dim),
-        residual_cov=np.array(doc["residual_cov"], dtype=float).reshape(dim, dim),
-        trainer=doc.get("trainer", "ols"),
-        trained_at=doc.get("trained_at"),
+        bias=weights["bias"],
+        coeffs=weights["coeffs"].reshape(lag, dim, dim),
+        residual_cov=weights["residual_cov"].reshape(dim, dim),
+        trainer=trainer,
+        trained_at=trained_at,
     )
 
 
@@ -430,4 +456,7 @@ def save_model(model: VarModel, path: str | Path, trained_at: str | None = None)
 
 
 def load_model(path: str | Path) -> VarModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return model_from_dict(json.loads(Path(path).read_text()))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -174,7 +174,8 @@ def run_recovery(
     # The first on-time slot is the first executed one: a miss before it
     # finds no history and is dropped. From there on, forecast and
     # repeat-last fill every slot, so the history at slot i is the slots
-    # from max(first, i - record_len) up to i.
+    # from max(first, i - record_len) up to i. An empty slot's row holds the
+    # row before it; the leading ones are set to the first executed row last.
     first = int(np.argmax(on_time)) if on_time.any() else len(trace)
     slots: list[Command | None] = list(trace.samples)
     joints = np.array(trace.joints)
@@ -183,6 +184,7 @@ def run_recovery(
         cmd = slots[i]
         if policy.mode is PolicyMode.DROP or i < first:
             slots[i] = None
+            joints[i] = joints[i - 1]
             dropped += 1
             continue
         prev = slots[i - 1].joints
@@ -207,21 +209,10 @@ def run_recovery(
 
     stats = RecoveryStats(len(trace) - len(missed), forecast, repeated, dropped)
     stream = ExecutedStream(tuple(slots), stats)
-    if dropped < len(trace):
-        if dropped:
-            joints = joints[_held_rows([c is not None for c in slots])]
+    if first < len(trace):
+        joints[:first] = joints[first]
         stream._cache_joints(joints)
     return stream
-
-
-def _held_rows(executed: list[bool]) -> np.ndarray:
-    """For each slot, the index of the executed slot whose row it holds: its
-    own, else the last one before it, else (leading gaps) the first one."""
-    executed = np.array(executed)
-    index = np.where(executed, np.arange(len(executed)), 0)
-    np.maximum.accumulate(index, out=index)
-    index[: np.argmax(executed)] = np.argmax(executed)
-    return index
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:

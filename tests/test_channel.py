@@ -288,7 +288,10 @@ class TestChannelFiles:
         path = tmp_path / "channel.json"
         save_channel_config(cfg, path)
         assert load_channel_config(path) == cfg
-        assert "a_j" in json.loads(path.read_text())
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["mac", "interference", "queue_cap", "period_ms", "transport_bound_ms", "seed", "a_j"]
+        assert list(doc["mac"]) == ["t_s_ms", "t_col_ms", "slot_ms", "w0", "max_window_exp", "max_rtx"]
+        assert list(doc["interference"]) == ["p_if", "t_if_slots", "n_stations", "attempt_prob"]
 
     def test_explicit_vector_must_be_distribution(self):
         with pytest.raises(ConfigError):

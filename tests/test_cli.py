@@ -137,11 +137,14 @@ class TestMalformedTrace:
 
 
 class TestMalformedConfig:
-    """Channel JSON and sweep spec inputs that must fail as typed config
-    errors (exit 3) naming the file and the field, never as internal ones."""
+    """Channel JSON, sweep spec and model JSON inputs that must fail as typed
+    config errors (exit 3) naming the file and the field, never as internal
+    ones."""
 
     SPEC = {"probs": [0.5], "durations": [2.0], "robot_counts": [5], "repetitions": 1,
             "channel": {}, "policies": ["repeat-last"]}
+    MODEL = {"dim": 6, "lag": 1, "bias": [0.0] * 6, "coeffs": [0.0] * 36,
+             "residual_cov": [float(i == j) for i in range(6) for j in range(6)]}
 
     @pytest.mark.parametrize("command, doc, field", [
         ("simulate", {"mac": {"bogus": 1}}, "mac.bogus"),
@@ -159,6 +162,13 @@ class TestMalformedConfig:
         ("sweep", dict(SPEC, master_seed=-1), "master seed"),
         ("sweep", dict(SPEC, policies="repeat-last"), "policies"),
         ("sweep", dict(SPEC, channel={"mac": {"bogus": 1}}), "channel: mac.bogus"),
+        ("model", {"dim": 6, "lag": 2}, "bias"),
+        ("model", dict(MODEL, coeffs=[0.0] * 35), "coeffs"),
+        ("model", [MODEL], "expected an object"),
+        ("model", dict(MODEL, bias="abc"), "bias"),
+        ("model", dict(MODEL, bias=[0.0] * 5 + ["1"]), "bias[5]"),
+        ("model", dict(MODEL, lag=1.0), "lag"),
+        ("model", dict(MODEL, bogus=1), "bogus"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -167,6 +177,11 @@ class TestMalformedConfig:
         if command == "simulate":
             argv = ["simulate", "--trace", str(trace_csv), "--channel", str(path),
                     "--policy", "repeat-last", "--out-dir", str(out_dir)]
+        elif command == "model":
+            channel = tmp_path / "channel.json"
+            write_channel(channel)
+            argv = ["simulate", "--trace", str(trace_csv), "--channel", str(channel),
+                    "--model", str(path), "--out-dir", str(out_dir)]
         else:
             argv = ["sweep", "--trace", str(trace_csv), "--spec", str(path), "--jobs", "1",
                     "--out-dir", str(out_dir)]
@@ -338,6 +353,14 @@ class TestEntryPoint:
                   "--jobs", jobs, "--out-dir", str(out_dir)])
         assert exc.value.code == 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lag", ["x", "2.5"])
+    def test_non_integer_lag_rejected_before_any_work(self, tmp_path, lag):
+        out = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--trace", str(tmp_path / "missing.csv"), "--lag", lag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_unknown_policy_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,10 +1,11 @@
 """Fast paths against the slow references they replaced, on randomized inputs.
 
-The array FIFO queue of simulate_channel is checked against the per-frame
-loop, and the bulk run_recovery against the per-slot loop kept below. Both
-comparisons are exact: no tolerance.
+The queue walk of simulate_channel is checked against the per-frame loop,
+and the bulk run_recovery against the per-slot loop, both kept below as
+references. Both comparisons are exact: no tolerance.
 """
 
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -13,6 +14,9 @@ import pytest
 
 from foreco import channel
 from foreco.channel import (
+    DELIVERED,
+    QUEUE_OVERFLOW,
+    RTX_EXCEEDED,
     ChannelConfig,
     ChannelOutcome,
     ChannelOutcomes,
@@ -36,7 +40,7 @@ from foreco.recovery import (
 
 
 # ---------------------------------------------------------------------------
-# Array queue against the per-frame loop
+# Queue walk against the per-frame loop
 
 def random_channel_case(rng: np.random.Generator) -> tuple[Trace, ChannelConfig]:
     """A sliced trace (seq0 and start_us nonzero) and a channel with random
@@ -70,19 +74,57 @@ def random_channel_case(rng: np.random.Generator) -> tuple[Trace, ChannelConfig]
     return full.slice(start, int(rng.integers(start + 1, n + 1))), cfg
 
 
+def _simulate_loop(trace: Trace, cfg: ChannelConfig, arrivals, branches, service, transport) -> ChannelOutcomes:
+    """The queue stepped one frame at a time; exact for any waiting-room cap."""
+    max_rtx = cfg.mac.max_rtx
+    n = len(trace)
+    delivered = [False] * n
+    delay = [math.nan] * n
+    rtx = [-1] * n
+    waited = [math.nan] * n
+    cause = [DELIVERED] * n
+    pending_starts: deque[float] = deque()
+    last_departure = -math.inf
+    arrivals, branches = arrivals.tolist(), branches.tolist()
+    service, transport = service.tolist(), transport.tolist()
+    for i in range(n):
+        t = arrivals[i]
+        while pending_starts and pending_starts[0] <= t:
+            pending_starts.popleft()
+        if len(pending_starts) >= cfg.queue_cap:
+            cause[i] = QUEUE_OVERFLOW
+            continue
+        start = t if last_departure <= t else last_departure
+        j = branches[i]
+        duration = service[i]
+        if j == max_rtx:
+            cause[i] = RTX_EXCEEDED
+        else:
+            delivered[i] = True
+            delay[i] = (start - t) + duration + transport[i]
+            rtx[i] = j
+            waited[i] = start - t
+        last_departure = start + duration
+        pending_starts.append(start)
+    seq = np.arange(trace.seq0, trace.seq0 + n)
+    return ChannelOutcomes(seq, delivered, delay, rtx, waited, cause)
+
+
 def loop_outcomes(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
-    return channel._simulate_loop(trace, cfg, *channel._frame_draws(trace, cfg))
+    return _simulate_loop(trace, cfg, *channel._frame_draws(trace, cfg))
 
 
-def takes_array_path(trace: Trace, cfg: ChannelConfig) -> bool:
+def has_waiting_frame(trace: Trace, cfg: ChannelConfig) -> bool:
+    """Whether some frame arrives while its predecessor, started on arrival,
+    is still in service; without one, no frame ever waits."""
     arrivals, _, service, _ = channel._frame_draws(trace, cfg)
-    return channel._fifo_starts(arrivals, service, cfg.queue_cap) is not None
+    return bool(np.any(arrivals[:-1] + service[:-1] > arrivals[1:]))
 
 
 class TestArrayQueue:
     def test_random_cases_equal_the_loop_exactly(self):
         rng = np.random.default_rng(20240611)
-        paths = {True: 0, False: 0}
+        overflowed = idle = 0
         for _ in range(300):
             trace, cfg = random_channel_case(rng)
             fast = simulate_channel(trace, cfg)
@@ -90,40 +132,54 @@ class TestArrayQueue:
             assert fast == oracle
             assert list(fast) == list(oracle)
             assert fast.seq[0] == trace.seq0
-            paths[takes_array_path(trace, cfg)] += 1
-        # both paths must be exercised for the comparison to mean anything
-        assert paths[True] >= 100
-        assert paths[False] >= 20
+            overflowed += bool(np.any(oracle.cause == QUEUE_OVERFLOW))
+            idle += not has_waiting_frame(trace, cfg)
+        # the cases must reach the cap and must also leave the queue idle
+        assert overflowed >= 100
+        assert idle >= 50
 
     @pytest.mark.parametrize("p_if", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("bound", [0.0, 0.5])
-    def test_default_grid_cells_take_the_array_path(self, p_if, bound):
+    def test_default_grid_cells_equal_the_loop(self, p_if, bound):
         trace = Trace.from_joints(np.zeros((1500, 1)), 20.0).slice(300, 1500)
         for robots in (5, 25):
             interference = InterferenceParams(p_if=p_if, t_if_slots=32.0, n_stations=robots)
             cfg = ChannelConfig(interference=interference, transport_bound_ms=bound, seed=robots)
-            assert takes_array_path(trace, cfg)
-            assert simulate_channel(trace, cfg) == loop_outcomes(trace, cfg)
+            out = simulate_channel(trace, cfg)
+            assert out == loop_outcomes(trace, cfg)
+            if robots == 25:
+                assert np.nanmax(out.waited_ms) > 0.0
+                assert not np.any(out.cause == QUEUE_OVERFLOW)
 
     @pytest.mark.parametrize("cap", [1, 2, 4])
-    def test_binding_cap_falls_back_to_the_loop(self, cap):
+    def test_binding_cap_equals_the_loop(self, cap):
         # 1 ms period against ~3 ms of airtime per frame: the room fills
         trace = Trace.from_joints(np.zeros((400, 1)), 1.0)
         mac = MacParams(t_s_ms=3.0)
         cfg = ChannelConfig(mac=mac, queue_cap=cap, period_ms=1.0, seed=cap)
-        assert not takes_array_path(trace, cfg)
         out = simulate_channel(trace, cfg)
         assert out == loop_outcomes(trace, cfg)
-        assert np.any(out.cause == channel.QUEUE_OVERFLOW)
+        assert np.any(out.cause == QUEUE_OVERFLOW)
 
     def test_waiting_count_at_the_cap_is_detected(self):
-        # four frames arrive before the first leaves: the last finds two waiting
         arrivals = np.array([0.0, 1.0, 2.0, 3.0])
-        service = np.array([10.0, 1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(
-            channel._fifo_starts(arrivals, service, 4), [0.0, 10.0, 11.0, 12.0]
-        )
-        assert channel._fifo_starts(arrivals, service, 2) is None
+        table = [
+            # service, cap, starts of the admitted frames, dropped frames;
+            # four frames arrive before the first leaves
+            ([10.0, 1.0, 1.0, 1.0], 4, [0.0, 10.0, 11.0, 12.0], []),
+            ([10.0, 1.0, 1.0, 1.0], 2, [0.0, 10.0, 11.0], [3]),
+            ([10.0, 1.0, 1.0, 1.0], 1, [0.0, 10.0], [2, 3]),
+            # frame 2 is dropped, so frame 3's entry (2 + 5.0 > 3) is false:
+            # the server is idle from 2.6 and frame 3 starts on arrival
+            ([2.5, 0.1, 5.0, 0.1], 1, [0.0, 2.5, 3.0], [2]),
+            # frame 1 starts at 2.0, as frame 2 arrives: it no longer waits
+            # then, so frame 2 finds the room empty
+            ([2.0, 1.0, 1.0, 1.0], 1, [0.0, 2.0, 3.0, 4.0], []),
+        ]
+        for service, cap, starts, dropped in table:
+            got, overflow = channel._queue_starts(arrivals, np.array(service), cap)
+            assert np.flatnonzero(overflow).tolist() == dropped
+            np.testing.assert_array_equal(got[~overflow], starts)
 
 
 # ---------------------------------------------------------------------------
