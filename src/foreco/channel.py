@@ -16,12 +16,12 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Trace, checked_number, ms_to_us
+from .core import Trace, checked_fields, checked_numbers, ms_to_us
 from .errors import AlwaysLost, ConfigError, OutOfRange
 
 
@@ -449,43 +449,17 @@ def channel_config_to_dict(cfg: ChannelConfig) -> dict:
     return doc
 
 
-def _checked_fields(doc, section: str, cls, extra: tuple[str, ...] = ()) -> dict:
-    """doc itself, once it is an object whose keys are numeric fields of cls
-    (or extra keys) holding numbers of the field's type."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{section or 'channel config'}: expected an object, got {doc!r}")
-    kinds = {f.name: f.type for f in fields(cls) if f.type in ("int", "float")}
-    for key, value in doc.items():
-        name = f"{section}.{key}" if section else key
-        if key in kinds:
-            checked_number(value, name, integer=kinds[key] == "int")
-        elif key not in extra:
-            raise ConfigError(f"{name}: unknown key")
-    return doc
-
-
 def channel_config_from_dict(doc: dict) -> ChannelConfig:
     """The config a JSON document describes; an unknown key or a value of the
-    wrong type raises ConfigError naming the field."""
-    _checked_fields(doc, "", ChannelConfig, extra=("mac", "interference", "a_j"))
-    mac = MacParams(**_checked_fields(doc.get("mac", {}), "mac", MacParams))
-    interference = InterferenceParams(
-        **_checked_fields(doc.get("interference", {}), "interference", InterferenceParams)
-    )
-    rtx_probs = doc.get("a_j")
-    if rtx_probs is not None:
-        if not isinstance(rtx_probs, list):
-            raise ConfigError(f"a_j: expected a list of numbers, got {rtx_probs!r}")
-        rtx_probs = tuple(checked_number(p, f"a_j[{k}]") for k, p in enumerate(rtx_probs))
-    return ChannelConfig(
-        mac=mac,
-        interference=interference,
-        queue_cap=doc.get("queue_cap", 50),
-        period_ms=doc.get("period_ms", 20.0),
-        transport_bound_ms=doc.get("transport_bound_ms", 0.0),
-        seed=doc.get("seed", 0),
-        rtx_probs=rtx_probs,
-    )
+    wrong type raises ConfigError naming the field. Absent fields keep the
+    dataclasses' defaults."""
+    [given] = checked_fields(doc, "", ChannelConfig, extra=("mac", "interference", "a_j"))
+    for key, cls in (("mac", MacParams), ("interference", InterferenceParams)):
+        if key in doc:
+            given[key] = cls(**checked_fields(doc[key], key, cls)[0])
+    if doc.get("a_j") is not None:
+        given["rtx_probs"] = checked_numbers(doc["a_j"], "a_j")
+    return ChannelConfig(**given)
 
 
 def load_channel_config(path: str | Path) -> ChannelConfig:

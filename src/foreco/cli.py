@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,10 +28,11 @@ from .channel import (
     simulate_channel,
     write_outcomes_csv,
 )
-from .core import RecoveryConfig, checked_number, read_trace_csv, write_trace_csv
+from .core import RecoveryConfig, checked_fields, checked_number, read_trace_csv, write_trace_csv
 from .errors import ConfigError, ForecoError
 from .evaluation import SweepGrid, rmse, run_sweep
 from .forecasting import (
+    BIAS_CORRECTIONS,
     AdamConfig,
     aic,
     fit_var_adam,
@@ -138,6 +140,18 @@ def _lag_order(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text}") from None
 
 
+def _add_field_flags(parser: argparse.ArgumentParser, cls, **choices) -> None:
+    """One flag per field of the dataclass cls, typed like its default. An
+    unset flag reads None, so the dataclass keeps its own default."""
+    for f in fields(cls):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), choices=choices.get(f.name))
+
+
+def _given_fields(args, cls) -> dict:
+    """The fields of cls whose flags were set."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name) is not None}
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -173,15 +187,7 @@ def cmd_train(args) -> int:
     if args.trainer == "ols":
         model = fit_var_ols(trace, lag, ridge=args.ridge)
     else:
-        cfg = AdamConfig(
-            step_size=args.step_size,
-            beta1=args.beta1,
-            beta2=args.beta2,
-            epsilon=args.epsilon,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            bias_correction=args.bias_correction,
-        )
+        cfg = AdamConfig(**_given_fields(args, AdamConfig))
         if cfg.epochs == 0:
             log.warning("epochs=0: model keeps its zero-initialized weights")
             print("warning: epochs=0 leaves the model at zero-initialized weights", file=sys.stderr)
@@ -209,19 +215,26 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _build_policy(name: str, cfg: RecoveryConfig, model, max_step=None) -> RecoveryPolicy:
-    mode = {
-        "forecast": PolicyMode.FORECAST,
-        "repeat-last": PolicyMode.REPEAT_LAST,
-        "drop": PolicyMode.DROP,
-    }.get(name)
-    if mode is None:
-        raise ConfigError(f"unknown policy {name!r}")
-    if mode is PolicyMode.FORECAST and model is None:
-        raise ConfigError("policy 'forecast' requires --model")
-    if mode is not PolicyMode.FORECAST:
-        model, max_step = None, None
-    return RecoveryPolicy(mode, cfg, model, max_step_per_joint=max_step)
+def _build_policies(names, recovery: dict, model, trace, margin) -> list[RecoveryPolicy]:
+    """The named policies over one RecoveryConfig of the given fields.
+
+    Without a record_len the record keeps RecoveryConfig's length, raised to
+    the model's history when a model is given. A margin caps forecast steps
+    at that multiple of the trace's largest per-period move.
+    """
+    if model is not None:
+        recovery = {"record_len": max(RecoveryConfig.record_len, model.min_history), **recovery}
+    cfg = RecoveryConfig(**recovery)
+    max_step = None if margin is None else step_limit_from_trace(trace, margin=margin)
+    policies = []
+    for mode in map(PolicyMode, names):
+        if mode is not PolicyMode.FORECAST:
+            policies.append(RecoveryPolicy(mode, cfg))
+        elif model is None:
+            raise ConfigError("policy 'forecast' requires --model")
+        else:
+            policies.append(RecoveryPolicy(mode, cfg, model, max_step_per_joint=max_step))
+    return policies
 
 
 def cmd_simulate(args) -> int:
@@ -236,14 +249,9 @@ def cmd_simulate(args) -> int:
         manifest.add_input(args.model)
     manifest.add_seed("channel", channel.seed)
 
-    record_len = args.record_len
-    if record_len is None:
-        record_len = max(20, model.lag) if model is not None else 20
-    recovery_cfg = RecoveryConfig(tolerance_ms=args.tolerance_ms, record_len=record_len)
-    max_step = None
-    if args.step_limit_margin is not None:
-        max_step = step_limit_from_trace(trace, margin=args.step_limit_margin)
-    policy = _build_policy(args.policy, recovery_cfg, model, max_step)
+    [policy] = _build_policies(
+        [args.policy], _given_fields(args, RecoveryConfig), model, trace, args.step_limit_margin
+    )
 
     outcomes = simulate_channel(trace, channel)
     stream = run_recovery(trace, outcomes, policy)
@@ -262,8 +270,8 @@ def cmd_simulate(args) -> int:
         stats=stream.stats.to_dict(),
         commands=len(trace),
         channel_seed=channel.seed,
-        tolerance_ms=recovery_cfg.tolerance_ms,
-        record_len=recovery_cfg.record_len,
+        tolerance_ms=policy.cfg.tolerance_ms,
+        record_len=policy.cfg.record_len,
     )
     atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
 
@@ -278,86 +286,56 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-# Optional numeric fields of a sweep spec: name -> must be an integer.
-_SPEC_NUMBERS = {
-    "repetitions": True,
-    "master_seed": True,
-    "tolerance_ms": False,
-    "record_len": True,
-    "step_limit_margin": False,
-}
+# Keys of a sweep spec besides the fields of SweepGrid and RecoveryConfig.
+_SPEC_KEYS = ("channel", "policies", "model", "step_limit_margin")
 
 
-def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig]:
-    """The spec, its grid and its channel template. A missing field, a grid
-    axis that is not a non-empty list of numbers (integers for robot counts)
-    or a value of the wrong type raises ConfigError naming file and field."""
+def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
+    """The spec, its grid, its channel template and its RecoveryConfig
+    fields. An unknown or missing key, a grid axis that is not a non-empty
+    list of numbers (integers for robot counts) or a value of the wrong type
+    raises ConfigError naming file and field."""
     spec = json.loads(path.read_text())
     try:
-        if not isinstance(spec, dict):
-            raise ConfigError(f"expected an object, got {spec!r}")
-        for field in ("probs", "durations", "robot_counts", "channel"):
-            if field not in spec:
-                raise ConfigError(f"sweep spec is missing {field!r}")
-        for field in ("probs", "durations", "robot_counts"):
-            axis = spec[field]
-            if not isinstance(axis, list) or not axis:
-                raise ConfigError(f"{field}: expected a non-empty list of numbers, got {axis!r}")
-            for k, value in enumerate(axis):
-                checked_number(value, f"{field}[{k}]", integer=field == "robot_counts")
-        for field, integer in _SPEC_NUMBERS.items():
-            if field in spec:
-                checked_number(spec[field], field, integer)
-        policies = spec.get("policies", [])
-        if not isinstance(policies, list) or not all(isinstance(name, str) for name in policies):
-            raise ConfigError(f"policies: expected a list of names, got {policies!r}")
+        grid, recovery = checked_fields(spec, "", SweepGrid, RecoveryConfig, extra=_SPEC_KEYS)
+        if "channel" not in spec:
+            raise ConfigError("channel: missing key")
+        policies = spec.setdefault("policies", ["forecast", "repeat-last"])
+        names = [mode.value for mode in PolicyMode]
+        if not isinstance(policies, list) or not all(name in names for name in policies):
+            raise ConfigError(f"policies: expected a list of names from {names}, got {policies!r}")
         if spec.get("model") is not None and not isinstance(spec["model"], str):
             raise ConfigError(f"model: expected a path, got {spec['model']!r}")
-        grid = SweepGrid(
-            probs=tuple(spec["probs"]),
-            durations=tuple(spec["durations"]),
-            robot_counts=tuple(spec["robot_counts"]),
-            repetitions=spec.get("repetitions", 40),
-            master_seed=spec.get("master_seed", 0),
-        )
+        if "step_limit_margin" in spec:
+            checked_number(spec["step_limit_margin"], "step_limit_margin")
+        grid = SweepGrid(**grid)
         try:
             template = channel_config_from_dict(spec["channel"])
         except ConfigError as exc:
             raise ConfigError(f"channel: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return spec, grid, template
+    return spec, grid, template, recovery
 
 
 def cmd_sweep(args) -> int:
     trace = read_trace_csv(args.trace)
     spec_path = Path(args.spec)
-    spec, grid, template = _load_sweep_spec(spec_path)
+    spec, grid, template, recovery = _load_sweep_spec(spec_path)
 
     manifest = Manifest(args.argv)
     manifest.add_input(args.trace)
     manifest.add_input(spec_path)
     manifest.add_seed("master", grid.master_seed)
-    recovery_cfg = RecoveryConfig(
-        tolerance_ms=spec.get("tolerance_ms", 0.0),
-        record_len=spec.get("record_len", 20),
-    )
     model = None
-    policy_names = spec.get("policies", ["forecast", "repeat-last"])
+    policy_names = spec["policies"]
     if "forecast" in policy_names:
-        model_ref = spec.get("model")
-        if not model_ref:
+        if not spec.get("model"):
             raise ConfigError("sweep spec includes the forecast policy but no 'model' path")
-        model_path = Path(model_ref)
-        if not model_path.is_absolute():
-            model_path = spec_path.parent / model_path
+        model_path = spec_path.parent / spec["model"]  # an absolute path replaces the parent
         model = load_model(model_path)
         manifest.add_input(model_path)
-    max_step = None
-    margin = spec.get("step_limit_margin")
-    if margin is not None:
-        max_step = step_limit_from_trace(trace, margin=float(margin))
-    policies = [_build_policy(name, recovery_cfg, model, max_step) for name in policy_names]
+    policies = _build_policies(policy_names, recovery, model, trace, spec.get("step_limit_margin"))
 
     jobs = args.jobs or os.cpu_count() or 1
     log.info("sweep: %d cells x %d repetitions, jobs=%d", len(grid.cells()), grid.repetitions, jobs)
@@ -416,13 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lag", type=int, default=20, help="largest lag scanned with --lag auto")
     p.add_argument("--trainer", choices=("ols", "adam"), default="ols")
     p.add_argument("--ridge", type=float, default=0.0, help="ridge penalty for collinear designs (ols)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--step-size", type=float, default=0.001)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.999)
-    p.add_argument("--epsilon", type=float, default=1e-07)
-    p.add_argument("--bias-correction", choices=("fixed", "per-step"), default="fixed")
+    _add_field_flags(p, AdamConfig, bias_correction=BIAS_CORRECTIONS)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--report", help="criterion report path (default: <out>.aic.json)")
     p.set_defaults(func=cmd_train)
@@ -431,13 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--channel", required=True, help="channel config JSON")
     p.add_argument("--model", help="model JSON (required for --policy forecast)")
-    p.add_argument("--policy", choices=("forecast", "repeat-last", "drop"), default="forecast")
-    p.add_argument("--tolerance-ms", type=float, default=0.0)
-    p.add_argument("--record-len", type=int, default=None)
+    p.add_argument("--policy", choices=[mode.value for mode in PolicyMode], default=PolicyMode.FORECAST.value)
+    _add_field_flags(p, RecoveryConfig)
     p.add_argument(
         "--step-limit-margin",
         type=float,
-        default=None,
         help="cap injected forecast steps at margin x the trace's largest per-period move",
     )
     p.add_argument("--out-dir", required=True)
@@ -469,8 +439,6 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail("io", str(exc), 2)
     except OSError as exc:
         return _fail("io", str(exc), 2)
     except json.JSONDecodeError as exc:

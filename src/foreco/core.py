@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -149,7 +149,7 @@ class RecoveryConfig:
     record_len: int = 20
 
     def __post_init__(self):
-        if self.tolerance_ms < 0:
+        if not self.tolerance_ms >= 0:
             raise ConfigError(f"tolerance must be >= 0, got {self.tolerance_ms}")
         if self.record_len < 1:
             raise ConfigError(f"record length must be >= 1, got {self.record_len}")
@@ -165,6 +165,53 @@ def checked_number(value, name: str, integer: bool = False):
     if not ok:
         raise ConfigError(f"{name}: expected {'an integer' if integer else 'a finite number'}, got {value!r}")
     return value
+
+
+def checked_numbers(value, name: str, integer: bool = False) -> tuple:
+    """value as a tuple if it is a non-empty JSON list of checked_number
+    values; otherwise a ConfigError naming the field or the entry."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name}: expected a non-empty list of numbers, got {value!r}")
+    return tuple(checked_number(x, f"{name}[{k}]", integer) for k, x in enumerate(value))
+
+
+# The dataclass field annotations a JSON document can set, each with the
+# checker of its JSON form and whether the numbers must be integers.
+_JSON_FIELDS = {
+    "int": (checked_number, True),
+    "float": (checked_number, False),
+    "tuple[int, ...]": (checked_numbers, True),
+    "tuple[float, ...]": (checked_numbers, False),
+}
+
+
+def checked_fields(doc, section: str, *classes, extra: tuple[str, ...] = ()) -> list[dict]:
+    """For each dataclass in classes, the keys of doc that name its fields,
+    with their checked values, ready to pass to its constructor.
+
+    doc must be an object whose every key is one of extra or names a field
+    of one of the classes annotated int, float, tuple[int, ...] or
+    tuple[float, ...], and that holds every such field without a default.
+    int takes an integer, float a finite number, and the tuples a non-empty
+    list of those, returned as a tuple. Any other input raises ConfigError
+    naming the field, under section when one is given.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section + ': ' if section else ''}expected an object, got {doc!r}")
+    prefix = f"{section}." if section else ""
+    known = {f.name: (cls, f) for cls in classes for f in fields(cls) if f.type in _JSON_FIELDS}
+    found: dict = {cls: {} for cls in classes}
+    for key, value in doc.items():
+        if key in known:
+            cls, f = known[key]
+            check, integer = _JSON_FIELDS[f.type]
+            found[cls][key] = check(value, prefix + key, integer)
+        elif key not in extra:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    for key, (_, f) in known.items():
+        if key not in doc and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{key}: missing key")
+    return list(found.values())
 
 
 def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:

@@ -263,7 +263,7 @@ def _init_worker(trace, template, policies):
 def _worker_task(args):
     key, seed = args
     trace, template, policies = _WORKER_CTX
-    return key, seed, _run_repetition(trace, template, policies, key, seed)
+    return key, _run_repetition(trace, template, policies, key, seed)
 
 
 def run_sweep(
@@ -302,7 +302,7 @@ def run_sweep(
         ) as pool:
             # map preserves task order, so per-cell repetition lists fill in
             # the same order as the serial path.
-            for key, _seed, values in pool.map(_worker_task, tasks, chunksize=8):
+            for key, values in pool.map(_worker_task, tasks, chunksize=8):
                 for label, value in values.items():
                     cells[key][label].append(value)
     else:

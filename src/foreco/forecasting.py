@@ -31,6 +31,8 @@ from .errors import (
 # collinear with the preceding ones.
 RANK_TOL = 1e-10
 
+BIAS_CORRECTIONS = ("fixed", "per-step")
+
 
 class Forecaster(Protocol):
     """What predict and run_recovery require of a model.
@@ -155,7 +157,7 @@ class AdamConfig:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.bias_correction not in ("fixed", "per-step"):
+        if self.bias_correction not in BIAS_CORRECTIONS:
             raise ConfigError(f"unknown bias correction mode {self.bias_correction!r}")
 
 
@@ -234,6 +236,8 @@ def fit_var_ols(train: Trace, lag: int, ridge: float = 0.0) -> VarModel:
     joint channel duplicating the intercept); pass ridge > 0 to regularize
     such problems instead.
     """
+    if not 0 <= ridge < math.inf:
+        raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
     values = _check_fit_inputs(train, lag)
     x, y = lagged_design(values, lag)
     weights = _solve_ols(x, y, ridge)
@@ -433,19 +437,18 @@ def model_from_dict(doc: dict) -> VarModel:
         if not isinstance(values, list) or len(values) != size:
             raise ConfigError(f"{key}: expected a list of {size} numbers, got {values!r}")
         weights[key] = np.array([checked_number(v, f"{key}[{k}]") for k, v in enumerate(values)])
-    trainer, trained_at = doc.get("trainer", "ols"), doc.get("trained_at")
-    if not isinstance(trainer, str):
-        raise ConfigError(f"trainer: expected a string, got {trainer!r}")
-    if trained_at is not None and not isinstance(trained_at, str):
-        raise ConfigError(f"trained_at: expected a string or null, got {trained_at!r}")
+    optional = {key: doc[key] for key in ("trainer", "trained_at") if key in doc}
+    if not isinstance(optional.get("trainer", ""), str):
+        raise ConfigError(f"trainer: expected a string, got {optional['trainer']!r}")
+    if not isinstance(optional.get("trained_at"), (str, type(None))):
+        raise ConfigError(f"trained_at: expected a string or null, got {optional['trained_at']!r}")
     return VarModel(
         dim=dim,
         lag=lag,
         bias=weights["bias"],
         coeffs=weights["coeffs"].reshape(lag, dim, dim),
         residual_cov=weights["residual_cov"].reshape(dim, dim),
-        trainer=trainer,
-        trained_at=trained_at,
+        **optional,
     )
 
 

@@ -49,7 +49,7 @@ class RecoveryPolicy:
             raise ConfigError("forecast mode needs a model")
         if self.max_step_per_joint is not None:
             limits = tuple(float(x) for x in self.max_step_per_joint)
-            if min(limits) <= 0:
+            if not all(limit > 0 for limit in limits):
                 raise ConfigError("step limits must be positive")
             object.__setattr__(self, "max_step_per_joint", limits)
 

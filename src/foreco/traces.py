@@ -7,6 +7,8 @@ motion sampled at a fixed command period. Joint values are rounded to the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Trace
@@ -75,8 +77,12 @@ def synthetic_trace(
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose one of {PROFILES}")
-    if duration_s <= 0:
-        raise ConfigError("duration must be positive")
+    if not (0 < duration_s < math.inf and 0 < period_ms < math.inf):
+        raise ConfigError(
+            f"duration and period must be finite and positive, got {duration_s} s and {period_ms} ms"
+        )
+    if dim < 1 or seed < 0:
+        raise ConfigError(f"dim must be >= 1 and seed >= 0, got dim={dim}, seed={seed}")
     n = round(duration_s * 1000.0 / period_ms)
     if n < 1:
         raise ConfigError("duration shorter than one command period")

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from foreco import cli
 from foreco.cli import main
 from foreco.core import read_trace_csv
 
@@ -169,6 +170,9 @@ class TestMalformedConfig:
         ("model", dict(MODEL, bias=[0.0] * 5 + ["1"]), "bias[5]"),
         ("model", dict(MODEL, lag=1.0), "lag"),
         ("model", dict(MODEL, bogus=1), "bogus"),
+        ("sweep", dict(SPEC, policies=["teleport"]), "policies"),
+        ("sweep", dict(SPEC, bogus=1), "bogus: unknown key"),
+        ("sweep", {k: v for k, v in SPEC.items() if k != "probs"}, "probs: missing key"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -192,6 +196,42 @@ class TestMalformedConfig:
         assert error["message"].startswith(f"{path}: ")
         assert field in error["message"]
         assert not out_dir.exists()
+
+
+class TestOutOfRangeFlags:
+    """Flag values argparse accepts that the program must reject as typed
+    config errors (exit 3) before it writes anything."""
+
+    @pytest.mark.parametrize("command, flags, word", [
+        ("gen-trace", ["--seed", "-1"], "seed"),
+        ("gen-trace", ["--period-ms", "0"], "period"),
+        ("gen-trace", ["--period-ms", "nan"], "period"),
+        ("gen-trace", ["--dim", "-1"], "dim"),
+        ("gen-trace", ["--duration-s", "nan"], "duration"),
+        ("gen-trace", ["--duration-s", "inf"], "duration"),
+        ("simulate", ["--tolerance-ms", "nan"], "tolerance"),
+        ("simulate", ["--step-limit-margin", "nan"], "step limits"),
+        ("train", ["--ridge", "-1"], "ridge"),
+        ("train", ["--ridge", "nan"], "ridge"),
+    ])
+    def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
+        out = tmp_path / "out"
+        if command == "gen-trace":
+            argv = ["gen-trace", "--profile", "constant", "--duration-s", "1", "--seed", "0",
+                    *flags, "--out", str(out / "t.csv")]
+        elif command == "train":
+            argv = ["train", "--trace", str(trace_csv), "--lag", "2", *flags, "--out", str(out / "m.json")]
+        else:
+            model, channel = tmp_path / "m.json", tmp_path / "ch.json"
+            assert main(["train", "--trace", str(trace_csv), "--lag", "2", "--out", str(model)]) == 0
+            write_channel(channel)
+            argv = ["simulate", "--trace", str(trace_csv), "--channel", str(channel), "--model", str(model),
+                    *flags, "--out-dir", str(out)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert word in error["message"]
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -321,6 +361,30 @@ class TestSweepCli:
         assert (out_dir / "rmse_forecast_5.csv").exists()
         assert (out_dir / "rmse_repeat-last_5.csv").exists()
         assert not list(out_dir.glob("*.tmp"))  # atomic writes leave no debris
+
+    def test_record_follows_the_model_as_in_simulate(self, trace_csv, tmp_path, monkeypatch):
+        model = tmp_path / "model.json"
+        assert main(["train", "--trace", str(trace_csv), "--lag", "25", "--out", str(model)]) == 0
+        channel = tmp_path / "ch.json"
+        write_channel(channel, p_if=0.8, t_if=16.0, n_stations=15)
+        assert main(["simulate", "--trace", str(trace_csv), "--channel", str(channel),
+                     "--model", str(model), "--out-dir", str(tmp_path / "run")]) == 0
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["record_len"] == 25
+
+        seen = []
+        real_run_sweep = cli.run_sweep
+
+        def run_sweep(trace, grid, template, policies, jobs):
+            seen.extend(policies)
+            return real_run_sweep(trace, grid, template, policies, jobs=jobs)
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.8], "durations": [16.0], "robot_counts": [15],
+                                    "repetitions": 1, "channel": {}, "model": "model.json"}))
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+        assert [(p.label, p.cfg.record_len) for p in seen] == [("forecast", 25), ("repeat-last", 25)]
 
     def test_rerun_reproduces_results(self, sweep_inputs, tmp_path):
         trace_csv, spec = sweep_inputs
