@@ -18,6 +18,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,9 +115,11 @@ class LossCause(enum.Enum):
     QUEUE_OVERFLOW = "queue-overflow"
 
 
-@dataclass(frozen=True)
-class ChannelOutcome:
-    """Per-command result: a delivery with its delay breakdown, or a loss."""
+class ChannelOutcome(NamedTuple):
+    """Per-command result: a delivery with its delay breakdown, or a loss.
+
+    A named tuple, so it compares equal to a plain tuple of its fields.
+    """
 
     seq: int
     delivered: bool
@@ -199,20 +202,22 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return ChannelOutcomes(*(getattr(self, name)[i] for name, _ in _COLUMNS))
-        return self._outcome(
-            int(self.seq[i]), float(self.delay_ms[i]), int(self.rtx[i]),
-            float(self.waited_ms[i]), int(self.cause[i]),
-        )
+        i = range(len(self))[i]
+        return next(iter(self[i : i + 1]))
 
     def __iter__(self):
-        columns = (getattr(self, name).tolist() for name, _ in _COLUMNS if name != "delivered")
-        return (self._outcome(*row) for row in zip(*columns))
+        lost = ~self.delivered
 
-    @staticmethod
-    def _outcome(seq: int, delay_ms: float, rtx: int, waited_ms: float, cause: int) -> ChannelOutcome:
-        if cause == DELIVERED:
-            return ChannelOutcome.delivery(seq, delay_ms, rtx, waited_ms)
-        return ChannelOutcome.loss(seq, _CAUSES[cause])
+        def held(column):
+            """The column as Python values, None where the command was lost."""
+            return np.where(lost, None, column.astype(object)).tolist()
+
+        causes = np.array(_CAUSES, dtype=object)[self.cause].tolist()
+        rows = zip(
+            self.seq.tolist(), self.delivered.tolist(),
+            held(self.delay_ms), held(self.rtx), held(self.waited_ms), causes,
+        )
+        return map(ChannelOutcome._make, rows)
 
     def __eq__(self, other):
         if isinstance(other, ChannelOutcomes):

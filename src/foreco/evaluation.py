@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import DELIVERED, RTX_EXCEEDED, ChannelConfig, ChannelOutcomes, simulate_channel
-from .core import Trace
+from .core import Trace, checked_fields, checked_number, checked_numbers
 from .errors import ConfigError
 from .forecasting import MaModel, VarModel, fit_var_ols
 from .recovery import ExecutedStream, RecoveryPolicy, run_recovery
@@ -123,7 +123,9 @@ class SweepGrid:
         ]
 
 
-def default_grid(repetitions: int = 40, master_seed: int = 0) -> SweepGrid:
+def default_grid(
+    repetitions: int = SweepGrid.repetitions, master_seed: int = SweepGrid.master_seed
+) -> SweepGrid:
     return SweepGrid(
         probs=tuple(round(0.1 * i, 1) for i in range(10)),
         durations=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
@@ -189,20 +191,30 @@ class SweepResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepResult":
-        grid = SweepGrid(
-            probs=tuple(doc["probs"]),
-            durations=tuple(doc["durations"]),
-            robot_counts=tuple(doc["robot_counts"]),
-            repetitions=doc["repetitions"],
-            master_seed=doc["master_seed"],
-        )
-        cells = {
-            (cell["robots"], cell["prob"], cell["duration"]): {
-                policy: list(entry["values"]) for policy, entry in cell["rmse"].items()
+        """The result a to_dict document describes; a missing or unknown key
+        or a value of the wrong type raises ConfigError naming the field."""
+        (grid,) = checked_fields(doc, "", SweepGrid, extra=("policies", "cells"))
+        policies, cell_docs = doc.get("policies"), doc.get("cells")
+        if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
+            raise ConfigError(f"policies: expected a list of names, got {policies!r}")
+        if not isinstance(cell_docs, list):
+            raise ConfigError(f"cells: expected a list, got {cell_docs!r}")
+        cells = {}
+        for k, cell in enumerate(cell_docs):
+            name = f"cells[{k}]"
+            if not isinstance(cell, dict) or not isinstance(cell.get("rmse"), dict):
+                raise ConfigError(f"{name}: expected an object with an rmse object, got {cell!r}")
+            key = (
+                checked_number(cell.get("robots"), f"{name}.robots", integer=True),
+                checked_number(cell.get("prob"), f"{name}.prob"),
+                checked_number(cell.get("duration"), f"{name}.duration"),
+            )
+            cells[key] = {
+                policy: list(checked_numbers(entry.get("values") if isinstance(entry, dict) else None,
+                                             f"{name}.rmse.{policy}.values"))
+                for policy, entry in cell["rmse"].items()
             }
-            for cell in doc["cells"]
-        }
-        return cls(grid, tuple(doc["policies"]), cells)
+        return cls(SweepGrid(**grid), tuple(policies), cells)
 
     def write_matrices(self, out_dir: str | Path) -> list[Path]:
         """One CSV per (policy, robot count): mean error with interferer

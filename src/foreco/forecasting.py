@@ -35,17 +35,20 @@ BIAS_CORRECTIONS = ("fixed", "per-step")
 
 
 class Forecaster(Protocol):
-    """What predict and run_recovery require of a model.
+    """What run_recovery requires of a model.
 
-    min_history (>= 1) is the number of past commands predict_next reads;
-    predict_next returns the command one period after history[-1], with
-    forecast provenance. history is ordered oldest to newest.
+    min_history (>= 1) is the number of past rows a forecast reads, and
+    next_row(record) the recovery step: the joint row one period after an
+    (n, d) record of past rows, oldest first, n >= min_history. A model may
+    instead have only predict_next(history, period_ms), returning the Command
+    one period after history[-1] (Commands, oldest first); run_recovery then
+    reaches it through predict. VarModel and MaModel have both.
     """
 
     dim: int
     min_history: int
 
-    def predict_next(self, history: Sequence[Command], period_ms: float) -> Command: ...
+    def next_row(self, record: np.ndarray) -> np.ndarray: ...
 
 
 def _forecast_command(model, history: Sequence[Command], period_ms: float) -> Command:
@@ -149,10 +152,10 @@ class AdamConfig:
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if self.step_size < 0:
-            raise ConfigError("step size must be >= 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not 0 <= self.step_size < math.inf:
+            raise ConfigError(f"step size must be finite and >= 0, got {self.step_size}")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 0:

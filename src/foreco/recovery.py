@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -143,6 +143,18 @@ def on_time_mask(outcomes: ChannelOutcomes, period_ms: float, cfg: RecoveryConfi
     return outcomes.delivered & (outcomes.delay_ms <= _deadline_ms(period_ms, cfg))
 
 
+def _forecast_step(model: Forecaster, joints: np.ndarray, slots: list, period_ms: float):
+    """The forecast for the slot after slots lo..i-1, as step(lo, i) -> row.
+
+    A model with next_row steps on the rows of the joints array; one with
+    only predict_next goes through predict on the Commands of those slots.
+    """
+    next_row = getattr(model, "next_row", None)
+    if next_row is not None:
+        return lambda lo, i: next_row(joints[lo:i])
+    return lambda lo, i: np.array(predict(model, slots[lo:i], period_ms=period_ms).joints, dtype=float)
+
+
 def run_recovery(
     trace: Trace, outcomes: Sequence[ChannelOutcome], policy: RecoveryPolicy
 ) -> ExecutedStream:
@@ -179,33 +191,35 @@ def run_recovery(
     first = int(np.argmax(on_time)) if on_time.any() else len(trace)
     slots: list[Command | None] = list(trace.samples)
     joints = np.array(trace.joints)
+    # Misses before drop_until are dropped, those from forecast_from on are
+    # forecast, and the rest repeat the slot before.
+    drop_until = len(trace) if policy.mode is PolicyMode.DROP else first
+    forecast_from = len(trace)
+    if policy.mode is PolicyMode.FORECAST:
+        forecast_from = first + model.min_history
+        step = _forecast_step(model, joints, slots, period_ms)
+        if policy.max_step_per_joint is not None:
+            lim = np.array(policy.max_step_per_joint)
+            neg_lim = -lim
     forecast = repeated = dropped = 0
     for i in missed:
         cmd = slots[i]
-        if policy.mode is PolicyMode.DROP or i < first:
+        if i < drop_until:
             slots[i] = None
             joints[i] = joints[i - 1]
             dropped += 1
-            continue
-        prev = slots[i - 1].joints
-        if policy.mode is PolicyMode.FORECAST and i - first >= model.min_history:
-            history = slots[max(first, i - cfg.record_len) : i]
-            predicted = predict(model, history, period_ms=period_ms)
-            row = predicted.joints
+        elif i >= forecast_from:
+            row = step(max(first, i - cfg.record_len), i)
             if policy.max_step_per_joint is not None:
-                row = tuple(
-                    p + min(max(j - p, -lim), lim)
-                    for j, p, lim in zip(row, prev, policy.max_step_per_joint)
-                )
-            slots[i] = replace(predicted, seq=cmd.seq, gen_time_us=cmd.gen_time_us, joints=row)
+                prev = joints[i - 1]
+                row = prev + np.minimum(np.maximum(row - prev, neg_lim), lim)
+            joints[i] = row
+            slots[i] = Command(cmd.seq, tuple(joints[i].tolist()), cmd.gen_time_us, Provenance.FORECAST)
             forecast += 1
         else:
-            row = prev
-            slots[i] = Command(
-                seq=cmd.seq, joints=row, gen_time_us=cmd.gen_time_us, provenance=Provenance.REPEAT_LAST
-            )
+            slots[i] = Command(cmd.seq, slots[i - 1].joints, cmd.gen_time_us, Provenance.REPEAT_LAST)
+            joints[i] = joints[i - 1]
             repeated += 1
-        joints[i] = row
 
     stats = RecoveryStats(len(trace) - len(missed), forecast, repeated, dropped)
     stream = ExecutedStream(tuple(slots), stats)

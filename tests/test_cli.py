@@ -213,6 +213,8 @@ class TestOutOfRangeFlags:
         ("simulate", ["--step-limit-margin", "nan"], "step limits"),
         ("train", ["--ridge", "-1"], "ridge"),
         ("train", ["--ridge", "nan"], "ridge"),
+        ("train", ["--trainer", "adam", "--epsilon", "inf"], "epsilon"),
+        ("train", ["--trainer", "adam", "--step-size", "nan"], "step size"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
         out = tmp_path / "out"

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from foreco import channel
+from foreco import channel, recovery
 from foreco.channel import (
     DELIVERED,
     QUEUE_OVERFLOW,
@@ -333,6 +333,84 @@ class TestBulkRecovery:
                 assert executed is sent
 
 
+class TestForecastStep:
+    """run_recovery steps a model with next_row on the joints array and
+    reaches a model with only predict_next through recovery.predict."""
+
+    def case(self, model):
+        rng = np.random.default_rng(5)
+        trace = smooth_trace(rng, 300, 3)
+        cfg = RecoveryConfig(record_len=10)
+        outcomes = random_outcomes(rng, trace, trace.period_ms)
+        outcomes[:40] = [ChannelOutcome.delivery(trace.seq0 + i, 0.0, 0, 0.0) for i in range(40)]
+        outcomes[40:60] = [ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED) for i in range(40, 60)]
+        limits = step_limit_from_trace(trace, margin=1.1)
+        return trace, outcomes, RecoveryPolicy(PolicyMode.FORECAST, cfg, model, max_step_per_joint=limits)
+
+    def test_next_row_models_do_not_call_predict(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict called")
+
+        monkeypatch.setattr(recovery, "predict", refuse)
+        rng = np.random.default_rng(6)
+        for model in (fit_var_ols(smooth_trace(rng, 500, 3), 4), MaModel(3, 5)):
+            trace, outcomes, policy = self.case(model)
+            stream = run_recovery(trace, outcomes, policy)
+            assert stream.stats.forecast >= 20
+            assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
+
+    def test_predict_next_models_go_through_predict(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return predict(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, "predict", counted)
+        trace, outcomes, policy = self.case(WholeRecordMean())
+        stream = run_recovery(trace, outcomes, policy)
+        assert len(calls) == stream.stats.forecast >= 20
+        assert all(2 <= len(history) <= 10 for history in calls)
+        assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
+
+
+class TestStepClamp:
+    """The array clamp prev + minimum(maximum(row - prev, -lim), lim)
+    against the per-joint tuple clamp it replaced, bit for bit."""
+
+    class Move:
+        """Forecasts the last row moved by a fixed offset per joint."""
+
+        min_history = 1
+
+        def __init__(self, move):
+            self.move = np.array(move)
+            self.dim = len(move)
+
+        def next_row(self, record):
+            return record[-1] + self.move
+
+    @pytest.mark.parametrize("prev, lim", [(0.5, 0.25), (0.1, 0.3), (-2.7, 1e-3), (1e6, 7.0)])
+    def test_equals_the_tuple_clamp(self, prev, lim):
+        moves = [lim, -lim, 2 * lim, -2 * lim, 0.0, math.nextafter(lim, math.inf), math.nextafter(-lim, -math.inf)]
+        dim = len(moves)
+        trace = Trace.from_joints(np.full((4, dim), prev), 20.0)
+        outcomes = [ChannelOutcome.delivery(i, 0.0, 0, 0.0) for i in range(3)]
+        outcomes.append(ChannelOutcome.loss(3, LossCause.RTX_EXCEEDED))
+        policy = RecoveryPolicy(
+            PolicyMode.FORECAST, RecoveryConfig(record_len=2), self.Move(moves), max_step_per_joint=(lim,) * dim
+        )
+        stream = run_recovery(trace, outcomes, policy)
+        last = trace.samples[2].joints
+        row = (np.array(last) + moves).tolist()
+        expected = tuple(p + min(max(j - p, -lim), lim) for j, p in zip(row, last))
+        assert stream.commands[3].joints == expected
+        assert stream.commands[3].provenance is Provenance.FORECAST
+        assert stream.joints_matrix()[3].tolist() == list(expected)
+        if (prev, lim) == (0.5, 0.25):
+            assert expected == (0.75, 0.25, 0.75, 0.25, 0.5, 0.75, 0.25)
+
+
 class TestCachedJoints:
     def stream(self, mode=PolicyMode.DROP):
         rng = np.random.default_rng(4)
@@ -383,3 +461,36 @@ class TestDeadlineMask:
         mask = on_time_mask(ChannelOutcomes.from_outcomes(outcomes), period_ms, cfg)
         assert mask.tolist() == [replay_deadline(o, period_ms, cfg) for o in outcomes]
         assert mask.tolist() == [True, False, True, True, False, False, False]
+
+
+class TestOutcomeView:
+    """Iterating ChannelOutcomes builds the same items as indexing it."""
+
+    def test_iteration_equals_indexing(self):
+        trace = Trace.from_joints(np.zeros((400, 1)), 2.0)
+        interference = InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25)
+        cfg = ChannelConfig(interference=interference, queue_cap=1, period_ms=2.0, seed=2)
+        columns = simulate_channel(trace, cfg)
+        causes = {o.cause for o in columns}
+        assert causes == {None, LossCause.RTX_EXCEEDED, LossCause.QUEUE_OVERFLOW}
+        items = list(columns)
+        assert items == [columns[i] for i in range(len(columns))]
+        assert items[-1] == columns[-1]
+        assert all(type(o) is ChannelOutcome for o in items)
+        assert ChannelOutcomes.from_outcomes(items) == columns
+
+    def test_items_by_kind(self):
+        outcomes = [
+            ChannelOutcome.delivery(4, 0.42, 1, 0.1),
+            ChannelOutcome.loss(5, LossCause.RTX_EXCEEDED),
+            ChannelOutcome.loss(6, LossCause.QUEUE_OVERFLOW),
+        ]
+        columns = ChannelOutcomes.from_outcomes(outcomes)
+        assert list(columns) == [columns[i] for i in range(3)] == outcomes
+        assert outcomes == [
+            (4, True, 0.42, 1, 0.1, None),
+            (5, False, None, None, None, LossCause.RTX_EXCEEDED),
+            (6, False, None, None, None, LossCause.QUEUE_OVERFLOW),
+        ]
+        with pytest.raises(IndexError):
+            columns[3]

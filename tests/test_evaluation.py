@@ -1,5 +1,7 @@
 """Error metric, interference sweep, and forecast-window study."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,24 @@ class TestSweepResultFiles:
         assert back.cells == result.cells
         assert back.grid == result.grid
 
+    @pytest.mark.parametrize("field, change", [
+        pytest.param("probs", lambda doc: doc.clear(), id="probs"),
+        pytest.param("master_seed", lambda doc: doc.update(master_seed=0.5), id="master_seed"),
+        pytest.param("extra", lambda doc: doc.update(extra=1), id="extra"),
+        pytest.param("policies", lambda doc: doc.pop("policies"), id="policies"),
+        pytest.param("cells[0]", lambda doc: doc.update(cells=[1]), id="cells[0]"),
+        pytest.param("cells", lambda doc: doc.update(cells={}), id="cells"),
+        pytest.param("cells[0].prob", lambda doc: doc["cells"][0].pop("prob"), id="cells[0].prob"),
+        pytest.param("cells[0].rmse.forecast.values", lambda doc: doc["cells"][0]["rmse"].update(forecast=[0.1]),
+                     id="cells[0].rmse.forecast.values"),
+    ])
+    def test_malformed_document_raises_config_error(self, sweep_setup, field, change):
+        test, policies = sweep_setup
+        doc = run_sweep(test, tiny_grid(reps=1), ChannelConfig(seed=0), policies).to_dict()
+        change(doc)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            SweepResult.from_dict(doc)
+
     def test_matrix_files(self, sweep_setup, tmp_path):
         test, policies = sweep_setup
         result = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies)
@@ -212,6 +232,12 @@ class TestDefaultGrid:
         assert grid.robot_counts == (5, 15, 25)
         assert grid.repetitions == 40
         assert len(grid.cells()) == 180
+
+    def test_defaults_are_the_grid_defaults(self):
+        grid = default_grid()
+        assert (grid.repetitions, grid.master_seed) == (SweepGrid.repetitions, SweepGrid.master_seed)
+        other = default_grid(repetitions=3, master_seed=5)
+        assert (other.repetitions, other.master_seed, other.cells()) == (3, 5, grid.cells())
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
