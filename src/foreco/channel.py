@@ -47,10 +47,30 @@ class MacParams:
             raise ConfigError("backoff cap exponent must be >= 0")
         if self.max_rtx < 1:
             raise ConfigError(f"attempt budget must be >= 1, got {self.max_rtx}")
+        self.server_times()
 
     def window(self, k: int) -> int:
         """Backoff window before attempt k, doubling up to the cap."""
-        return min(2 ** k, 2 ** self.max_window_exp) * self.w0
+        return self.w0 << min(k, self.max_window_exp)
+
+    def server_times(self) -> np.ndarray:
+        """Mean server time of a frame delivered after j = 0..max_rtx-1 failed
+        attempts, then that of a frame failing all of them, from one cumulative
+        sum over the backoff stages; ConfigError unless all are finite."""
+        attempts = np.arange(self.max_rtx)
+        capped = np.minimum(attempts, self.max_window_exp)
+        try:
+            stages = np.array([(self.window(k) - 1) / 2.0 for k in range(capped[-1] + 1)])[capped]
+        except OverflowError:
+            stages = np.full(self.max_rtx, math.inf)
+        with np.errstate(over="ignore"):
+            backoff = self.slot_ms * np.cumsum(stages)
+            delivered = self.t_s_ms + attempts * self.t_col_ms + backoff
+            times = np.append(delivered, self.max_rtx * self.t_col_ms + backoff[-1])
+        if not np.all(np.isfinite(times)):
+            raise ConfigError(f"MAC delays are not finite floats with max_rtx={self.max_rtx}, "
+                              f"max_window_exp={self.max_window_exp} and these times and windows")
+        return times
 
 
 @dataclass(frozen=True)
@@ -283,15 +303,13 @@ def mean_delay_given_rtx(j: int, mac: MacParams) -> float:
     one transmission, j collisions, and j+1 backoff stages at half window each."""
     if not 0 <= j <= mac.max_rtx - 1:
         raise OutOfRange(f"attempt count {j} outside [0, {mac.max_rtx - 1}]")
-    backoff = sum((mac.window(k) - 1) / 2.0 for k in range(j + 1))
-    return mac.t_s_ms + j * mac.t_col_ms + mac.slot_ms * backoff
+    return float(mac.server_times()[j])
 
 
 def lost_frame_airtime(mac: MacParams) -> float:
     """Server time consumed by a frame that fails all attempts before being
     dropped: every attempt collides and every backoff stage is paid."""
-    backoff = sum((mac.window(k) - 1) / 2.0 for k in range(mac.max_rtx))
-    return mac.max_rtx * mac.t_col_ms + mac.slot_ms * backoff
+    return float(mac.server_times()[-1])
 
 
 def expected_delay_bound(cfg: ChannelConfig) -> tuple[float, float]:
@@ -305,9 +323,7 @@ def expected_delay_bound(cfg: ChannelConfig) -> tuple[float, float]:
     loss = float(probs[-1])
     if loss >= 1.0:
         raise AlwaysLost("every frame is lost; no delivered-delay bound exists")
-    mixture = sum(
-        float(probs[j]) * mean_delay_given_rtx(j, cfg.mac) for j in range(cfg.mac.max_rtx)
-    )
+    mixture = sum((probs[:-1] * cfg.mac.server_times()[:-1]).tolist())
     return cfg.transport_bound_ms + mixture / (1.0 - loss), 1.0 - loss
 
 
@@ -321,13 +337,13 @@ def _frame_draws(trace: Trace, cfg: ChannelConfig):
     """
     probs = channel_rtx_probs(cfg)
     max_rtx = cfg.mac.max_rtx
-    means = np.array([mean_delay_given_rtx(j, cfg.mac) for j in range(max_rtx)] + [0.0])
+    times = cfg.mac.server_times()
 
     rng = np.random.default_rng(cfg.seed)
     n = len(trace)
     branches = rng.choice(max_rtx + 1, size=n, p=probs)
-    service = rng.exponential(1.0, size=n) * means[branches]
-    service[branches == max_rtx] = lost_frame_airtime(cfg.mac)
+    service = rng.exponential(1.0, size=n) * times[branches]
+    service[branches == max_rtx] = times[-1]
     if cfg.transport_bound_ms > 0:
         transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
     else:

@@ -9,6 +9,7 @@ compared on exactly the same losses.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -104,23 +105,17 @@ class SweepGrid:
 
     def __post_init__(self):
         for name in ("probs", "durations", "robot_counts"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-            if not getattr(self, name):
-                raise ConfigError(f"sweep axis {name} is empty")
+            value = tuple(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if not value or len(set(value)) != len(value):
+                raise ConfigError(f"sweep axis {name} must be non-empty with distinct values, got {list(value)}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     def cells(self) -> list[CellKey]:
-        return [
-            (r, p, d)
-            for r in self.robot_counts
-            for p in self.probs
-            for d in self.durations
-        ]
+        return list(itertools.product(self.robot_counts, self.probs, self.durations))
 
 
 def default_grid(
@@ -249,33 +244,35 @@ def _cell_config(template: ChannelConfig, key: CellKey, seed: int) -> ChannelCon
     return replace(template, interference=interference, seed=seed)
 
 
-def _run_repetition(
+def _run_cell(
     trace: Trace,
     template: ChannelConfig,
     policies: Sequence[RecoveryPolicy],
-    key: CellKey,
-    seed: int,
-) -> dict[str, float]:
-    cfg = _cell_config(template, key, seed)
-    outcomes = simulate_channel(trace, cfg)
-    return {
-        policy.label: rmse(run_recovery(trace, outcomes, policy), trace)
-        for policy in policies
-    }
+    grid: SweepGrid,
+    index: int,
+) -> dict[str, list[float]]:
+    """Every repetition of cell `index`: the error of each policy, in
+    repetition order, on one channel run seeded per repetition."""
+    key = grid.cells()[index]
+    values: dict[str, list[float]] = {policy.label: [] for policy in policies}
+    for rep in range(grid.repetitions):
+        cfg = _cell_config(template, key, _task_seed(grid.master_seed, index, rep))
+        outcomes = simulate_channel(trace, cfg)
+        for policy in policies:
+            values[policy.label].append(rmse(run_recovery(trace, outcomes, policy), trace))
+    return values
 
 
 _WORKER_CTX: tuple | None = None
 
 
-def _init_worker(trace, template, policies):
+def _init_worker(*ctx):
     global _WORKER_CTX
-    _WORKER_CTX = (trace, template, policies)
+    _WORKER_CTX = ctx
 
 
-def _worker_task(args):
-    key, seed = args
-    trace, template, policies = _WORKER_CTX
-    return key, _run_repetition(trace, template, policies, key, seed)
+def _worker_task(index: int) -> dict[str, list[float]]:
+    return _run_cell(*_WORKER_CTX, index)
 
 
 def run_sweep(
@@ -285,7 +282,7 @@ def run_sweep(
     policies: Sequence[RecoveryPolicy],
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the full interference sweep.
+    """Run the full interference sweep, one task per cell.
 
     Every repetition of every cell derives its own seed from (master seed,
     cell index, repetition), so results are reproducible and independent of
@@ -294,35 +291,21 @@ def run_sweep(
     labels = [p.label for p in policies]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"policy labels must be unique, got {labels}")
-    cell_list = grid.cells()
-    tasks = [
-        (key, _task_seed(grid.master_seed, ci, rep))
-        for ci, key in enumerate(cell_list)
-        for rep in range(grid.repetitions)
-    ]
-    cells: dict[CellKey, dict[str, list[float]]] = {
-        key: {label: [] for label in labels} for key in cell_list
-    }
-
+    cells = grid.cells()
+    ctx = (trace, channel_template, policies, grid)
     if jobs > 1:
         # Imported here: multiprocessing is a sizeable share of `import
         # foreco`, and only the parallel path needs it.
         from concurrent.futures import ProcessPoolExecutor
 
+        # The initializer ships the trace and policies once per worker.
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(trace, channel_template, policies)
+            max_workers=min(jobs, len(cells)), initializer=_init_worker, initargs=ctx
         ) as pool:
-            # map preserves task order, so per-cell repetition lists fill in
-            # the same order as the serial path.
-            for key, values in pool.map(_worker_task, tasks, chunksize=8):
-                for label, value in values.items():
-                    cells[key][label].append(value)
+            results = list(pool.map(_worker_task, range(len(cells))))
     else:
-        for key, seed in tasks:
-            values = _run_repetition(trace, channel_template, policies, key, seed)
-            for label, value in values.items():
-                cells[key][label].append(value)
-    return SweepResult(grid, tuple(labels), cells)
+        results = [_run_cell(*ctx, index) for index in range(len(cells))]
+    return SweepResult(grid, tuple(labels), dict(zip(cells, results)))
 
 
 # ---------------------------------------------------------------------------

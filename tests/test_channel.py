@@ -122,6 +122,54 @@ class TestMeanDelayGivenRtx:
             mean_delay_given_rtx(7, MacParams(max_rtx=7))
 
 
+def random_macs(n: int, seed: int) -> list[MacParams]:
+    rng = np.random.default_rng(seed)
+    return [
+        MacParams(t_s_ms=float(rng.uniform(0.01, 3.0)), t_col_ms=float(rng.uniform(0.01, 3.0)),
+                  slot_ms=float(rng.uniform(1e-3, 0.1)), w0=int(rng.integers(2, 1000)),
+                  max_window_exp=int(rng.integers(0, 40)), max_rtx=int(rng.integers(1, 60)))
+        for _ in range(n)
+    ]
+
+
+class TestServerTimes:
+    """MacParams.server_times, the cumulative backoff table the queue draws
+    its server times from."""
+
+    @pytest.mark.parametrize("mac", [MacParams()] + random_macs(40, seed=5))
+    def test_bit_equal_to_per_count_closed_forms(self, mac):
+        def backoff(stages):
+            return sum((mac.window(k) - 1) / 2.0 for k in range(stages))
+
+        # j failed attempts: one transmission, j collisions, j+1 backoff
+        # stages; a lost frame: every attempt collides, every stage is paid
+        delivered = [mac.t_s_ms + j * mac.t_col_ms + mac.slot_ms * backoff(j + 1) for j in range(mac.max_rtx)]
+        lost = mac.max_rtx * mac.t_col_ms + mac.slot_ms * backoff(mac.max_rtx)
+        assert mac.server_times().tolist() == delivered + [lost]
+        assert [mean_delay_given_rtx(j, mac) for j in range(mac.max_rtx)] == delivered
+        assert lost_frame_airtime(mac) == lost
+
+    def test_window_doubles_up_to_the_cap(self):
+        mac = MacParams(w0=16, max_window_exp=3)
+        assert [mac.window(k) for k in range(6)] == [16, 32, 64, 128, 128, 128]
+
+    @pytest.mark.parametrize("fields", [
+        dict(max_rtx=1100, max_window_exp=1100),
+        dict(w0=2 ** 1030),
+        dict(t_s_ms=1e308, t_col_ms=1e308, max_rtx=3),
+        dict(t_s_ms=math.nan),
+    ])
+    def test_non_finite_delays_rejected(self, fields):
+        with pytest.raises(ConfigError, match="not finite"):
+            MacParams(**fields)
+
+    def test_large_budget_with_capped_windows(self):
+        mac = MacParams(max_rtx=4000)
+        times = mac.server_times()
+        assert len(times) == 4001 and np.all(np.diff(times[:-1]) > 0)
+        assert times[-1] == lost_frame_airtime(mac)
+
+
 class TestExpectedDelayBound:
     def test_lossless_single_branch(self):
         cfg = quiet_config(transport_bound_ms=1.5)

@@ -173,6 +173,8 @@ class TestMalformedConfig:
         ("sweep", dict(SPEC, policies=["teleport"]), "policies"),
         ("sweep", dict(SPEC, bogus=1), "bogus: unknown key"),
         ("sweep", {k: v for k, v in SPEC.items() if k != "probs"}, "probs: missing key"),
+        ("sweep", dict(SPEC, probs=[0.5, 0.5], repetitions=2), "probs"),
+        ("simulate", {"mac": {"max_rtx": 1100, "max_window_exp": 1100}}, "max_rtx=1100"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -255,6 +257,14 @@ class TestSimulate:
         assert len(rows) == 1500 and all(r.endswith(",lost,,,rtx-exceeded") for r in rows)
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest["outputs"]) == 4
+
+    def test_large_attempt_budget_runs(self, trace_csv, tmp_path):
+        # the per-count delays come from one cumulative table, so a budget
+        # of 4,000 attempts costs no more than the default one
+        ch = tmp_path / "ch.json"
+        ch.write_text(json.dumps({"mac": {"max_rtx": 4000}}))
+        assert main(["simulate", "--trace", str(trace_csv), "--channel", str(ch),
+                     "--policy", "repeat-last", "--out-dir", str(tmp_path / "run")]) == 0
 
     def test_lossless_channel_passes_everything(self, trace_csv, tmp_path):
         ch = tmp_path / "ch.json"

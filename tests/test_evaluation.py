@@ -8,10 +8,13 @@ import pytest
 from foreco.channel import ChannelConfig, simulate_channel
 from foreco.core import Command, RecoveryConfig, Trace
 from foreco.errors import ConfigError
+from foreco import evaluation
 from foreco.evaluation import (
     SweepGrid,
     SweepResult,
+    _cell_config,
     _closed_loop_errors,
+    _task_seed,
     controlled_loss_outcomes,
     default_grid,
     forecast_window_study,
@@ -128,8 +131,6 @@ class TestRunSweep:
         # rerunning the channel with the same derived seed reproduces the
         # outcomes either policy consumed
         test, policies = sweep_setup
-        from foreco.evaluation import _cell_config, _task_seed
-
         grid = tiny_grid()
         key = grid.cells()[3]
         seed = _task_seed(grid.master_seed, 3, 0)
@@ -156,6 +157,49 @@ class TestRunSweep:
         serial = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies, jobs=1)
         parallel = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies, jobs=2)
         assert serial.cells == parallel.cells
+
+    def test_values_are_the_per_repetition_errors(self, sweep_setup):
+        # pins the (cell index, repetition) -> channel seed mapping and the
+        # repetition order of every cell's values
+        test, policies = sweep_setup
+        grid, template = tiny_grid(reps=3), ChannelConfig(seed=0)
+        result = run_sweep(test, grid, template, policies)
+        for index, key in enumerate(grid.cells()):
+            for rep in range(grid.repetitions):
+                cfg = _cell_config(template, key, _task_seed(grid.master_seed, index, rep))
+                outcomes = simulate_channel(test, cfg)
+                for policy in policies:
+                    expected = rmse(run_recovery(test, outcomes, policy), test)
+                    assert result.cells[key][policy.label][rep] == expected
+            assert all(len(values) == grid.repetitions for values in result.cells[key].values())
+
+    def test_pool_starts_at_most_one_worker_per_cell(self, sweep_setup, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(evaluation, "_WORKER_CTX", None)
+        test, policies = sweep_setup
+        grid = SweepGrid(probs=(0.0, 0.8), durations=(16.0,), robot_counts=(5,),
+                         repetitions=2, master_seed=3)
+        pooled = run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=8)
+        assert asked == [2]
+        assert pooled.cells == run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=1).cells
 
     def test_repeat_last_error_grows_with_interference(self, sweep_setup):
         test, policies = sweep_setup
@@ -198,6 +242,7 @@ class TestSweepResultFiles:
         pytest.param("cells[0].prob", lambda doc: doc["cells"][0].pop("prob"), id="cells[0].prob"),
         pytest.param("cells[0].rmse.forecast.values", lambda doc: doc["cells"][0]["rmse"].update(forecast=[0.1]),
                      id="cells[0].rmse.forecast.values"),
+        pytest.param("axis probs", lambda doc: doc["probs"].append(doc["probs"][0]), id="probs-repeated"),
     ])
     def test_malformed_document_raises_config_error(self, sweep_setup, field, change):
         test, policies = sweep_setup
@@ -242,6 +287,14 @@ class TestDefaultGrid:
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepGrid(probs=(), durations=(1.0,), robot_counts=(5,))
+
+    @pytest.mark.parametrize("axis", ["probs", "durations", "robot_counts"])
+    def test_repeated_axis_value_rejected(self, axis):
+        # a repeated value would name one cell twice
+        axes = {"probs": (0.1, 0.5), "durations": (1.0, 2.0), "robot_counts": (5, 15)}
+        axes[axis] += axes[axis][-1:]
+        with pytest.raises(ConfigError, match=f"axis {axis} must be non-empty with distinct values"):
+            SweepGrid(**axes)
 
 
 class TestForecastWindowStudy:
