@@ -61,6 +61,7 @@ from .recovery import (
     RecoveryPolicy,
     RecoveryStats,
     replay_deadline,
+    run_recoveries,
     run_recovery,
     step_limit_from_trace,
 )

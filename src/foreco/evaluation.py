@@ -21,7 +21,9 @@ from .channel import DELIVERED, RTX_EXCEEDED, ChannelConfig, ChannelOutcomes, si
 from .core import Trace, checked_fields, checked_number, checked_numbers
 from .errors import ConfigError
 from .forecasting import MaModel, VarModel, fit_var_ols
-from .recovery import ExecutedStream, RecoveryPolicy, run_recovery
+# The sweep recovers a cell's runs together with run_recoveries. run_recovery
+# stays bound here because perfbench's tracer wraps evaluation.run_recovery.
+from .recovery import ExecutedStream, RecoveryPolicy, run_recoveries, run_recovery  # noqa: F401
 
 CellKey = tuple[int, float, float]  # (robot count, interferer prob, duration slots)
 
@@ -252,15 +254,17 @@ def _run_cell(
     index: int,
 ) -> dict[str, list[float]]:
     """Every repetition of cell `index`: the error of each policy, in
-    repetition order, on one channel run seeded per repetition."""
+    repetition order, on one channel run seeded per repetition. Each policy
+    recovers all the cell's runs in one run_recoveries call."""
     key = grid.cells()[index]
-    values: dict[str, list[float]] = {policy.label: [] for policy in policies}
-    for rep in range(grid.repetitions):
-        cfg = _cell_config(template, key, _task_seed(grid.master_seed, index, rep))
-        outcomes = simulate_channel(trace, cfg)
-        for policy in policies:
-            values[policy.label].append(rmse(run_recovery(trace, outcomes, policy), trace))
-    return values
+    runs = [
+        simulate_channel(trace, _cell_config(template, key, _task_seed(grid.master_seed, index, rep)))
+        for rep in range(grid.repetitions)
+    ]
+    return {
+        policy.label: [rmse(stream, trace) for stream in run_recoveries(trace, runs, policy)]
+        for policy in policies
+    }
 
 
 _WORKER_CTX: tuple | None = None
@@ -326,15 +330,16 @@ def _closed_loop_errors(
     last = n - 1 - window_max
     if last < first:
         raise ConfigError("test trace too short for the requested window")
-    anchors = range(first, last + 1, stride)
+    anchors = np.arange(first, last + 1, stride)
+    recent = values[anchors[:, None] + np.arange(1 - hist_len, 1)]
     errors = np.empty((len(anchors), window_max))
-    for row, a in enumerate(anchors):
-        recent = values[a - hist_len + 1 : a + 1].copy()
-        for s in range(window_max):
-            pred = model.next_row(recent)
-            diff = pred - values[a + 1 + s]
-            errors[row, s] = float(diff @ diff)
-            recent = np.vstack([recent[1:], pred])
+    for s in range(window_max):
+        pred = model.next_rows(recent)
+        diff = pred - values[anchors + 1 + s]
+        # One dot product per anchor, as diff @ diff rounds it; a sum over
+        # axis 1 rounds differently.
+        errors[:, s] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        recent = np.concatenate([recent[:, 1:], pred[:, None]], axis=1)
     return errors
 
 

@@ -38,26 +38,27 @@ class Forecaster(Protocol):
     """What run_recovery requires of a model.
 
     min_history (>= 1) is the number of past rows a forecast reads, and
-    next_row(record) the recovery step: the joint row one period after an
-    (n, d) record of past rows, oldest first, n >= min_history. A model may
-    instead have only predict_next(history, period_ms), returning the Command
-    one period after history[-1] (Commands, oldest first); run_recovery then
-    reaches it through predict. VarModel and MaModel have both.
+    next_rows(records) the recovery step: for an (n, min_history, d) array
+    of records, each of past rows oldest first, the (n, d) joint rows one
+    period after them. A model may instead have only predict_next(history,
+    period_ms), returning the Command one period after history[-1]
+    (Commands, oldest first); run_recovery then reaches it through predict.
+    VarModel and MaModel have both.
     """
 
     dim: int
     min_history: int
 
-    def next_row(self, record: np.ndarray) -> np.ndarray: ...
+    def next_rows(self, records: np.ndarray) -> np.ndarray: ...
 
 
 def _forecast_command(model, history: Sequence[Command], period_ms: float) -> Command:
-    """predict_next for models with an array step next_row(record) -> row."""
+    """predict_next for models with an array step next_rows(records) -> rows."""
     record = np.array([c.joints for c in history[-model.min_history:]])
     last = history[-1]
     return Command(
         seq=last.seq + 1,
-        joints=tuple(model.next_row(record).tolist()),
+        joints=tuple(model.next_rows(record[None])[0].tolist()),
         gen_time_us=last.gen_time_us + ms_to_us(period_ms),
         provenance=Provenance.FORECAST,
     )
@@ -106,9 +107,18 @@ class VarModel:
     def min_history(self) -> int:
         return max(self.lag, 1)
 
-    def next_row(self, record: np.ndarray) -> np.ndarray:
-        """The next joint row after an (n, d) record, oldest row first, n >= lag."""
-        return self.bias + self.stacked @ record[::-1][: self.lag].reshape(-1)
+    def next_rows(self, records: np.ndarray) -> np.ndarray:
+        """The next joint row after each record of an (n, m, d) array, oldest
+        row first, m >= lag.
+
+        Each row is bit-equal to bias + stacked @ x for its record alone. The
+        stacked matmul multiplies one record at a time (a gemm over the batch
+        would reassociate the sums), and the reshape lays x out as a single
+        record's would be: a contiguous copy for d > 1, and for d = 1 a
+        reversed view, which numpy multiplies without BLAS either way.
+        """
+        x = records[:, ::-1][:, : self.lag].reshape(len(records), self.lag * self.dim)
+        return self.bias + (self.stacked @ x[:, :, None])[:, :, 0]
 
     predict_next = _forecast_command
 
@@ -128,9 +138,9 @@ class MaModel:
     def min_history(self) -> int:
         return self.window
 
-    def next_row(self, record: np.ndarray) -> np.ndarray:
-        """The mean of the last `window` rows of an (n, d) record."""
-        return record[-self.window:].mean(axis=0)
+    def next_rows(self, records: np.ndarray) -> np.ndarray:
+        """The mean of the last `window` rows of each record of an (n, m, d) array."""
+        return records[:, -self.window:].mean(axis=1)
 
     predict_next = _forecast_command
 

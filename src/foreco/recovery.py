@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -87,17 +87,72 @@ class RecoveryStats:
         }
 
 
+# Provenance codes of a recovered run, one int8 per slot.
+_ORIGINAL, _FORECAST, _REPEATED, _DROPPED = range(4)
+
+
+class ExecutedCommands(Sequence):
+    """The commands of a recovered run, built from its arrays on first access.
+
+    A read-only, tuple-like view over the trace, the run's (H, d) joints and
+    its provenance codes: on-time slots are the trace's own Command objects,
+    dropped slots None. len() reads the codes only; slicing gives a tuple,
+    and a view equals the tuple of its commands.
+    """
+
+    __slots__ = ("_trace", "_joints", "_codes", "_built")
+
+    def __init__(self, trace: Trace, joints: np.ndarray, codes: np.ndarray):
+        self._trace = trace
+        self._joints = joints
+        self._codes = codes
+        self._built: tuple[Command | None, ...] | None = None
+
+    def _commands(self) -> tuple[Command | None, ...]:
+        if self._built is None:
+            slots: list[Command | None] = list(self._trace.samples)
+            missed = np.flatnonzero(self._codes != _ORIGINAL)
+            rows = self._joints[missed].tolist()
+            for i, code, row in zip(missed.tolist(), self._codes[missed].tolist(), rows):
+                sent = slots[i]
+                if code == _DROPPED:
+                    slots[i] = None
+                elif code == _REPEATED:
+                    slots[i] = Command(sent.seq, slots[i - 1].joints, sent.gen_time_us, Provenance.REPEAT_LAST)
+                else:
+                    slots[i] = Command(sent.seq, tuple(row), sent.gen_time_us, Provenance.FORECAST)
+            self._built = tuple(slots)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        return self._commands()[i]
+
+    def __iter__(self):
+        return iter(self._commands())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, ExecutedCommands)):
+            return self._commands() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._commands())
+
+
 @dataclass(frozen=True)
 class ExecutedStream:
     """One entry per command slot; None marks a slot left empty (drop mode).
 
-    The (H, d) joints array that joints_matrix returns is cached in a
-    non-init field: run_recovery hands over the array it filled, any other
-    stream builds it from commands on first use. dataclasses.replace starts
-    the copy without it.
+    run_recovery hands over its commands as an ExecutedCommands view and
+    caches the (H, d) joints array it filled in the non-init field that
+    joints_matrix returns; any other stream builds that array from commands
+    on first use. dataclasses.replace starts the copy without it.
     """
 
-    commands: tuple[Command | None, ...]
+    commands: Sequence[Command | None]
     stats: RecoveryStats
     _joints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -143,22 +198,56 @@ def on_time_mask(outcomes: ChannelOutcomes, period_ms: float, cfg: RecoveryConfi
     return outcomes.delivered & (outcomes.delay_ms <= _deadline_ms(period_ms, cfg))
 
 
-def _forecast_step(model: Forecaster, joints: np.ndarray, slots: list, period_ms: float):
-    """The forecast for the slot after slots lo..i-1, as step(lo, i) -> row.
+def _predict_step(model: Forecaster, trace: Trace, joints: np.ndarray, codes: np.ndarray,
+                  first: np.ndarray, record_len: int):
+    """The forecast step for a model with only predict_next: the rows after
+    flat slots r * H + i, each through predict on the Commands of slots
+    max(first[r], i - record_len) .. i-1, provenance from the codes."""
+    samples = trace.samples
+    n_slots = len(trace)
+    provenance = {_FORECAST: Provenance.FORECAST, _REPEATED: Provenance.REPEAT_LAST}
 
-    A model with next_row steps on the rows of the joints array; one with
-    only predict_next goes through predict on the Commands of those slots.
+    def command(r: int, j: int) -> Command:
+        sent = samples[j]
+        code = int(codes[r, j])
+        if code == _ORIGINAL:
+            return sent
+        return Command(sent.seq, tuple(joints[r, j].tolist()), sent.gen_time_us, provenance[code])
+
+    def step(flat: np.ndarray) -> np.ndarray:
+        rows = []
+        for r, i in zip(*(a.tolist() for a in np.divmod(flat, n_slots))):
+            history = [command(r, j) for j in range(max(int(first[r]), i - record_len), i)]
+            rows.append(predict(model, history, period_ms=trace.period_ms).joints)
+        return np.array(rows, dtype=float)
+
+    return step
+
+
+def _forecast_levels(forecast: np.ndarray, record_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forecast slots of an (R, H) mask as flat indices r * H + i, sorted
+    by level, and the end of each level in that order.
+
+    A cluster is a run of forecast slots of one repetition, each at most
+    record_len after the previous one; a slot's level is its position in its
+    cluster. A forecast reads only the record_len slots before it, so every
+    slot it depends on sits at a lower level.
     """
-    next_row = getattr(model, "next_row", None)
-    if next_row is not None:
-        return lambda lo, i: next_row(joints[lo:i])
-    return lambda lo, i: np.array(predict(model, slots[lo:i], period_ms=period_ms).joints, dtype=float)
+    rep, slot = np.nonzero(forecast)
+    n = len(slot)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (np.diff(slot) > record_len) | (np.diff(rep) != 0)
+    position = np.arange(n)
+    level = position - np.maximum.accumulate(np.where(starts, position, 0))
+    order = np.argsort(level, kind="stable")
+    flat = rep[order] * forecast.shape[1] + slot[order]
+    return flat, np.cumsum(np.bincount(level))
 
 
-def run_recovery(
-    trace: Trace, outcomes: Sequence[ChannelOutcome], policy: RecoveryPolicy
-) -> ExecutedStream:
-    """Produce the executed command stream for a trace under given outcomes.
+def run_recoveries(
+    trace: Trace, runs: Sequence[Sequence[ChannelOutcome]], policy: RecoveryPolicy
+) -> list[ExecutedStream]:
+    """The executed stream of a trace under each run of channel outcomes.
 
     Slot i is on time iff outcome i meets the replay deadline; then the
     original command is emitted unchanged. Otherwise the policy fills the
@@ -166,67 +255,97 @@ def run_recovery(
     losses degrade to repeating the previous command, and to dropping when
     nothing has executed yet. Every emitted command, forecasts included,
     enters the history the next forecasts read from.
+
+    All runs are recovered at once: repeat-last and drop are one forward
+    fill over the (R, H) slots, and the forecasts run level by level (see
+    _forecast_levels), each level over all runs as one next_rows step.
     """
-    if len(outcomes) != len(trace):
-        raise ConfigError(f"{len(outcomes)} outcomes for {len(trace)} commands")
-    outcomes = ChannelOutcomes.from_outcomes(outcomes)
+    n_slots = len(trace)
+    for outcomes in runs:
+        if len(outcomes) != n_slots:
+            raise ConfigError(f"{len(outcomes)} outcomes for {n_slots} commands")
     cfg = policy.cfg
     model = policy.model
-    period_ms = trace.period_ms
+    limits = policy.max_step_per_joint
     if policy.mode is PolicyMode.FORECAST:
         if model.dim != trace.dim:
             raise ConfigError(f"model dim {model.dim} does not match trace dim {trace.dim}")
+        if limits is not None and len(limits) != trace.dim:
+            raise ConfigError(f"{len(limits)} step limits for a trace of {trace.dim} joints")
         if model.min_history > cfg.record_len:
             raise ConfigError(
                 f"model needs {model.min_history} past commands but the record keeps {cfg.record_len}"
             )
 
-    on_time = on_time_mask(outcomes, period_ms, cfg)
-    missed = np.flatnonzero(~on_time).tolist()
+    on_time = np.array(
+        [on_time_mask(ChannelOutcomes.from_outcomes(o), trace.period_ms, cfg) for o in runs], dtype=bool
+    ).reshape(len(runs), n_slots)
     # The first on-time slot is the first executed one: a miss before it
     # finds no history and is dropped. From there on, forecast and
     # repeat-last fill every slot, so the history at slot i is the slots
-    # from max(first, i - record_len) up to i. An empty slot's row holds the
-    # row before it; the leading ones are set to the first executed row last.
-    first = int(np.argmax(on_time)) if on_time.any() else len(trace)
-    slots: list[Command | None] = list(trace.samples)
-    joints = np.array(trace.joints)
-    # Misses before drop_until are dropped, those from forecast_from on are
-    # forecast, and the rest repeat the slot before.
-    drop_until = len(trace) if policy.mode is PolicyMode.DROP else first
-    forecast_from = len(trace)
+    # from max(first, i - record_len) up to i. Misses before drop_until are
+    # dropped, those from forecast_from on are forecast, and the rest repeat
+    # the slot before.
+    any_on_time = on_time.any(axis=1)
+    first = np.where(any_on_time, np.argmax(on_time, axis=1), n_slots)
+    drop_until = np.full_like(first, n_slots) if policy.mode is PolicyMode.DROP else first
+    forecast_from = np.full_like(first, n_slots)
     if policy.mode is PolicyMode.FORECAST:
         forecast_from = first + model.min_history
-        step = _forecast_step(model, joints, slots, period_ms)
-        if policy.max_step_per_joint is not None:
-            lim = np.array(policy.max_step_per_joint)
-            neg_lim = -lim
-    forecast = repeated = dropped = 0
-    for i in missed:
-        cmd = slots[i]
-        if i < drop_until:
-            slots[i] = None
-            joints[i] = joints[i - 1]
-            dropped += 1
-        elif i >= forecast_from:
-            row = step(max(first, i - cfg.record_len), i)
-            if policy.max_step_per_joint is not None:
-                prev = joints[i - 1]
-                row = prev + np.minimum(np.maximum(row - prev, neg_lim), lim)
-            joints[i] = row
-            slots[i] = Command(cmd.seq, tuple(joints[i].tolist()), cmd.gen_time_us, Provenance.FORECAST)
-            forecast += 1
-        else:
-            slots[i] = Command(cmd.seq, slots[i - 1].joints, cmd.gen_time_us, Provenance.REPEAT_LAST)
-            joints[i] = joints[i - 1]
-            repeated += 1
+    slot = np.arange(n_slots)
+    codes = np.where(
+        slot < drop_until[:, None], _DROPPED, np.where(slot >= forecast_from[:, None], _FORECAST, _REPEATED)
+    ).astype(np.int8)
+    codes[on_time] = _ORIGINAL
 
-    stats = RecoveryStats(len(trace) - len(missed), forecast, repeated, dropped)
-    stream = ExecutedStream(tuple(slots), stats)
-    if first < len(trace):
-        joints[:first] = joints[first]
-        stream._cache_joints(joints)
-    return stream
+    # An empty or repeated slot holds the last on-time row; the leading ones
+    # hold the first executed row.
+    held = np.maximum.accumulate(np.where(on_time, slot, -1), axis=1)
+    joints = np.take(trace.joints, np.minimum(np.maximum(held, first[:, None]), n_slots - 1), axis=0)
+
+    forecast = codes == _FORECAST
+    if forecast.any():
+        flat, ends = _forecast_levels(forecast, cfg.record_len)
+        rows_of = joints.reshape(-1, trace.dim)
+        if hasattr(model, "next_rows"):
+            window = flat[:, None] + np.arange(-model.min_history, 0)
+
+            def step(lo: int, hi: int) -> np.ndarray:
+                return model.next_rows(np.take(rows_of, window[lo:hi], axis=0))
+        else:
+            by_predict = _predict_step(model, trace, joints, codes, first, cfg.record_len)
+
+            def step(lo: int, hi: int) -> np.ndarray:
+                return by_predict(flat[lo:hi])
+        if limits is not None:
+            lim = np.array(limits)
+            neg_lim = -lim
+        lo = 0
+        for hi in ends.tolist():
+            rows = step(lo, hi)
+            if limits is not None:
+                prev = rows_of[flat[lo:hi] - 1]
+                rows = prev + np.minimum(np.maximum(rows - prev, neg_lim), lim)
+            rows_of[flat[lo:hi]] = rows
+            lo = hi
+
+    # Slots per code and run, as (R, 4) counts in code order.
+    counts = np.bincount((codes + 4 * np.arange(len(runs))[:, None]).ravel(), minlength=4 * len(runs))
+    streams = []
+    for r, (on, fc, rep, drop) in enumerate(counts.reshape(-1, 4).tolist()):
+        stream = ExecutedStream(ExecutedCommands(trace, joints[r], codes[r]), RecoveryStats(on, fc, rep, drop))
+        if any_on_time[r]:
+            stream._cache_joints(joints[r])
+        streams.append(stream)
+    return streams
+
+
+def run_recovery(
+    trace: Trace, outcomes: Sequence[ChannelOutcome], policy: RecoveryPolicy
+) -> ExecutedStream:
+    """The executed stream of a trace under one run of channel outcomes:
+    run_recoveries for a single run."""
+    return run_recoveries(trace, [outcomes], policy)[0]
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:

@@ -1,8 +1,9 @@
 """Fast paths against the slow references they replaced, on randomized inputs.
 
 The queue walk of simulate_channel is checked against the per-frame loop,
-and the bulk run_recovery against the per-slot loop, both kept below as
-references. Both comparisons are exact: no tolerance.
+the batched run_recoveries against the per-slot loop, and the batched
+next_rows and window study against their per-row forms, all kept below as
+references. Every comparison is exact: no tolerance.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from foreco import channel, recovery
+from foreco import channel, evaluation, recovery
 from foreco.channel import (
     DELIVERED,
     QUEUE_OVERFLOW,
@@ -26,14 +27,16 @@ from foreco.channel import (
     simulate_channel,
 )
 from foreco.core import Command, Provenance, RecoveryConfig, Trace
-from foreco.forecasting import MaModel, fit_var_ols, predict
+from foreco.forecasting import MaModel, VarModel, fit_var_ols, predict
 from foreco.recovery import (
+    ExecutedCommands,
     ExecutedStream,
     PolicyMode,
     RecoveryPolicy,
     RecoveryStats,
     on_time_mask,
     replay_deadline,
+    run_recoveries,
     run_recovery,
     step_limit_from_trace,
 )
@@ -333,6 +336,203 @@ class TestBulkRecovery:
                 assert executed is sent
 
 
+def spaced_losses(trace: Trace, start: int, gaps: list[int]) -> list[ChannelOutcome]:
+    """Every slot on time except single losses at start and then each gap
+    further on."""
+    lost = {start}
+    for gap in gaps:
+        start += gap
+        lost.add(start)
+    return [
+        ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED) if i in lost
+        else ChannelOutcome.delivery(trace.seq0 + i, 0.0, 0, 0.0)
+        for i in range(len(trace))
+    ]
+
+
+class TestBatchedRecovery:
+    """run_recoveries on batches of runs equals per_slot_recovery run by run."""
+
+    def test_random_batches_equal_the_per_slot_loop(self):
+        rng = np.random.default_rng(10)
+        train = smooth_trace(rng, 800, 3)
+        models = [fit_var_ols(train, lag) for lag in (1, 3, 8, 20)] + [MaModel(3, 5), WholeRecordMean()]
+        limits = step_limit_from_trace(train, margin=1.2)
+        kinds = {"all lost": 0, "loss free": 0, "leading loss": 0}
+        for case in range(36):
+            model = models[case % len(models)]
+            trace = smooth_trace(rng, int(rng.integers(60, 300)), 3)
+            cfg = RecoveryConfig(
+                tolerance_ms=float(rng.choice([0.0, 2.5])),
+                record_len=model.min_history + int(rng.integers(0, 12)),
+            )
+            runs = [
+                random_outcomes(rng, trace, trace.period_ms + cfg.tolerance_ms)
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            for outcomes in runs:
+                missed = ~on_time_mask(ChannelOutcomes.from_outcomes(outcomes), trace.period_ms, cfg)
+                kinds["all lost"] += bool(missed.all())
+                kinds["loss free"] += not missed.any()
+                kinds["leading loss"] += bool(missed[0] and not missed.all())
+            step = limits if case % 2 else None
+            policies = [
+                RecoveryPolicy(PolicyMode.FORECAST, cfg, model, max_step_per_joint=step),
+                RecoveryPolicy(PolicyMode.REPEAT_LAST, cfg),
+                RecoveryPolicy(PolicyMode.DROP, cfg),
+            ]
+            for policy in policies:
+                streams = run_recoveries(trace, runs, policy)
+                assert len(streams) == len(runs)
+                for stream, outcomes in zip(streams, runs):
+                    assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
+        assert all(count >= 3 for count in kinds.values()), kinds
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_forecasts_a_record_apart(self, extra):
+        # Single losses record_len (+ extra) slots apart: at record_len the
+        # later forecast reads the earlier one, at record_len + 1 it does not.
+        rng = np.random.default_rng(12)
+        train = smooth_trace(rng, 600, 3)
+        record_len = 8
+        cfg = RecoveryConfig(record_len=record_len)
+        trace = smooth_trace(rng, 200, 3)
+        runs = [
+            spaced_losses(trace, 30, [record_len + extra] * 6),
+            spaced_losses(trace, 45, [record_len + extra, 1, record_len + extra, 2]),
+            random_outcomes(rng, trace, trace.period_ms),
+        ]
+        for model in (fit_var_ols(train, record_len), MaModel(3, record_len), WholeRecordMean()):
+            policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model)
+            streams = run_recoveries(trace, runs, policy)
+            for stream, outcomes in zip(streams, runs):
+                assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
+            assert streams[0].stats.forecast == 7
+
+    def test_single_run_is_the_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        trace = smooth_trace(rng, 300, 3)
+        model = fit_var_ols(smooth_trace(rng, 600, 3), 6)
+        runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(5)]
+        policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model)
+        for stream, outcomes in zip(run_recoveries(trace, runs, policy), runs):
+            assert_same_stream(stream, run_recovery(trace, outcomes, policy))
+
+
+class TestNextRows:
+    """Batched next_rows against the per-row forms, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    @pytest.mark.parametrize("lag, dim", [(1, 3), (3, 6), (20, 6), (5, 1)])
+    def test_var_rows_are_the_per_row_gemv(self, n, lag, dim):
+        rng = np.random.default_rng(lag * 1000 + n)
+        model = VarModel(
+            dim=dim, lag=lag, bias=rng.normal(size=dim), coeffs=rng.normal(size=(lag, dim, dim)) / lag,
+            residual_cov=np.eye(dim),
+        )
+        records = rng.normal(size=(n, lag + int(rng.integers(0, 4)), dim))
+        got = model.next_rows(records)
+        expected = [model.bias + model.stacked @ record[::-1][:lag].reshape(-1) for record in records]
+        assert got.shape == (n, dim)
+        assert np.array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
+    @pytest.mark.parametrize("window, dim", [(1, 3), (4, 6), (17, 6), (17, 1)])
+    def test_ma_rows_are_the_per_row_mean(self, n, window, dim):
+        rng = np.random.default_rng(window * 1000 + n)
+        records = rng.normal(size=(n, window + 2, dim))
+        got = MaModel(dim, window).next_rows(records)
+        assert np.array_equal(got, np.array([record[-window:].mean(axis=0) for record in records]))
+
+
+def per_anchor_errors(model, values: np.ndarray, window_max: int, stride: int) -> np.ndarray:
+    """The window study's closed loop one anchor at a time, kept as the
+    reference for the batched _closed_loop_errors."""
+    hist_len = model.min_history
+    anchors = range(hist_len - 1, len(values) - window_max, stride)
+    errors = np.empty((len(anchors), window_max))
+    for row, a in enumerate(anchors):
+        recent = values[a - hist_len + 1 : a + 1].copy()
+        for s in range(window_max):
+            pred = model.next_rows(recent[None])[0]
+            diff = pred - values[a + 1 + s]
+            errors[row, s] = float(diff @ diff)
+            recent = np.vstack([recent[1:], pred])
+    return errors
+
+
+class TestWindowStudy:
+    @pytest.mark.parametrize("family, record", [("var", 5), ("var", 20), ("ma", 4), ("ma", 17)])
+    def test_batched_anchors_equal_the_per_anchor_loop(self, pick_and_place_split, family, record):
+        train, test = pick_and_place_split
+        model = fit_var_ols(train, record) if family == "var" else MaModel(train.dim, record)
+        values = test.joints_matrix()[:400]
+        got = evaluation._closed_loop_errors(model, values, 12, 3)
+        assert np.array_equal(got, per_anchor_errors(model, values, 12, 3))
+
+
+class TestCommandsView:
+    """A recovered stream's commands are built from its arrays on access."""
+
+    def recovered(self):
+        rng = np.random.default_rng(14)
+        trace = smooth_trace(rng, 250, 3)
+        outcomes = random_outcomes(rng, trace, trace.period_ms)
+        outcomes[:3] = [ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED) for i in range(3)]
+        outcomes[3] = ChannelOutcome.delivery(trace.seq0 + 3, 0.0, 0, 0.0)
+        outcomes[100:130] = [ChannelOutcome.loss(trace.seq0 + i, LossCause.RTX_EXCEEDED) for i in range(100, 130)]
+        model = fit_var_ols(smooth_trace(rng, 600, 3), 4)
+        policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=6), model)
+        return trace, outcomes, policy, run_recovery(trace, outcomes, policy)
+
+    def test_len_builds_no_commands(self):
+        trace, outcomes, policy, stream = self.recovered()
+        assert isinstance(stream.commands, ExecutedCommands)
+        assert len(stream) == len(stream.commands) == len(trace)
+        stream.joints_matrix()
+        assert stream.commands._built is None
+        assert stream.commands[0] is None
+        assert stream.commands._built is not None
+
+    def test_commands_are_built_once_and_on_time_slots_are_the_trace_samples(self):
+        trace, outcomes, policy, stream = self.recovered()
+        commands = tuple(stream.commands)
+        assert all(a is b for a, b in zip(commands, stream.commands))
+        mask = on_time_mask(ChannelOutcomes.from_outcomes(outcomes), trace.period_ms, policy.cfg)
+        assert mask.sum() == stream.stats.on_time
+        for hit, executed, sent in zip(mask.tolist(), commands, trace.samples):
+            assert (executed is sent) == hit
+        assert stream.stats.forecast >= 20
+
+    def test_equals_a_tuple(self):
+        trace, outcomes, policy, stream = self.recovered()
+        commands = tuple(stream.commands)
+        assert stream.commands == commands
+        assert commands == stream.commands
+        assert stream == ExecutedStream(commands, stream.stats)
+        assert stream.commands != commands[:-1]
+        assert commands[3] is trace.samples[3]
+        assert stream.commands != commands[:3] + (None,) + commands[4:]
+        assert stream.commands[5:9] == commands[5:9]
+        assert stream.commands != list(commands)
+
+    def test_replace_keeps_working(self):
+        trace, outcomes, policy, stream = self.recovered()
+        joints = stream.joints_matrix()
+        restated = replace(stream, stats=RecoveryStats())
+        assert restated.commands is stream.commands
+        assert restated._joints is None
+        np.testing.assert_array_equal(restated.joints_matrix(), joints)
+        copied = replace(stream, commands=tuple(stream.commands))
+        assert copied._joints is None
+        np.testing.assert_array_equal(copied.joints_matrix(), joints)
+        moved = list(stream.commands)
+        moved[120] = replace(moved[120], joints=(9.0, 9.0, 9.0))
+        altered = replace(stream, commands=tuple(moved))
+        assert altered.joints_matrix()[120].tolist() == [9.0, 9.0, 9.0]
+        assert np.array_equal(np.delete(altered.joints_matrix(), 120, 0), np.delete(joints, 120, 0))
+
+
 class TestForecastStep:
     """run_recovery steps a model with next_row on the joints array and
     reaches a model with only predict_next through recovery.predict."""
@@ -387,8 +587,8 @@ class TestStepClamp:
             self.move = np.array(move)
             self.dim = len(move)
 
-        def next_row(self, record):
-            return record[-1] + self.move
+        def next_rows(self, records):
+            return records[:, -1] + self.move
 
     @pytest.mark.parametrize("prev, lim", [(0.5, 0.25), (0.1, 0.3), (-2.7, 1e-3), (1e6, 7.0)])
     def test_equals_the_tuple_clamp(self, prev, lim):

@@ -294,6 +294,17 @@ class TestStepLimit:
         got = np.array(stream.commands[50].joints)
         assert np.all(np.abs(got - prev) <= 0.1 + 1e-12)
 
+    @pytest.mark.parametrize("limits", [(0.01,), (0.01, 0.02, 0.03)])
+    def test_limit_count_must_match_the_joints(self, limits):
+        tr = smooth_trace(d=6)
+        outcomes = all_on_time(tr)
+        outcomes[50] = lost(50)
+        policy = RecoveryPolicy(
+            PolicyMode.FORECAST, RecoveryConfig(), fit_var_ols(tr, 2), max_step_per_joint=limits
+        )
+        with pytest.raises(ConfigError, match=f"^{len(limits)} step limits for a trace of 6 joints$"):
+            run_recovery(tr, outcomes, policy)
+
     def test_on_time_commands_never_limited(self):
         tr = rotation_trace(50, 1.5, amp=2.0)  # large genuine steps
         policy = RecoveryPolicy(
