@@ -17,6 +17,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -237,7 +238,8 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
             self.seq.tolist(), self.delivered.tolist(),
             held(self.delay_ms), held(self.rtx), held(self.waited_ms), causes,
         )
-        return map(ChannelOutcome._make, rows)
+        # tuple.__new__ builds each row without _make's per-call overhead
+        return map(tuple.__new__, repeat(ChannelOutcome), rows)
 
     def __eq__(self, other):
         if isinstance(other, ChannelOutcomes):

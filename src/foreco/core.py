@@ -114,7 +114,7 @@ class Trace:
     def dim(self) -> int:
         return self.joints.shape[1]
 
-    @property
+    @cached_property
     def period_ms(self) -> float:
         return us_to_ms(self.period_us)
 

@@ -204,12 +204,17 @@ def _solve_ols(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
         x = np.vstack([x, penalty])
         y = np.vstack([y, np.zeros((k - 1, y.shape[1]))])
     q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    threshold = RANK_TOL * diag.max() if diag.size else 0.0
-    bad = np.nonzero(diag <= threshold)[0]
-    if bad.size:
-        raise RankDeficient(int(bad[0]), _describe_column(int(bad[0]), y.shape[1]))
+    _check_pivots(np.abs(np.diag(r)), y.shape[1])
     return np.linalg.solve(r, q.T @ y)
+
+
+def _check_pivots(pivots: np.ndarray, dim: int) -> None:
+    """RankDeficient naming the first of a design's columns whose QR pivot
+    magnitude is at most RANK_TOL times the largest."""
+    threshold = RANK_TOL * pivots.max() if pivots.size else 0.0
+    bad = np.nonzero(pivots <= threshold)[0]
+    if bad.size:
+        raise RankDeficient(int(bad[0]), _describe_column(int(bad[0]), dim))
 
 
 def _describe_column(col: int, dim: int) -> str:
@@ -354,20 +359,7 @@ def aic(model: VarModel, data: Trace, start: int | None = None) -> float:
     """
     resid = one_step_residuals(model, data, start)
     n, d = resid.shape
-    # A numerically perfect fit leaves a covariance at float-noise scale; the
-    # likelihood then blows up instead of meaning anything.
-    data_scale = float(np.max(np.var(data.joints_matrix(), axis=0))) or 1.0
-    if float(np.max(np.diag(model.residual_cov))) < 1e-24 * data_scale:
-        raise DegenerateCovariance(
-            "residual covariance is at floating-point noise level; the Gaussian "
-            "likelihood is unbounded (perfect fit on noiseless data)"
-        )
-    try:
-        chol = np.linalg.cholesky(model.residual_cov)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateCovariance(
-            "residual covariance is singular; the Gaussian likelihood is undefined"
-        ) from exc
+    chol = _checked_cholesky(model.residual_cov, _data_scale(data.joints_matrix()))
     # Solve L z = e^T once for the whole block; quad form = sum z^2.
     z = np.linalg.solve(chol, resid.T)
     quad = float(np.sum(z * z))
@@ -398,17 +390,57 @@ def likelihood_ratio(aic_l: float, aic_l_plus_1: float, dim: int) -> float:
 def select_lag(train: Trace, max_lag: int) -> tuple[int, list[float]]:
     """Fit lags 1..max_lag and pick the criterion minimizer (ties: smaller lag).
 
-    All candidates are scored on the shared target window starting at max_lag
-    so their likelihoods are computed over identical rows.
+    Every order is fitted on the same targets, rows max_lag onwards, so the
+    lag-l design is the first k = 1 + l*d columns of the max-lag design and
+    one reduced QR of that design serves every order. With C = Q^T y and
+    E = y - Q C, the lag-l residual sum of squares is E^T E + C[k:]^T C[k:].
+    The criterion is 2*d^2*l - logL, with logL the Gaussian log-likelihood at
+    the maximum-likelihood covariance, that sum divided by the n shared rows.
     """
     if max_lag < 1:
         raise ConfigError(f"max_lag must be >= 1, got {max_lag}")
+    values = _check_fit_inputs(train, max_lag)
+    x, y = lagged_design(values, max_lag)
+    n, d = y.shape
+    q, r = np.linalg.qr(x)
+    c = q.T @ y
+    e = y - q @ c
+    ete = e.T @ e
+    pivots = np.abs(np.diag(r))
+    data_scale = _data_scale(values)
+    loglik_const = -0.5 * n * d * (math.log(2.0 * math.pi) + 1.0)
     curve = []
     for lag in range(1, max_lag + 1):
-        model = fit_var_ols(train, lag)
-        curve.append(aic(model, train, start=max_lag))
+        k = 1 + lag * d
+        _check_pivots(pivots[:k], d)
+        cov = (ete + c[k:].T @ c[k:]) / n
+        logdet = 2.0 * float(np.sum(np.log(np.diag(_checked_cholesky(cov, data_scale)))))
+        curve.append(2.0 * d * d * lag - (loglik_const - 0.5 * n * logdet))
     best = 1 + int(np.argmin(curve))
     return best, curve
+
+
+def _data_scale(values: np.ndarray) -> float:
+    return float(np.max(np.var(values, axis=0))) or 1.0
+
+
+def _checked_cholesky(cov: np.ndarray, data_scale: float) -> np.ndarray:
+    """The Cholesky factor of a residual covariance; DegenerateCovariance if
+    the covariance is singular or at float-noise level against data_scale,
+    the data's largest variance."""
+    # A numerically perfect fit leaves a covariance at float-noise scale; the
+    # likelihood then blows up instead of meaning anything.
+    if float(np.max(np.diag(cov))) < 1e-24 * data_scale:
+        raise DegenerateCovariance(
+            "residual covariance is at floating-point noise level; the Gaussian "
+            "likelihood is unbounded (perfect fit on noiseless data)"
+        )
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateCovariance(
+            "residual covariance is singular; the Gaussian likelihood is undefined"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -183,19 +183,15 @@ class ExecutedStream:
         return np.array(rows, dtype=float)
 
 
-def _deadline_ms(period_ms: float, cfg: RecoveryConfig) -> float:
-    return period_ms + cfg.tolerance_ms
-
-
 def replay_deadline(outcome: ChannelOutcome, period_ms: float, cfg: RecoveryConfig) -> bool:
     """True iff the command was delivered within one period plus the tolerance,
     i.e. before the next slot's scheduled deadline. The bound is inclusive."""
-    return outcome.delivered and outcome.delay_ms <= _deadline_ms(period_ms, cfg)
+    return outcome.delivered and outcome.delay_ms <= period_ms + cfg.tolerance_ms
 
 
 def on_time_mask(outcomes: ChannelOutcomes, period_ms: float, cfg: RecoveryConfig) -> np.ndarray:
     """replay_deadline for every outcome at once, as a boolean array."""
-    return outcomes.delivered & (outcomes.delay_ms <= _deadline_ms(period_ms, cfg))
+    return outcomes.delivered & (outcomes.delay_ms <= period_ms + cfg.tolerance_ms)
 
 
 def _predict_step(model: Forecaster, trace: Trace, joints: np.ndarray, codes: np.ndarray,

@@ -82,6 +82,20 @@ class TestTrain:
         assert len(report["aic"]) == 5
         assert len(report["likelihood_ratios"]) == 4
 
+    def test_auto_lag_too_large_for_the_data_exits_3_with_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "short.csv"
+        assert main(["gen-trace", "--profile", "pick-and-place", "--duration-s", "2",
+                     "--seed", "1", "--out", str(trace)]) == 0
+        model_path = tmp_path / "m.json"
+        rc = main(["train", "--trace", str(trace), "--lag", "auto", "--max-lag", "40",
+                   "--out", str(model_path)])
+        assert rc == 3
+        doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert doc["error"]["kind"] == "data"
+        assert "100 samples" in doc["error"]["message"]
+        assert "need at least 281" in doc["error"]["message"]
+        assert not model_path.exists()
+
     def test_missing_trace_exits_2_with_io_error(self, tmp_path, capsys):
         rc = main(["train", "--trace", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "m.json")])

@@ -331,6 +331,43 @@ class TestSelectLag:
         best, curve = select_lag(tr, max_lag=1)
         assert best == 1 and len(curve) == 1
 
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("max_lag", [1, 5, 20])
+    def test_curve_matches_per_order_lstsq_on_the_shared_rows(self, d, max_lag):
+        tr, _ = var_trace(d, 2, 1_000, seed=d + max_lag, noise=0.1)
+        values = tr.joints_matrix()
+        oracle = []
+        for lag in range(1, max_lag + 1):
+            x, y = lagged_design(values, lag, start=max_lag)
+            weights, *_ = np.linalg.lstsq(x, y, rcond=None)
+            resid = y - x @ weights
+            n = len(y)
+            sign, logdet = np.linalg.slogdet(resid.T @ resid / n)
+            assert sign == 1.0
+            loglik = -0.5 * n * d * (math.log(2 * math.pi) + 1) - 0.5 * n * logdet
+            oracle.append(2 * d * d * lag - loglik)
+        best, curve = select_lag(tr, max_lag)
+        assert curve == pytest.approx(oracle, rel=1e-9)
+        assert best == 1 + int(np.argmin(oracle))
+
+    def test_constant_joint_is_rank_deficient_at_column_1(self):
+        values = np.random.default_rng(3).normal(size=(400, 3))
+        values[:, 0] = 0.3
+        with pytest.raises(RankDeficient) as err:
+            select_lag(Trace.from_joints(values, 20.0), max_lag=4)
+        assert err.value.column == 1
+
+    def test_noiseless_rotation_is_degenerate(self):
+        # lag 1 fits exactly; lag 2's columns are collinear, but lag 1 is
+        # scored first
+        with pytest.raises(DegenerateCovariance):
+            select_lag(rotation_trace(200, 0.5, amp=1.0), max_lag=3)
+
+    def test_lag_too_large_for_the_data(self):
+        tr = Trace.from_joints(np.random.default_rng(4).normal(size=(100, 6)), 20.0)
+        with pytest.raises(InsufficientData, match="need at least 281"):
+            select_lag(tr, max_lag=40)
+
 
 class TestModelPersistence:
     def test_dict_round_trip_is_bit_exact(self):

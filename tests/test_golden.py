@@ -16,7 +16,7 @@ from foreco.cli import main
 GOLDEN = {
     "trace.csv": "9f1b2463abf8cb0facd1558ae966414d52653556c6010c44c650de4b6eaddd24",
     "model.json": "56577f294ce7bded8f881a2a1fe554382156645c1dc6406ba599c602b3b04622",
-    "model.json.aic.json": "184879b86f5cfd83fc15968382a9690f537bf2ea0c4d190687dd1b00b74d1e06",
+    "model.json.aic.json": "32f8085f3414f8ea35600c49ec1ebde88ec3c40a65959ae0e97cd818c3bfef19",
     "run/outcomes.csv": "257ccdccfd1887c4a2878535eb9af5b454d92a2bc149b873889acca130672cd5",
     "run/executed.csv": "17e8a70c00c5416d47079c06579795e765f004b03a2f2e0d86d8b35c51da5d6d",
     "run/stats.json": "302f3a51168ee8c9aae6efd8a0c1a8b53992676eab296a7e5256a15b624a0eb4",
