@@ -162,7 +162,8 @@ def cmd_train(args) -> int:
 
     report: dict = {"trainer": args.trainer}
     if args.lag == "auto":
-        best_lag, curve = select_lag(trace, args.max_lag)
+        selection = select_lag(trace, args.max_lag)
+        best_lag, curve = selection
         lags = list(range(1, args.max_lag + 1))
         report.update(
             best_lag=best_lag,
@@ -184,7 +185,9 @@ def cmd_train(args) -> int:
         lag = args.lag
         report["best_lag"] = lag
 
-    if args.trainer == "ols":
+    if args.trainer == "ols" and args.lag == "auto":
+        model = selection.fit(args.ridge)
+    elif args.trainer == "ols":
         model = fit_var_ols(trace, lag, ridge=args.ridge)
     else:
         cfg = AdamConfig(**_given_fields(args, AdamConfig))

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -233,48 +235,77 @@ def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
 # ---------------------------------------------------------------------------
 # Trace CSV format: header `t_ms,j1,...,jd`, one row per command, 6 decimals.
 
+# Timestamps below this many microseconds in magnitude, so that the schedule
+# check's int64 differences cannot wrap.
+_MAX_TIMESTAMP_US = 2**62
+
+
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms"] + [f"j{k + 1}" for k in range(trace.dim)])
-        for i, row in enumerate(trace.joints.tolist()):
-            t_ms = us_to_ms(trace.start_us + i * trace.period_us)
-            writer.writerow([f"{t_ms:.6f}"] + [f"{x:.6f}" for x in row])
+    row = ",".join(["%.6f"] * (trace.dim + 1)) + "\r\n"
+    times = [us_to_ms(trace.start_us + i * trace.period_us) for i in range(len(trace))]
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(["t_ms"] + [f"j{k + 1}" for k in range(trace.dim)]) + "\r\n")
+        fh.writelines(row % (t, *values) for t, values in zip(times, trace.joints.tolist()))
 
 
 def read_trace_csv(path: str | Path) -> Trace:
     """Read a trace from CSV; the period is inferred from the first two rows.
 
-    Every row must have one cell per header column, each a finite number, and
-    its timestamp must sit on the fixed-period schedule.
+    Every row must have one cell per header column, each a finite number in
+    the syntax np.loadtxt reads, and its timestamp must sit on the
+    fixed-period schedule within +-2**62 microseconds. Blank lines are
+    skipped.
     """
     path = Path(path)
-    rows: list[list[float]] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0] != "t_ms":
+    with path.open() as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        if not header or header[0] != "t_ms":
             raise InvalidTrace(f"{path}: expected header starting with t_ms")
         if len(header) < 2:
             raise InvalidTrace(f"{path}: no joint columns in header")
-        for i, cells in enumerate(r for r in reader if r):
-            if len(cells) != len(header):
-                raise InvalidTrace(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
-            try:
-                values = [float(x) for x in cells]
-            except ValueError:
-                raise InvalidTrace(f"{path}: row {i} has a non-numeric cell") from None
-            if not all(map(math.isfinite, values)):
-                raise InvalidTrace(f"{path}: row {i} has a non-finite value")
-            rows.append(values)
-    if len(rows) < 2:
+        body = fh.read()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file of no rows
+            values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or (len(values) and values.shape[1] != len(header)):
+        raise _first_bad_row(path, body, len(header))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise InvalidTrace(f"{path}: row {np.argmin(finite)} has a non-finite value")
+    if len(values) < 2:
         raise InvalidTrace(f"{path}: need at least 2 rows to infer the period")
-    start_us = ms_to_us(rows[0][0])
-    period_us = ms_to_us(rows[1][0]) - start_us
+    with np.errstate(over="ignore"):
+        us = np.rint(values[:, 0] * US_PER_MS)
+    in_range = np.abs(us) < _MAX_TIMESTAMP_US
+    if not in_range[:2].all():
+        raise InvalidTrace(f"{path}: row {np.argmin(in_range)} timestamp out of range")
+    start_us, period_us = int(us[0]), int(us[1]) - int(us[0])
     if period_us <= 0:
         raise InvalidTrace(f"{path}: non-increasing timestamps")
-    for i, row in enumerate(rows):
-        if ms_to_us(row[0]) != start_us + i * period_us:
-            raise InvalidTrace(f"{path}: row {i} timestamp off the fixed-period schedule")
-    return Trace(period_us, start_us, 0, np.array(rows)[:, 1:])
+    # Row i is on the schedule iff every step up to it is one period.
+    steps = np.diff(np.where(in_range, us, 0.0).astype(np.int64))
+    ok = in_range & np.concatenate([[True], steps == period_us])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problem = "off the fixed-period schedule" if in_range[i] else "out of range"
+        raise InvalidTrace(f"{path}: row {i} timestamp {problem}")
+    return Trace(period_us, start_us, 0, values[:, 1:])
+
+
+def _first_bad_row(path: Path, body: str, width: int) -> InvalidTrace:
+    """The error naming the first non-blank row of body that is ragged, has
+    a cell np.loadtxt cannot parse, or has a non-finite value."""
+    for i, line in enumerate(line for line in body.split("\n") if line):
+        cells = line.split(",")
+        if len(cells) != width:
+            return InvalidTrace(f"{path}: row {i} has {len(cells)} cells, expected {width}")
+        try:
+            values = np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return InvalidTrace(f"{path}: row {i} has a non-numeric cell")
+        if not np.isfinite(values).all():
+            return InvalidTrace(f"{path}: row {i} has a non-finite value")
+    return InvalidTrace(f"{path}: unreadable rows")

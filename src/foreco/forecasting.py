@@ -195,17 +195,24 @@ def lagged_design(values: np.ndarray, lag: int, start: int | None = None):
     return x, values[start:]
 
 
-def _solve_ols(x: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Least-squares weights via QR with a relative pivot check."""
+def _ols_factors(x: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """R and Q^T y of a reduced QR of the design, with a relative pivot
+    check; ridge > 0 appends Tikhonov rows for every non-intercept column."""
     if ridge > 0.0:
-        # Tikhonov rows for every non-intercept column.
         k = x.shape[1]
         penalty = math.sqrt(ridge) * np.eye(k)[1:]
         x = np.vstack([x, penalty])
         y = np.vstack([y, np.zeros((k - 1, y.shape[1]))])
     q, r = np.linalg.qr(x)
     _check_pivots(np.abs(np.diag(r)), y.shape[1])
-    return np.linalg.solve(r, q.T @ y)
+    return r, q.T @ y
+
+
+def _ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, qty: np.ndarray, lag: int) -> VarModel:
+    """The OLS VarModel of design x and targets y, from the R factor of a QR
+    of the design and Q^T times the targets."""
+    weights = np.linalg.solve(r, qty)
+    return _weights_to_model(weights, y - x @ weights, y.shape[1], lag, "ols")
 
 
 def _check_pivots(pivots: np.ndarray, dim: int) -> None:
@@ -258,9 +265,7 @@ def fit_var_ols(train: Trace, lag: int, ridge: float = 0.0) -> VarModel:
         raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
     values = _check_fit_inputs(train, lag)
     x, y = lagged_design(values, lag)
-    weights = _solve_ols(x, y, ridge)
-    residuals = y - x @ weights
-    return _weights_to_model(weights, residuals, train.dim, lag, "ols")
+    return _ols_model(x, y, *_ols_factors(x, y, ridge), lag)
 
 
 def fit_var_adam(
@@ -338,26 +343,24 @@ def predict(model: Forecaster, history: Sequence[Command], period_ms: float | No
     return model.predict_next(history, us_to_ms(period_us))
 
 
-def one_step_residuals(model: VarModel, data: Trace, start: int | None = None) -> np.ndarray:
+def one_step_residuals(model: VarModel, data: Trace) -> np.ndarray:
     """Open-loop one-step prediction errors of the model over a trace."""
     if model.dim != data.dim:
         raise ConfigError(f"model dim {model.dim} != trace dim {data.dim}")
     if len(data) <= model.lag:
         raise InsufficientData(f"trace length {len(data)} must exceed lag {model.lag}")
-    x, y = lagged_design(data.joints_matrix(), model.lag, start)
+    x, y = lagged_design(data.joints_matrix(), model.lag)
     pred = model.bias + x[:, 1:] @ model.stacked.T
     return y - pred
 
 
-def aic(model: VarModel, data: Trace, start: int | None = None) -> float:
+def aic(model: VarModel, data: Trace) -> float:
     """Information criterion 2*p - logL over one-step residuals.
 
     p counts d^2 per lag; logL is the Gaussian log-likelihood of the residuals
-    under the model's training residual covariance. start pins the first
-    target index so that models of different orders can share an evaluation
-    window.
+    under the model's training residual covariance.
     """
-    resid = one_step_residuals(model, data, start)
+    resid = one_step_residuals(model, data)
     n, d = resid.shape
     chol = _checked_cholesky(model.residual_cov, _data_scale(data.joints_matrix()))
     # Solve L z = e^T once for the whole block; quad form = sum z^2.
@@ -387,7 +390,27 @@ def likelihood_ratio(aic_l: float, aic_l_plus_1: float, dim: int) -> float:
         return math.inf
 
 
-def select_lag(train: Trace, max_lag: int) -> tuple[int, list[float]]:
+class LagSelection(tuple):
+    """What select_lag returns: the 2-tuple (best, curve), plus fit(ridge),
+    the OLS model at the best lag."""
+
+    def __new__(cls, best: int, curve: list[float], train: Trace, max_lag_model):
+        selection = super().__new__(cls, (best, curve))
+        selection._train = train
+        selection._max_lag_model = max_lag_model
+        return selection
+
+    def fit(self, ridge: float = 0.0) -> VarModel:
+        """fit_var_ols(train, best, ridge). At the largest lag with no ridge
+        that fit's design is the lag search's own, so its weights are solved
+        from the search's factorisation instead of a second QR."""
+        best = self[0]
+        if ridge == 0.0 and best == len(self[1]):
+            return self._max_lag_model()
+        return fit_var_ols(self._train, best, ridge)
+
+
+def select_lag(train: Trace, max_lag: int) -> LagSelection:
     """Fit lags 1..max_lag and pick the criterion minimizer (ties: smaller lag).
 
     Every order is fitted on the same targets, rows max_lag onwards, so the
@@ -396,6 +419,7 @@ def select_lag(train: Trace, max_lag: int) -> tuple[int, list[float]]:
     E = y - Q C, the lag-l residual sum of squares is E^T E + C[k:]^T C[k:].
     The criterion is 2*d^2*l - logL, with logL the Gaussian log-likelihood at
     the maximum-likelihood covariance, that sum divided by the n shared rows.
+    Returns (best, curve) as a LagSelection.
     """
     if max_lag < 1:
         raise ConfigError(f"max_lag must be >= 1, got {max_lag}")
@@ -417,7 +441,7 @@ def select_lag(train: Trace, max_lag: int) -> tuple[int, list[float]]:
         logdet = 2.0 * float(np.sum(np.log(np.diag(_checked_cholesky(cov, data_scale)))))
         curve.append(2.0 * d * d * lag - (loglik_const - 0.5 * n * logdet))
     best = 1 + int(np.argmin(curve))
-    return best, curve
+    return LagSelection(best, curve, train, lambda: _ols_model(x, y, r, c, max_lag))
 
 
 def _data_scale(values: np.ndarray) -> float:

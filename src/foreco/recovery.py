@@ -8,7 +8,6 @@ repeat the previous executed command, or leave the slot empty.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 from collections.abc import Sequence
@@ -87,8 +86,10 @@ class RecoveryStats:
         }
 
 
-# Provenance codes of a recovered run, one int8 per slot.
+# Provenance codes of a recovered run, one int8 per slot: the index of the
+# slot's provenance in _PROVENANCE, or _DROPPED for an empty slot.
 _ORIGINAL, _FORECAST, _REPEATED, _DROPPED = range(4)
+_PROVENANCE = (Provenance.ORIGINAL, Provenance.FORECAST, Provenance.REPEAT_LAST)
 
 
 class ExecutedCommands(Sequence):
@@ -147,14 +148,17 @@ class ExecutedStream:
     """One entry per command slot; None marks a slot left empty (drop mode).
 
     run_recovery hands over its commands as an ExecutedCommands view and
-    caches the (H, d) joints array it filled in the non-init field that
-    joints_matrix returns; any other stream builds that array from commands
-    on first use. dataclasses.replace starts the copy without it.
+    caches the arrays it filled, the (H, d) joints, the (H,) provenance
+    codes and the seq of slot 0, in the non-init fields that joints_matrix,
+    codes and seq0 return; any other stream builds them from commands on
+    first use. dataclasses.replace starts the copy without them.
     """
 
     commands: Sequence[Command | None]
     stats: RecoveryStats
     _joints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _seq0: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -163,12 +167,30 @@ class ExecutedStream:
         """Joints per slot as a read-only (H, d) float array. An empty slot
         holds the last executed command; leading empty slots hold the first."""
         if self._joints is None:
-            self._cache_joints(self._joints_from_commands())
+            self._cache(joints=self._joints_from_commands())
         return self._joints
 
-    def _cache_joints(self, joints: np.ndarray) -> None:
-        joints.setflags(write=False)
-        object.__setattr__(self, "_joints", joints)
+    def codes(self) -> np.ndarray:
+        """Provenance per slot as a read-only (H,) int8 array: 0 original,
+        1 forecast, 2 repeat-last, 3 empty."""
+        if self._codes is None:
+            codes = [_DROPPED if c is None else _PROVENANCE.index(c.provenance) for c in self.commands]
+            self._cache(codes=np.array(codes, dtype=np.int8))
+        return self._codes
+
+    @property
+    def seq0(self) -> int:
+        """The seq of slot 0 (0 for a stream with no executed command)."""
+        if self._seq0 is None:
+            i = next((i for i, c in enumerate(self.commands) if c is not None), None)
+            self._cache(seq0=0 if i is None else self.commands[i].seq - i)
+        return self._seq0
+
+    def _cache(self, **values) -> None:
+        for name, value in values.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, "_" + name, value)
 
     def _joints_from_commands(self) -> np.ndarray:
         executed = [c.joints for c in self.commands if c is not None]
@@ -201,14 +223,13 @@ def _predict_step(model: Forecaster, trace: Trace, joints: np.ndarray, codes: np
     max(first[r], i - record_len) .. i-1, provenance from the codes."""
     samples = trace.samples
     n_slots = len(trace)
-    provenance = {_FORECAST: Provenance.FORECAST, _REPEATED: Provenance.REPEAT_LAST}
 
     def command(r: int, j: int) -> Command:
         sent = samples[j]
         code = int(codes[r, j])
         if code == _ORIGINAL:
             return sent
-        return Command(sent.seq, tuple(joints[r, j].tolist()), sent.gen_time_us, provenance[code])
+        return Command(sent.seq, tuple(joints[r, j].tolist()), sent.gen_time_us, _PROVENANCE[code])
 
     def step(flat: np.ndarray) -> np.ndarray:
         rows = []
@@ -330,8 +351,9 @@ def run_recoveries(
     streams = []
     for r, (on, fc, rep, drop) in enumerate(counts.reshape(-1, 4).tolist()):
         stream = ExecutedStream(ExecutedCommands(trace, joints[r], codes[r]), RecoveryStats(on, fc, rep, drop))
+        stream._cache(codes=codes[r], seq0=trace.seq0)
         if any_on_time[r]:
-            stream._cache_joints(joints[r])
+            stream._cache(joints=joints[r])
         streams.append(stream)
     return streams
 
@@ -345,14 +367,20 @@ def run_recovery(
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:
-    """Dump emitted commands as `seq,provenance,j1..jd`; empty slots are omitted."""
-    emitted = [c for c in stream.commands if c is not None]
-    dim = emitted[0].dim if emitted else 0
+    """Dump emitted commands as `seq,provenance,j1..jd`, joints in repr;
+    empty slots are omitted."""
+    codes = stream.codes()
+    emitted = np.flatnonzero(codes != _DROPPED)
+    rows = stream.joints_matrix()[emitted].tolist() if emitted.size else []
+    dim = len(rows[0]) if rows else 0
+    names = [p.value for p in _PROVENANCE]
+    line = "%d,%s" + ",%r" * dim + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seq", "provenance"] + [f"j{k + 1}" for k in range(dim)])
-        for c in emitted:
-            writer.writerow([c.seq, c.provenance.value] + [repr(x) for x in c.joints])
+        fh.write(",".join(["seq", "provenance"] + [f"j{k + 1}" for k in range(dim)]) + "\r\n")
+        fh.writelines(
+            line % (stream.seq0 + i, names[code], *row)
+            for i, code, row in zip(emitted.tolist(), codes[emitted].tolist(), rows)
+        )
 
 
 def write_stats_json(stream: ExecutedStream, path: str | Path) -> None:

@@ -9,7 +9,8 @@ import pytest
 
 from foreco import cli
 from foreco.cli import main
-from foreco.core import read_trace_csv
+from foreco.core import read_trace_csv, write_trace_csv
+from foreco.forecasting import fit_var_ols, load_model
 
 
 def sha(path):
@@ -132,6 +133,45 @@ class TestTrain:
         assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
+class TestTrainReusesTheLagSearch:
+    """train --lag auto solves the chosen order from the lag search's own
+    factorisation only where that is the refit's design; the model is the
+    refit's either way."""
+
+    def train_auto(self, trace_csv, out, *flags):
+        assert main(["train", "--trace", str(trace_csv), "--lag", "auto", *flags, "--out", str(out)]) == 0
+        return json.loads(out.with_suffix(".json.aic.json").read_text())["best_lag"]
+
+    @pytest.mark.parametrize("max_lag", [2, 4])
+    def test_chosen_max_lag_writes_the_fixed_lag_model(self, trace_csv, tmp_path, monkeypatch, max_lag):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        auto, fixed = tmp_path / "auto.json", tmp_path / "fixed.json"
+        assert self.train_auto(trace_csv, auto, "--max-lag", str(max_lag)) == max_lag
+        assert main(["train", "--trace", str(trace_csv), "--lag", str(max_lag), "--out", str(fixed)]) == 0
+        assert auto.read_bytes() == fixed.read_bytes()
+
+    def test_ridge_refits(self, trace_csv, tmp_path):
+        out = tmp_path / "m.json"
+        best = self.train_auto(trace_csv, out, "--max-lag", "4", "--ridge", "0.1")
+        assert best == 4
+        assert_same_model(load_model(out), fit_var_ols(read_trace_csv(trace_csv), best, ridge=0.1))
+
+    def test_chosen_lag_below_the_max_refits(self, tmp_path):
+        from conftest import var_trace
+
+        trace, out = tmp_path / "var1.csv", tmp_path / "m.json"
+        write_trace_csv(var_trace(3, 1, 3000, seed=1, noise=0.1)[0], trace)
+        best = self.train_auto(trace, out, "--max-lag", "3")
+        assert best == 1
+        assert_same_model(load_model(out), fit_var_ols(read_trace_csv(trace), best))
+
+
+def assert_same_model(a, b):
+    assert (a.dim, a.lag) == (b.dim, b.lag)
+    for x, y in ((a.bias, b.bias), (a.coeffs, b.coeffs), (a.residual_cov, b.residual_cov)):
+        assert x.tobytes() == y.tobytes()
+
+
 class TestMalformedTrace:
     GOOD = "t_ms,j1,j2\n0.000000,0.1,0.2\n20.000000,0.3,0.4\n"
 
@@ -140,6 +180,7 @@ class TestMalformedTrace:
         "40.000000,0.5,abc",       # non-numeric cell
         "40.000000,nan,0.6",       # not finite
         "45.000000,0.5,0.6",       # off the fixed-period schedule
+        "1e306,0.5,0.6",           # overflows microseconds
     ])
     def test_train_exits_3_with_data_error(self, tmp_path, capsys, row):
         trace = tmp_path / "bad.csv"

@@ -131,3 +131,15 @@ class TestTraceCsv:
     def test_provenance_default_original(self):
         tr = simple_trace(n=3)
         assert all(c.provenance is Provenance.ORIGINAL for c in tr.samples)
+
+    @pytest.mark.parametrize("text, row", [
+        ("t_ms,j1\n1e306,0.1\n2e306,0.2\n3e306,0.3\n", 0),   # overflows ms_to_us
+        ("t_ms,j1\n0,0.1\n20,0.2\n1e306,0.3\n", 2),
+        ("t_ms,j1\n0,0.1\n9.3e15,0.2\n", 1),                  # beyond int64 microseconds
+        ("t_ms,j1\n-9.3e15,0.1\n0,0.2\n", 0),
+    ])
+    def test_timestamp_out_of_range_names_the_row(self, tmp_path, text, row):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidTrace, match=f"row {row} timestamp out of range"):
+            read_trace_csv(path)

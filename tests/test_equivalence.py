@@ -1,14 +1,17 @@
 """Fast paths against the slow references they replaced, on randomized inputs.
 
 The queue walk of simulate_channel is checked against the per-frame loop,
-the batched run_recoveries against the per-slot loop, and the batched
-next_rows and window study against their per-row forms, all kept below as
-references. Every comparison is exact: no tolerance.
+the batched run_recoveries against the per-slot loop, the batched
+next_rows and window study against their per-row forms, and the array CSV
+reader and writers against their per-cell and per-Command forms, all kept
+below as references. Every comparison is exact: no tolerance.
 """
 
+import csv
 import math
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,17 @@ from foreco.channel import (
     MacParams,
     simulate_channel,
 )
-from foreco.core import Command, Provenance, RecoveryConfig, Trace
+from foreco.core import (
+    Command,
+    Provenance,
+    RecoveryConfig,
+    Trace,
+    ms_to_us,
+    read_trace_csv,
+    us_to_ms,
+    write_trace_csv,
+)
+from foreco.errors import InvalidTrace
 from foreco.forecasting import MaModel, VarModel, fit_var_ols, predict
 from foreco.recovery import (
     ExecutedCommands,
@@ -39,6 +52,7 @@ from foreco.recovery import (
     run_recoveries,
     run_recovery,
     step_limit_from_trace,
+    write_executed_csv,
 )
 
 
@@ -271,6 +285,7 @@ def smooth_trace(rng: np.random.Generator, n: int, d: int) -> Trace:
 def assert_same_stream(fast: ExecutedStream, slow: ExecutedStream) -> None:
     assert fast.stats == slow.stats
     assert fast.commands == slow.commands
+    np.testing.assert_array_equal(fast.codes(), slow.codes())
     if slow.stats.dropped < len(slow):
         np.testing.assert_array_equal(fast.joints_matrix(), slow.joints_matrix())
 
@@ -618,7 +633,8 @@ class TestCachedJoints:
         outcomes = random_outcomes(np.random.default_rng(11), trace, trace.period_ms)
         outcomes[0] = ChannelOutcome.loss(trace.seq0, LossCause.QUEUE_OVERFLOW)
         outcomes[1] = ChannelOutcome.delivery(trace.seq0 + 1, 0.0, 0, 0.0)
-        return run_recovery(trace, outcomes, RecoveryPolicy(mode))
+        model = MaModel(3, 2) if mode is PolicyMode.FORECAST else None
+        return run_recovery(trace, outcomes, RecoveryPolicy(mode, model=model))
 
     @pytest.mark.parametrize("mode", [PolicyMode.DROP, PolicyMode.REPEAT_LAST])
     def test_equals_the_rebuild_from_commands(self, mode):
@@ -647,6 +663,17 @@ class TestCachedJoints:
     def test_rebuilt_array_is_cached(self):
         stream = replace(self.stream(), stats=RecoveryStats())
         assert stream.joints_matrix() is stream.joints_matrix()
+        assert stream.codes() is stream.codes()
+
+    @pytest.mark.parametrize("mode", list(PolicyMode))
+    def test_codes_equal_the_rebuild_from_commands(self, mode):
+        stream = self.stream(mode)
+        assert stream._codes is not None and not stream.codes().flags.writeable
+        rebuilt = replace(stream, commands=stream.commands)
+        assert rebuilt._codes is None
+        np.testing.assert_array_equal(rebuilt.codes(), stream.codes())
+        assert not rebuilt.codes().flags.writeable
+        assert rebuilt.seq0 == stream.seq0 == stream.commands[1].seq - 1
 
 
 class TestDeadlineMask:
@@ -694,3 +721,266 @@ class TestOutcomeView:
         ]
         with pytest.raises(IndexError):
             columns[3]
+
+
+# ---------------------------------------------------------------------------
+# CSV I/O against the per-cell and per-Command code it replaced
+
+def per_row_read_trace_csv(path) -> Trace:
+    """The reader that read_trace_csv replaced, kept as the reference: one
+    float() per cell and one schedule test per row."""
+    path = Path(path)
+    rows: list[list[float]] = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header or header[0] != "t_ms":
+            raise InvalidTrace(f"{path}: expected header starting with t_ms")
+        if len(header) < 2:
+            raise InvalidTrace(f"{path}: no joint columns in header")
+        for i, cells in enumerate(r for r in reader if r):
+            if len(cells) != len(header):
+                raise InvalidTrace(f"{path}: row {i} has {len(cells)} cells, expected {len(header)}")
+            try:
+                values = [float(x) for x in cells]
+            except ValueError:
+                raise InvalidTrace(f"{path}: row {i} has a non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise InvalidTrace(f"{path}: row {i} has a non-finite value")
+            rows.append(values)
+    if len(rows) < 2:
+        raise InvalidTrace(f"{path}: need at least 2 rows to infer the period")
+    start_us = ms_to_us(rows[0][0])
+    period_us = ms_to_us(rows[1][0]) - start_us
+    if period_us <= 0:
+        raise InvalidTrace(f"{path}: non-increasing timestamps")
+    for i, row in enumerate(rows):
+        if ms_to_us(row[0]) != start_us + i * period_us:
+            raise InvalidTrace(f"{path}: row {i} timestamp off the fixed-period schedule")
+    return Trace(period_us, start_us, 0, np.array(rows)[:, 1:])
+
+
+def per_cell_write_trace_csv(trace: Trace, path) -> None:
+    """The writer that write_trace_csv replaced: one f-string per cell."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_ms"] + [f"j{k + 1}" for k in range(trace.dim)])
+        for i, row in enumerate(trace.joints.tolist()):
+            t_ms = us_to_ms(trace.start_us + i * trace.period_us)
+            writer.writerow([f"{t_ms:.6f}"] + [f"{x:.6f}" for x in row])
+
+
+def per_command_write_executed_csv(stream: ExecutedStream, path) -> None:
+    """The writer that write_executed_csv replaced: one row per Command."""
+    emitted = [c for c in stream.commands if c is not None]
+    dim = emitted[0].dim if emitted else 0
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["seq", "provenance"] + [f"j{k + 1}" for k in range(dim)])
+        for c in emitted:
+            writer.writerow([c.seq, c.provenance.value] + [repr(x) for x in c.joints])
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def random_trace_text(rng: np.random.Generator) -> str:
+    """A valid trace CSV: timestamps and joints as %.6f or repr cells, with
+    -0.0, tiny and huge magnitudes, blank lines and either line end."""
+    n, d = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+    period_ms = float(rng.choice([20.0, 2.5, 0.125, 7.0, 0.001]))
+    start_ms = float(rng.choice([0.0, 40.0, -20.0, 123456.789]))
+    joints = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(n, d))
+    joints[rng.random(joints.shape) < 0.05] = -0.0
+    joints[rng.random(joints.shape) < 0.05] = 1e-300
+    joints[rng.random(joints.shape) < 0.02] = -1.7976931348623157e308
+    fmt = "{:.6f}".format if rng.random() < 0.5 else repr
+    lines = ["t_ms," + ",".join(f"j{k + 1}" for k in range(d))]
+    for i, row in enumerate(joints.tolist()):
+        lines.append(",".join([fmt(start_ms + i * period_ms)] + [fmt(x) for x in row]))
+        if rng.random() < 0.05:
+            lines.append("")
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+class TestTraceCsvReader:
+    """read_trace_csv against per_row_read_trace_csv."""
+
+    def read_both(self, path):
+        outcomes = []
+        for read in (read_trace_csv, per_row_read_trace_csv):
+            try:
+                outcomes.append(read(path))
+            except InvalidTrace as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    def test_random_files_read_bit_equal(self, tmp_path):
+        rng = np.random.default_rng(21)
+        path = tmp_path / "trace.csv"
+        for _ in range(200):
+            path.write_bytes(random_trace_text(rng).encode())
+            fast, slow = self.read_both(path)
+            assert isinstance(slow, Trace), slow
+            assert isinstance(fast, Trace), fast
+            assert (fast.period_us, fast.start_us, fast.seq0) == (slow.period_us, slow.start_us, slow.seq0)
+            assert np.array_equal(bits(fast.joints), bits(slow.joints))
+
+    def test_random_cells_parse_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(22)
+        values = np.concatenate([
+            rng.normal(0.0, 1.0, 4000),
+            rng.uniform(-1e6, 1e6, 4000),
+            np.exp(rng.uniform(-700, 700, 4000)) * rng.choice([-1.0, 1.0], 4000),
+            [0.0, -0.0, 1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ])
+        cells = [repr(x) for x in values.tolist()] + [f"{x:.6f}" for x in values.tolist()]
+        cells += ["1e5", "1E-5", "+3", "-.5", "7.", " 2.5", "2.5 ", "0001.5"]
+        rows = [cells[i:i + 5] for i in range(0, len(cells) - len(cells) % 5, 5)]
+        text = "t_ms,j1,j2,j3,j4\n" + "".join(f"{20 * i}," + ",".join(r[1:]) + "\n" for i, r in enumerate(rows))
+        path = tmp_path / "cells.csv"
+        path.write_text(text)
+        fast, slow = self.read_both(path)
+        assert np.array_equal(bits(fast.joints), bits(slow.joints))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        "time,j1\n0,1\n20,2\n",
+        "t_ms\n0\n20\n",
+        "t_ms,j1\n",
+        "t_ms,j1\n0,1\n",
+        "t_ms,j1\n\n\n0,1\n\n",
+        "t_ms,j1,j2\n0,1,2\n20,1\n",
+        "t_ms,j1,j2\n0,1,2\n20,1,2,3\n",
+        "t_ms,j1,j2\n0,1\n20,1\n",
+        "t_ms,j1,j2\n0,1,2\n20,1,2,\n",
+        "t_ms,j1\n0,1\n20,abc\n",
+        "t_ms,j1\n0,1\n20,\n",
+        "t_ms,j1\n0,1\n20,0x10\n",
+        "t_ms,j1\n0,1\n\n\n20,1\n   \n40,1\n",
+        "t_ms,j1\n0,1\n20,nan\n",
+        "t_ms,j1\n0,1\n20,-inf\n",
+        "t_ms,j1\n0,1\ninf,1\n",
+        "t_ms,j1\n0,1\n20,1\n40,nan\n60,1,2\n",
+        "t_ms,j1\n0,1\n20,1\n40,1,2\n60,nan\n",
+        "t_ms,j1\n0,1\n0,1\n",
+        "t_ms,j1\n20,1\n0,1\n",
+        "t_ms,j1\n0,1\n20,1\n45,1\n",
+        "t_ms,j1\n0,1\n20,1\n40.0004,1\n60.0006,1\n",
+        "t_ms,j1\n0,1\n20,1\n\n40,1\n61,1\n",
+        "t_ms,j1\n0.0005,1\n0.0015,1\n0.0025,1\n",
+        "t_ms,j1\n1e15,1\n1.00000000002e15,1\n",
+        "t_ms,j1\n1e15,1\n1.00000000002e15,1\n1e15,1\n",
+    ])
+    def test_malformed_and_edge_files_match(self, tmp_path, text):
+        path = tmp_path / "edge.csv"
+        path.write_text(text)
+        fast, slow = self.read_both(path)
+        if isinstance(slow, str):
+            assert fast == slow
+        else:
+            assert (fast.period_us, fast.start_us) == (slow.period_us, slow.start_us)
+            assert np.array_equal(bits(fast.joints), bits(slow.joints))
+
+    def test_random_corruptions_name_the_same_row(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path = tmp_path / "bad.csv"
+        bad_cells = ["abc", "nan", "inf", "-inf", "", "1.0.0", "0x1p3", "--1"]
+        for _ in range(150):
+            lines = random_trace_text(rng).replace("\r\n", "\n").split("\n")
+            rows = [k for k in range(1, len(lines)) if lines[k]]
+            for k in rng.choice(rows, size=int(rng.integers(1, 4))).tolist():
+                cells = lines[k].split(",")
+                kind = rng.integers(0, 3)
+                if kind == 0:
+                    cells[int(rng.integers(0, len(cells)))] = str(rng.choice(bad_cells))
+                elif kind == 1:
+                    cells = cells[:-1] if len(cells) > 2 and rng.random() < 0.5 else cells + ["1"]
+                else:
+                    cells[0] = repr(float(cells[0]) + float(rng.choice([0.5, 0.001, -3.0])))
+                lines[k] = ",".join(cells)
+            path.write_text("\n".join(lines))
+            fast, slow = self.read_both(path)
+            assert isinstance(slow, str)
+            assert fast == slow
+
+
+class TestTraceCsvWriter:
+    def test_random_traces_write_byte_equal(self, tmp_path):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            n, d = int(rng.integers(1, 80)), int(rng.integers(1, 8))
+            joints = rng.normal(0.0, 10.0 ** rng.integers(-4, 5), size=(n, d))
+            joints[rng.random(joints.shape) < 0.1] = -0.0
+            joints[rng.random(joints.shape) < 0.05] = -4e-7  # prints as -0.000000
+            period_us, start_us = int(rng.integers(1, 50_000)), int(rng.integers(-10**6, 10**9))
+            trace = Trace(period_us, start_us, int(rng.integers(0, 100)), joints)
+            trace = trace.slice(int(rng.integers(0, n)), n)
+            fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+            write_trace_csv(trace, fast)
+            per_cell_write_trace_csv(trace, slow)
+            assert fast.read_bytes() == slow.read_bytes()
+
+
+class TestExecutedCsvWriter:
+    """write_executed_csv, from the joints and codes arrays, against the
+    writer over the stream's Commands."""
+
+    def assert_same_file(self, tmp_path, stream):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_executed_csv(stream, fast)
+        per_command_write_executed_csv(stream, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    def test_random_runs_write_byte_equal(self, tmp_path):
+        rng = np.random.default_rng(25)
+        train = smooth_trace(rng, 800, 3)
+        models = [fit_var_ols(train, lag) for lag in (1, 5)] + [MaModel(3, 4), WholeRecordMean()]
+        kinds = {"all lost": 0, "leading loss": 0}
+        for case in range(40):
+            trace = smooth_trace(rng, int(rng.integers(40, 300)), 3)
+            cfg = RecoveryConfig(record_len=int(rng.integers(8, 25)))
+            runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(int(rng.integers(1, 4)))]
+            for outcomes in runs:
+                missed = ~on_time_mask(ChannelOutcomes.from_outcomes(outcomes), trace.period_ms, cfg)
+                kinds["all lost"] += bool(missed.all())
+                kinds["leading loss"] += bool(missed[0] and not missed.all())
+            step = step_limit_from_trace(train, margin=1.2) if case % 2 else None
+            for policy in (
+                RecoveryPolicy(PolicyMode.FORECAST, cfg, models[case % len(models)], max_step_per_joint=step),
+                RecoveryPolicy(PolicyMode.REPEAT_LAST, cfg),
+                RecoveryPolicy(PolicyMode.DROP, cfg),
+            ):
+                for stream, outcomes in zip(run_recoveries(trace, runs, policy), runs):
+                    self.assert_same_file(tmp_path, stream)
+                    # and the same stream built by hand from its Commands
+                    self.assert_same_file(tmp_path, per_slot_recovery(trace, outcomes, policy))
+        assert all(count >= 3 for count in kinds.values()), kinds
+
+    def test_hand_built_stream(self, tmp_path):
+        trace = Trace(20_000, 40_000, 7, np.array([[0.1, -0.0], [1e-300, 2.5], [3.0, 4.0], [5.0, 6.0]]))
+        first, second, third, fourth = trace.samples
+        commands = (
+            None,
+            replace(second, provenance=Provenance.FORECAST),
+            replace(third, joints=second.joints, provenance=Provenance.REPEAT_LAST),
+            fourth,
+        )
+        stream = ExecutedStream(commands, RecoveryStats(1, 1, 1, 1))
+        assert stream.codes().tolist() == [3, 1, 2, 0]
+        assert stream.seq0 == 7
+        self.assert_same_file(tmp_path, stream)
+        path = tmp_path / "fast.csv"
+        assert path.read_text().splitlines() == [
+            "seq,provenance,j1,j2",
+            "8,forecast,1e-300,2.5",
+            "9,repeat-last,1e-300,2.5",
+            "10,original,5.0,6.0",
+        ]
+        empty = ExecutedStream((None, None), RecoveryStats(dropped=2))
+        self.assert_same_file(tmp_path, empty)
+        assert path.read_bytes() == b"seq,provenance\r\n"

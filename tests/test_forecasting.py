@@ -267,8 +267,10 @@ class TestAic:
         m2 = VarModel(dim=d, lag=2, bias=m1.bias,
                       coeffs=np.concatenate([m1.coeffs, np.zeros((1, d, d))]),
                       residual_cov=m1.residual_cov)
-        a1 = aic(m1, tr, start=2)
-        a2 = aic(m2, tr, start=2)  # identical residuals, d^2 more parameters
+        # m1 over the trace from row 1 predicts the same targets from the
+        # same rows as m2 over the whole trace
+        a1 = aic(m1, tr.slice(1, len(tr)))
+        a2 = aic(m2, tr)  # identical residuals, d^2 more parameters
         assert a1 - a2 == pytest.approx(-2 * d * d, abs=1e-6)
 
     def test_perfect_fit_is_degenerate(self):
@@ -279,7 +281,8 @@ class TestAic:
 
     def test_minimum_near_true_order(self):
         tr = lag_dominant_trace(3, 5, 10_000, seed=1)
-        curves = [aic(fit_var_ols(tr, lag), tr, start=8) for lag in range(1, 9)]
+        # every order scored on targets from row 8 on
+        curves = [aic(fit_var_ols(tr, lag), tr.slice(8 - lag, len(tr))) for lag in range(1, 9)]
         best = 1 + int(np.argmin(curves))
         assert abs(best - 5) <= 1
 
@@ -349,6 +352,19 @@ class TestSelectLag:
         best, curve = select_lag(tr, max_lag)
         assert curve == pytest.approx(oracle, rel=1e-9)
         assert best == 1 + int(np.argmin(oracle))
+
+    @pytest.mark.parametrize("k, max_lag, ridge", [(2, 2, 0.0), (2, 2, 0.1), (1, 3, 0.0), (5, 5, 0.0)])
+    def test_fit_is_the_refit_at_the_best_lag(self, k, max_lag, ridge):
+        tr = lag_dominant_trace(3, k, 3_000, seed=5)
+        selection = select_lag(tr, max_lag)
+        best, curve = selection
+        assert selection == (best, curve) and isinstance(selection, tuple)
+        assert best == k
+        model, refit = selection.fit(ridge), fit_var_ols(tr, best, ridge=ridge)
+        assert model.lag == refit.lag == best
+        for a, b in ((model.bias, refit.bias), (model.coeffs, refit.coeffs),
+                     (model.residual_cov, refit.residual_cov)):
+            assert a.tobytes() == b.tobytes()
 
     def test_constant_joint_is_rank_deficient_at_column_1(self):
         values = np.random.default_rng(3).normal(size=(400, 3))
