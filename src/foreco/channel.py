@@ -16,14 +16,14 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Trace, checked_fields, checked_numbers, ms_to_us
+from .core import Trace, checked_fields, checked_numbers, ms_to_us, read_json
 from .errors import AlwaysLost, ConfigError, OutOfRange
 
 
@@ -38,6 +38,8 @@ class MacParams:
     w0: int = 16
     max_window_exp: int = 6
     max_rtx: int = 7
+    # server_times() for these parameters, read-only, computed once
+    _server_times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if min(self.t_s_ms, self.t_col_ms, self.slot_ms) <= 0:
@@ -48,7 +50,7 @@ class MacParams:
             raise ConfigError("backoff cap exponent must be >= 0")
         if self.max_rtx < 1:
             raise ConfigError(f"attempt budget must be >= 1, got {self.max_rtx}")
-        self.server_times()
+        object.__setattr__(self, "_server_times", self._mean_server_times())
 
     def window(self, k: int) -> int:
         """Backoff window before attempt k, doubling up to the cap."""
@@ -56,8 +58,13 @@ class MacParams:
 
     def server_times(self) -> np.ndarray:
         """Mean server time of a frame delivered after j = 0..max_rtx-1 failed
-        attempts, then that of a frame failing all of them, from one cumulative
-        sum over the backoff stages; ConfigError unless all are finite."""
+        attempts, then that of a frame failing all of them, as a read-only
+        array."""
+        return self._server_times
+
+    def _mean_server_times(self) -> np.ndarray:
+        """server_times() from one cumulative sum over the backoff stages;
+        ConfigError unless all are finite."""
         attempts = np.arange(self.max_rtx)
         capped = np.minimum(attempts, self.max_window_exp)
         try:
@@ -71,6 +78,7 @@ class MacParams:
         if not np.all(np.isfinite(times)):
             raise ConfigError(f"MAC delays are not finite floats with max_rtx={self.max_rtx}, "
                               f"max_window_exp={self.max_window_exp} and these times and windows")
+        times.setflags(write=False)
         return times
 
 
@@ -127,6 +135,8 @@ class ChannelConfig:
                     f"explicit probability vector needs {self.mac.max_rtx + 1} entries, "
                     f"got {len(probs)}"
                 )
+            if not all(map(math.isfinite, probs)):
+                raise ConfigError(f"explicit probability vector must be finite, got {list(probs)}")
             if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
                 raise ConfigError("explicit probability vector must be a distribution")
 
@@ -276,7 +286,8 @@ def rtx_distribution(p: float, max_rtx: int) -> np.ndarray:
     with the residual mass (all attempts failed, the frame is lost) last.
 
     The last entry is computed as one minus the rest so the vector sums to 1
-    exactly in floating point.
+    exactly in floating point, unless that would make it negative: for some
+    small p the rest alone rounds to just above 1, and the loss mass is 0.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"per-attempt failure probability must lie in [0, 1), got {p}")
@@ -290,6 +301,7 @@ def rtx_distribution(p: float, max_rtx: int) -> np.ndarray:
         if err == 0.0:
             break
         probs[max_rtx] -= err
+    probs[max_rtx] = max(probs[max_rtx], 0.0)
     return probs
 
 
@@ -333,9 +345,13 @@ def _frame_draws(trace: Trace, cfg: ChannelConfig):
     """Arrival times (ms), attempt counts, server times and transport delays
     of every frame, drawn in a fixed order from the config seed.
 
-    A deliverable attempt count j takes an exponential server time with mean
-    mean_delay_given_rtx(j); a frame exhausting its attempts (j == max_rtx)
-    holds the server for the full failed-attempt airtime.
+    The attempt counts are Generator.choice(max_rtx + 1, p=probs)'s draws,
+    made as it makes them (one uniform per frame, searched in the normalised
+    cumulative probabilities) without its per-call checks of probs, which
+    ChannelConfig has already made. A deliverable attempt count j takes an
+    exponential server time with mean mean_delay_given_rtx(j); a frame
+    exhausting its attempts (j == max_rtx) holds the server for the full
+    failed-attempt airtime.
     """
     probs = channel_rtx_probs(cfg)
     max_rtx = cfg.mac.max_rtx
@@ -343,7 +359,9 @@ def _frame_draws(trace: Trace, cfg: ChannelConfig):
 
     rng = np.random.default_rng(cfg.seed)
     n = len(trace)
-    branches = rng.choice(max_rtx + 1, size=n, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    branches = cdf.searchsorted(rng.random(n), side="right")
     service = rng.exponential(1.0, size=n) * times[branches]
     service[branches == max_rtx] = times[-1]
     if cfg.transport_bound_ms > 0:
@@ -466,6 +484,7 @@ def verify_unbounded_delay(
 
 def channel_config_to_dict(cfg: ChannelConfig) -> dict:
     doc = asdict(cfg)
+    del doc["mac"]["_server_times"]
     rtx_probs = doc.pop("rtx_probs")
     if rtx_probs is not None:
         doc["a_j"] = list(rtx_probs)
@@ -487,7 +506,7 @@ def channel_config_from_dict(doc: dict) -> ChannelConfig:
 
 def load_channel_config(path: str | Path) -> ChannelConfig:
     try:
-        return channel_config_from_dict(json.loads(Path(path).read_text()))
+        return channel_config_from_dict(read_json(path))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

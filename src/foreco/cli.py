@@ -28,7 +28,7 @@ from .channel import (
     simulate_channel,
     write_outcomes_csv,
 )
-from .core import RecoveryConfig, checked_fields, checked_number, read_trace_csv, write_trace_csv
+from .core import RecoveryConfig, checked_fields, checked_number, read_json, read_trace_csv, write_trace_csv
 from .errors import ConfigError, ForecoError
 from .evaluation import SweepGrid, rmse, run_sweep
 from .forecasting import (
@@ -298,7 +298,7 @@ def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
     fields. An unknown or missing key, a grid axis that is not a non-empty
     list of numbers (integers for robot counts) or a value of the wrong type
     raises ConfigError naming file and field."""
-    spec = json.loads(path.read_text())
+    spec = read_json(path)
     try:
         grid, recovery = checked_fields(spec, "", SweepGrid, RecoveryConfig, extra=_SPEC_KEYS)
         if "channel" not in spec:
@@ -444,8 +444,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OSError as exc:
         return _fail("io", str(exc), 2)
-    except json.JSONDecodeError as exc:
-        return _fail("format", f"invalid JSON: {exc}", 3)
     except ForecoError as exc:
         return _fail(exc.kind, str(exc), 3)
     except Exception as exc:  # pragma: no cover - last-resort guard

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import json
 import math
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidTrace
+from .errors import ConfigError, FormatError, InvalidTrace
 
 US_PER_MS = 1000
 
@@ -157,6 +158,17 @@ class RecoveryConfig:
             raise ConfigError(f"record length must be >= 1, got {self.record_len}")
 
 
+def read_json(path: str | Path):
+    """The JSON document in a file; FormatError naming the file unless it is
+    UTF-8 text holding one JSON value."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+
+
 def checked_number(value, name: str, integer: bool = False):
     """value itself if it is a finite JSON number (an integer when integer
     is set); otherwise a ConfigError naming the field."""
@@ -237,7 +249,7 @@ def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
 
 # Timestamps below this many microseconds in magnitude, so that the schedule
 # check's int64 differences cannot wrap.
-_MAX_TIMESTAMP_US = 2**62
+MAX_TIMESTAMP_US = 2**62
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -254,16 +266,20 @@ def read_trace_csv(path: str | Path) -> Trace:
     Every row must have one cell per header column, each a finite number in
     the syntax np.loadtxt reads, and its timestamp must sit on the
     fixed-period schedule within +-2**62 microseconds. Blank lines are
-    skipped.
+    skipped. The file must be UTF-8 text.
     """
     path = Path(path)
-    with path.open() as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        if not header or header[0] != "t_ms":
-            raise InvalidTrace(f"{path}: expected header starting with t_ms")
-        if len(header) < 2:
-            raise InvalidTrace(f"{path}: no joint columns in header")
-        body = fh.read()
+    try:
+        with path.open(encoding="utf-8") as fh:
+            first = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidTrace(f"{path}: not UTF-8 text ({exc.reason})") from None
+    header = next(csv.reader([first]), [])
+    if not header or header[0] != "t_ms":
+        raise InvalidTrace(f"{path}: expected header starting with t_ms")
+    if len(header) < 2:
+        raise InvalidTrace(f"{path}: no joint columns in header")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file of no rows
@@ -279,7 +295,7 @@ def read_trace_csv(path: str | Path) -> Trace:
         raise InvalidTrace(f"{path}: need at least 2 rows to infer the period")
     with np.errstate(over="ignore"):
         us = np.rint(values[:, 0] * US_PER_MS)
-    in_range = np.abs(us) < _MAX_TIMESTAMP_US
+    in_range = np.abs(us) < MAX_TIMESTAMP_US
     if not in_range[:2].all():
         raise InvalidTrace(f"{path}: row {np.argmin(in_range)} timestamp out of range")
     start_us, period_us = int(us[0]), int(us[1]) - int(us[0])

@@ -13,6 +13,12 @@ class InvalidTrace(ForecoError):
     kind = "data"
 
 
+class FormatError(ForecoError):
+    """An input file is not UTF-8 text in the format its reader expects."""
+
+    kind = "format"
+
+
 class ConfigError(ForecoError):
     """Inconsistent or out-of-range configuration values."""
 

@@ -246,25 +246,49 @@ def _cell_config(template: ChannelConfig, key: CellKey, seed: int) -> ChannelCon
     return replace(template, interference=interference, seed=seed)
 
 
-def _run_cell(
+# A batch of cells holds at most this many (run, slot) rows, about one
+# 40-repetition cell of a 1,500-command trace; a larger cell is a batch alone.
+_BATCH_SLOTS = 1 << 16
+
+
+def _run_cells(
     trace: Trace,
     template: ChannelConfig,
     policies: Sequence[RecoveryPolicy],
     grid: SweepGrid,
-    index: int,
-) -> dict[str, list[float]]:
-    """Every repetition of cell `index`: the error of each policy, in
-    repetition order, on one channel run seeded per repetition. Each policy
-    recovers all the cell's runs in one run_recoveries call."""
-    key = grid.cells()[index]
+    indices: Sequence[int],
+) -> list[dict[str, list[float]]]:
+    """Every repetition of the cells at `indices`: per cell, the error of
+    each policy in repetition order, on one channel run seeded per
+    repetition. Each policy recovers all the batch's runs in one
+    run_recoveries call; each run's recovery and error are its own, so a
+    cell's values do not depend on the batch it is in."""
+    keys = grid.cells()
+    reps = grid.repetitions
     runs = [
-        simulate_channel(trace, _cell_config(template, key, _task_seed(grid.master_seed, index, rep)))
-        for rep in range(grid.repetitions)
+        simulate_channel(trace, _cell_config(template, keys[index], _task_seed(grid.master_seed, index, rep)))
+        for index in indices
+        for rep in range(reps)
     ]
-    return {
+    errors = {
         policy.label: [rmse(stream, trace) for stream in run_recoveries(trace, runs, policy)]
         for policy in policies
     }
+    return [
+        {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}
+        for k in range(len(indices))
+    ]
+
+
+def _batches(n_cells: int, cell_slots: int, jobs: int) -> list[range]:
+    """Contiguous runs of cell indices, each as many whole cells as fit in
+    _BATCH_SLOTS rows (one when a cell alone is larger). With jobs > 1 a
+    batch holds at most n_cells // jobs cells, so that there are at least
+    min(jobs, n_cells) batches and no worker is left idle."""
+    size = max(1, _BATCH_SLOTS // cell_slots)
+    if jobs > 1:
+        size = max(1, min(size, n_cells // jobs))
+    return [range(lo, min(lo + size, n_cells)) for lo in range(0, n_cells, size)]
 
 
 _WORKER_CTX: tuple | None = None
@@ -275,8 +299,8 @@ def _init_worker(*ctx):
     _WORKER_CTX = ctx
 
 
-def _worker_task(index: int) -> dict[str, list[float]]:
-    return _run_cell(*_WORKER_CTX, index)
+def _worker_task(indices: range) -> list[dict[str, list[float]]]:
+    return _run_cells(*_WORKER_CTX, indices)
 
 
 def run_sweep(
@@ -286,16 +310,20 @@ def run_sweep(
     policies: Sequence[RecoveryPolicy],
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the full interference sweep, one task per cell.
+    """Run the full interference sweep, one task per batch of cells.
 
-    Every repetition of every cell derives its own seed from (master seed,
-    cell index, repetition), so results are reproducible and independent of
-    worker scheduling; both policies see identical channel outcomes.
+    A batch is a contiguous run of cells whose repetitions together hold
+    about _BATCH_SLOTS (run, slot) rows; with jobs > 1 the cells are split
+    into at least min(jobs, cells) batches. Every repetition of every cell
+    derives its own seed from (master seed, cell index, repetition), so
+    results are reproducible and independent of batching and worker
+    scheduling; both policies see identical channel outcomes.
     """
     labels = [p.label for p in policies]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"policy labels must be unique, got {labels}")
     cells = grid.cells()
+    batches = _batches(len(cells), grid.repetitions * len(trace), jobs)
     ctx = (trace, channel_template, policies, grid)
     if jobs > 1:
         # Imported here: multiprocessing is a sizeable share of `import
@@ -304,12 +332,12 @@ def run_sweep(
 
         # The initializer ships the trace and policies once per worker.
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)), initializer=_init_worker, initargs=ctx
+            max_workers=min(jobs, len(batches)), initializer=_init_worker, initargs=ctx
         ) as pool:
-            results = list(pool.map(_worker_task, range(len(cells))))
+            results = list(pool.map(_worker_task, batches))
     else:
-        results = [_run_cell(*ctx, index) for index in range(len(cells))]
-    return SweepResult(grid, tuple(labels), dict(zip(cells, results)))
+        results = [_run_cells(*ctx, indices) for indices in batches]
+    return SweepResult(grid, tuple(labels), dict(zip(cells, itertools.chain.from_iterable(results))))
 
 
 # ---------------------------------------------------------------------------

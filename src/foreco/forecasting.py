@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Command, Provenance, Trace, checked_number, ms_to_us, us_to_ms
+from .core import Command, Provenance, Trace, checked_number, ms_to_us, read_json, us_to_ms
 from .errors import (
     ConfigError,
     DegenerateCovariance,
@@ -529,6 +529,6 @@ def save_model(model: VarModel, path: str | Path, trained_at: str | None = None)
 
 def load_model(path: str | Path) -> VarModel:
     try:
-        return model_from_dict(json.loads(Path(path).read_text()))
+        return model_from_dict(read_json(path))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import Trace
+from .core import MAX_TIMESTAMP_US, Trace, ms_to_us
 from .errors import ConfigError
 
 PROFILES = ("pick-and-place", "sine-mix", "constant")
@@ -86,6 +86,8 @@ def synthetic_trace(
     n = round(duration_s * 1000.0 / period_ms)
     if n < 1:
         raise ConfigError("duration shorter than one command period")
+    if n * ms_to_us(period_ms) >= MAX_TIMESTAMP_US:
+        raise ConfigError(f"duration {duration_s} s is too long: timestamps must stay below 2**62 us")
     rng = np.random.default_rng(seed)
 
     if profile == "constant":

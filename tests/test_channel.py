@@ -97,6 +97,24 @@ class TestRtxDistribution:
         with pytest.raises(ConfigError):
             rtx_distribution(1.0, 7)
 
+    def test_no_negative_loss_mass(self):
+        # for some p near 1e-3 the deliverable counts alone sum to an ulp
+        # above 1; the loss mass is then 0, not -1.1e-16
+        for p in np.logspace(-12, -1, 4000):
+            for max_rtx in (1, 3, 7, 12):
+                probs = rtx_distribution(float(p), max_rtx)
+                assert probs.min() >= 0.0
+                assert abs(probs.sum() - 1.0) < 1e-15
+
+    def test_small_failure_probability_simulates(self):
+        # attempt failure probability 1.3e-3: Generator.choice rejected the
+        # negative loss mass this used to give with "probabilities are not
+        # non-negative"
+        cfg = quiet_config(interference=InterferenceParams(p_if=0.044889724310776945, t_if_slots=1.0))
+        assert rtx_distribution(attempt_failure_prob(cfg), 7)[-1] == 0.0
+        out = simulate_channel(flat_trace(100), cfg)
+        assert out.delivered.all()
+
 
 class TestMeanDelayGivenRtx:
     def test_zero_rtx_reads_off_formula(self):
@@ -162,6 +180,16 @@ class TestServerTimes:
     def test_non_finite_delays_rejected(self, fields):
         with pytest.raises(ConfigError, match="not finite"):
             MacParams(**fields)
+
+    def test_computed_once_and_read_only(self):
+        mac = MacParams(w0=8, max_rtx=5)
+        times = mac.server_times()
+        assert mac.server_times() is times
+        assert not times.flags.writeable
+        with pytest.raises(ValueError):
+            times[0] = 0.0
+        assert mac == MacParams(w0=8, max_rtx=5) and hash(mac) == hash(MacParams(w0=8, max_rtx=5))
+        assert "_server_times" not in repr(mac)
 
     def test_large_budget_with_capped_windows(self):
         mac = MacParams(max_rtx=4000)
@@ -346,6 +374,14 @@ class TestChannelFiles:
             ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=(0.5, 0.2, 0.2))
         with pytest.raises(ConfigError):
             ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=(0.5, 0.5))
+
+    @pytest.mark.parametrize("probs", [
+        (math.nan, 0.0, 1.0), (0.0, math.nan, 0.0), (0.5, 0.5, math.nan),
+        (math.inf, 0.0, 0.0), (0.5, -math.inf, 0.5),
+    ])
+    def test_explicit_vector_must_be_finite(self, probs):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=probs)
 
     def test_outcome_csv_format(self, tmp_path):
         outcomes = [

@@ -255,6 +255,43 @@ class TestMalformedConfig:
         assert not out_dir.exists()
 
 
+class TestUndecodableInput:
+    """Input files that are not UTF-8 text, or not JSON, fail with exit 3
+    naming the file: a trace CSV as a data error, a JSON input as a format
+    error."""
+
+    @pytest.mark.parametrize("command, content, kind", [
+        ("trace", b"t_ms,j1\n0,\xff\xfe\n20,1\n", "data"),
+        ("trace", b"t_ms,j\xe9\n0,0.1\n20,0.2\n", "data"),
+        ("channel", b'{"queue_cap": 5, "seed": "\xff"}', "format"),
+        ("channel", b'{"queue_cap": 5', "format"),
+        ("spec", b'{"probs": [0.5], "\xc3": 1}', "format"),
+        ("model", b'\xfe\xff{"dim": 6}', "format"),
+    ])
+    def test_exits_3_naming_the_file(self, trace_csv, tmp_path, capsys, command, content, kind):
+        path = tmp_path / "input.bin"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        channel = tmp_path / "channel.json"
+        write_channel(channel)
+        if command == "trace":
+            argv = ["train", "--trace", str(path), "--lag", "1", "--out", str(out / "m.json")]
+        elif command == "channel":
+            argv = ["simulate", "--trace", str(trace_csv), "--channel", str(path),
+                    "--policy", "repeat-last", "--out-dir", str(out)]
+        elif command == "model":
+            argv = ["simulate", "--trace", str(trace_csv), "--channel", str(channel),
+                    "--model", str(path), "--out-dir", str(out)]
+        else:
+            argv = ["sweep", "--trace", str(trace_csv), "--spec", str(path), "--jobs", "1",
+                    "--out-dir", str(out)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == kind
+        assert error["message"].startswith(f"{path}: ")
+        assert not out.exists()
+
+
 class TestOutOfRangeFlags:
     """Flag values argparse accepts that the program must reject as typed
     config errors (exit 3) before it writes anything."""
@@ -272,6 +309,7 @@ class TestOutOfRangeFlags:
         ("train", ["--ridge", "nan"], "ridge"),
         ("train", ["--trainer", "adam", "--epsilon", "inf"], "epsilon"),
         ("train", ["--trainer", "adam", "--step-size", "nan"], "step size"),
+        ("gen-trace", ["--duration-s", "1e300"], "duration 1e+300 s is too long"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
         out = tmp_path / "out"

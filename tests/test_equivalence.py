@@ -1,7 +1,7 @@
 """Fast paths against the slow references they replaced, on randomized inputs.
 
 The queue walk of simulate_channel is checked against the per-frame loop,
-the batched run_recoveries against the per-slot loop, the batched
+its attempt-count draws against Generator.choice, the batched run_recoveries against the per-slot loop, the batched
 next_rows and window study against their per-row forms, and the array CSV
 reader and writers against their per-cell and per-Command forms, all kept
 below as references. Every comparison is exact: no tolerance.
@@ -197,6 +197,87 @@ class TestArrayQueue:
             got, overflow = channel._queue_starts(arrivals, np.array(service), cap)
             assert np.flatnonzero(overflow).tolist() == dropped
             np.testing.assert_array_equal(got[~overflow], starts)
+
+
+# ---------------------------------------------------------------------------
+# Attempt-count draws against Generator.choice
+
+def choice_frame_draws(trace: Trace, cfg: ChannelConfig):
+    """channel._frame_draws with the attempt counts drawn by Generator.choice."""
+    probs = channel.channel_rtx_probs(cfg)
+    max_rtx = cfg.mac.max_rtx
+    times = cfg.mac.server_times()
+    rng = np.random.default_rng(cfg.seed)
+    n = len(trace)
+    branches = rng.choice(max_rtx + 1, size=n, p=probs)
+    service = rng.exponential(1.0, size=n) * times[branches]
+    service[branches == max_rtx] = times[-1]
+    if cfg.transport_bound_ms > 0:
+        transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
+    else:
+        transport = np.zeros(n)
+    arrivals = (trace.start_us + np.arange(n) * trace.period_us) / 1000.0
+    return arrivals, branches, service, transport
+
+
+def random_rtx_probs(rng: np.random.Generator, max_rtx: int) -> tuple[float, ...]:
+    """An explicit attempt-count distribution, some entries zero, summing
+    to 1 within ChannelConfig's 1e-9."""
+    probs = rng.dirichlet(np.full(max_rtx + 1, float(rng.choice([0.2, 1.0, 5.0]))))
+    probs[rng.random(max_rtx + 1) < 0.3] = 0.0
+    if probs.sum() == 0.0:
+        probs[-1] = 1.0
+    return tuple((probs / probs.sum()).tolist())
+
+
+class TestAttemptDraws:
+    def test_random_cases_equal_choice_in_every_column(self, monkeypatch):
+        rng = np.random.default_rng(20261019)
+        cases = []
+        for k in range(400):
+            trace, cfg = random_channel_case(rng)
+            if k % 3 == 0:
+                cfg = replace(cfg, rtx_probs=random_rtx_probs(rng, cfg.mac.max_rtx))
+            elif k % 3 == 1:
+                # attempt failure probabilities from 1e-9 to 0.05, where the
+                # loss mass is tiny or, before it was floored, an ulp below 0
+                p_if = float(10 ** rng.uniform(-9, -1.3))
+                interference = replace(cfg.interference, p_if=p_if, t_if_slots=1.0, n_stations=1)
+                cfg = replace(cfg, interference=interference)
+            cases.append((trace, cfg))
+        fast = [simulate_channel(trace, cfg) for trace, cfg in cases]
+        for (trace, cfg), out in zip(cases, fast):
+            for a, b in zip(channel._frame_draws(trace, cfg), choice_frame_draws(trace, cfg)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+        monkeypatch.setattr(channel, "_frame_draws", choice_frame_draws)
+        lost = 0
+        for (trace, cfg), out in zip(cases, fast):
+            oracle = simulate_channel(trace, cfg)
+            for name in ("seq", "delivered", "delay_ms", "rtx", "waited_ms", "cause"):
+                a, b = getattr(out, name), getattr(oracle, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            lost += bool(np.any(oracle.cause == RTX_EXCEEDED))
+        # the draws must reach every branch, the loss branch included
+        assert lost >= 100
+
+    def test_floored_loss_mass_equals_choice(self, monkeypatch):
+        # small attempt failure probabilities whose deliverable counts alone
+        # sum to an ulp above 1: rtx_distribution floors the loss mass at 0,
+        # which Generator.choice accepts
+        trace = Trace.from_joints(np.zeros((600, 1)), 20.0)
+        cases = [
+            ChannelConfig(mac=MacParams(max_rtx=max_rtx), transport_bound_ms=0.5, seed=max_rtx,
+                          interference=InterferenceParams(p_if=float(p_if), t_if_slots=1.0))
+            for max_rtx in (2, 3, 7, 12)
+            for p_if in np.linspace(0.001, 0.2, 500)
+        ]
+        floored = [cfg for cfg in cases if channel.channel_rtx_probs(cfg)[:-1].sum() > 1.0]
+        assert len(floored) >= 10
+        fast = [simulate_channel(trace, cfg) for cfg in floored]
+        monkeypatch.setattr(channel, "_frame_draws", choice_frame_draws)
+        assert all(out == simulate_channel(trace, cfg) for cfg, out in zip(floored, fast))
 
 
 # ---------------------------------------------------------------------------

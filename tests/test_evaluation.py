@@ -1,6 +1,7 @@
 """Error metric, interference sweep, and forecast-window study."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from foreco.evaluation import (
     run_sweep,
 )
 from foreco.forecasting import MaModel, fit_var_ols, predict
-from foreco.recovery import PolicyMode, RecoveryPolicy, run_recovery
+from foreco.recovery import PolicyMode, RecoveryPolicy, run_recoveries, run_recovery
 import foreco
 
 
@@ -221,6 +222,123 @@ class TestRunSweep:
         for key, per_policy in result.cells.items():
             for policy, values in per_policy.items():
                 assert result.mean(key, policy) == pytest.approx(float(np.mean(values)))
+
+
+def per_cell_sweep(trace, grid, template, policies):
+    """The sweep's cells composed one cell at a time from the public
+    functions, each repetition seeded from (master seed, cell index,
+    repetition) as run_sweep documents."""
+    cells = {}
+    for index, (robots, prob, duration) in enumerate(grid.cells()):
+        interference = replace(template.interference, p_if=prob, t_if_slots=duration, n_stations=robots)
+        runs = []
+        for rep in range(grid.repetitions):
+            state = np.random.SeedSequence([grid.master_seed, index, rep]).generate_state(1, dtype=np.uint64)
+            runs.append(simulate_channel(trace, replace(template, interference=interference, seed=int(state[0]))))
+        cells[(robots, prob, duration)] = {
+            policy.label: [rmse(stream, trace) for stream in run_recoveries(trace, runs, policy)]
+            for policy in policies
+        }
+    return cells
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by an inline pool; the returned dict
+    collects the worker counts asked for and the tasks mapped."""
+    import concurrent.futures
+
+    record = {"workers": [], "tasks": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            record["workers"].append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            record["tasks"].append(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_WORKER_CTX", None)
+    return record
+
+
+class TestSweepBatches:
+    """run_sweep recovers the cells in batches (evaluation._batches); a
+    cell's values must not depend on the batch it is in."""
+
+    def test_random_batchings_equal_the_per_cell_sweep(self, sweep_setup, monkeypatch, recording_pool):
+        test, policies = sweep_setup
+        rng = np.random.default_rng(15)
+        pooled = 0
+        for _ in range(14):
+            n = int(rng.integers(60, len(test) + 1))
+            start = int(rng.integers(0, len(test) - n + 1))
+            trace = test.slice(start, start + n)
+
+            def axis(values):
+                return tuple(rng.choice(values, size=int(rng.integers(1, 4)), replace=False).tolist())
+
+            grid = SweepGrid(probs=axis([0.0, 0.2, 0.5, 0.8, 0.9]), durations=axis([1.0, 4.0, 16.0, 32.0]),
+                             robot_counts=axis([1, 5, 15, 25]), repetitions=int(rng.integers(1, 6)),
+                             master_seed=int(rng.integers(0, 1000)))
+            template = ChannelConfig(transport_bound_ms=float(rng.choice([0.0, 5.0])))
+            cell_slots = grid.repetitions * n
+            budget = int(rng.choice([1, cell_slots, 2 * cell_slots + 1, 5 * cell_slots, 1 << 16]))
+            monkeypatch.setattr(evaluation, "_BATCH_SLOTS", budget)
+            jobs = int(rng.choice([1, 2, 3, 7]))
+            result = run_sweep(trace, grid, template, policies, jobs=jobs)
+            assert list(result.cells) == grid.cells()
+            assert result.cells == per_cell_sweep(trace, grid, template, policies)
+            pooled += jobs > 1
+        assert pooled >= 4 and len(recording_pool["tasks"]) == pooled
+
+    def test_batch_shapes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n_cells, cell_slots = int(rng.integers(1, 200)), int(rng.integers(1, 5000))
+            jobs, budget = int(rng.integers(1, 12)), int(rng.integers(1, 20000))
+            monkeypatch.setattr(evaluation, "_BATCH_SLOTS", budget)
+            batches = evaluation._batches(n_cells, cell_slots, jobs)
+            # every cell once, in order, in contiguous batches
+            assert [index for batch in batches for index in batch] == list(range(n_cells))
+            sizes = [len(batch) for batch in batches]
+            assert min(sizes) >= 1
+            if cell_slots > budget:
+                assert sizes == [1] * n_cells
+            else:
+                assert max(sizes) * cell_slots <= budget
+            if jobs > 1:
+                assert len(batches) >= min(jobs, n_cells)
+            elif cell_slots <= budget:
+                # as many whole cells as fit, the last batch holding the rest
+                assert sizes[:-1] == [budget // cell_slots] * (len(sizes) - 1)
+
+    def test_default_sizes(self):
+        # the default grid at 1 repetition of 1,500 commands: 43 cells of
+        # 1,500 rows fit in 1 << 16; at acceptance 7's 40 repetitions a cell
+        # is a batch alone
+        assert evaluation._BATCH_SLOTS == 1 << 16
+        assert [len(b) for b in evaluation._batches(180, 1500, 1)] == [43, 43, 43, 43, 8]
+        assert [len(b) for b in evaluation._batches(180, 40 * 1500, 4)] == [1] * 180
+        assert [len(b) for b in evaluation._batches(18, 20 * 1500, 2)] == [2] * 9
+
+    def test_pool_maps_the_batches(self, sweep_setup, monkeypatch, recording_pool):
+        test, policies = sweep_setup
+        grid = SweepGrid(probs=(0.0, 0.5, 0.8), durations=(2.0, 16.0), robot_counts=(5,),
+                         repetitions=2, master_seed=3)
+        monkeypatch.setattr(evaluation, "_BATCH_SLOTS", 2 * grid.repetitions * len(test))
+        run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=2)
+        assert recording_pool["tasks"] == [[range(0, 2), range(2, 4), range(4, 6)]]
+        assert recording_pool["workers"] == [2]
 
 
 class TestSweepResultFiles:
