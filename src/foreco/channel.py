@@ -16,7 +16,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -213,6 +213,17 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
             raise ConfigError("an outcome is delivered exactly when its cause code is 0")
 
     @classmethod
+    def _unchecked(cls, *columns: np.ndarray) -> "ChannelOutcomes":
+        """Outcomes from columns the library has built, in constructor order,
+        with _COLUMNS' dtypes, one length and delivered == (cause == 0):
+        made read-only in place, neither copied nor checked."""
+        outcomes = object.__new__(cls)
+        for (name, _), column in zip(_COLUMNS, columns, strict=True):
+            column.setflags(write=False)
+            object.__setattr__(outcomes, name, column)
+        return outcomes
+
+    @classmethod
     def from_outcomes(cls, outcomes: Sequence[ChannelOutcome]) -> "ChannelOutcomes":
         """The columns of a sequence of outcomes; columns pass through as is."""
         if isinstance(outcomes, ChannelOutcomes):
@@ -341,77 +352,117 @@ def expected_delay_bound(cfg: ChannelConfig) -> tuple[float, float]:
     return cfg.transport_bound_ms + mixture / (1.0 - loss), 1.0 - loss
 
 
-def _frame_draws(trace: Trace, cfg: ChannelConfig):
-    """Arrival times (ms), attempt counts, server times and transport delays
-    of every frame, drawn in a fixed order from the config seed.
+class ChannelRuns(NamedTuple):
+    """The outcomes of R runs of the channel over one trace of H commands, as
+    (R, H) arrays with the dtypes and meaning of the ChannelOutcomes columns
+    of the same names; row r is run r."""
+
+    delivered: np.ndarray
+    delay_ms: np.ndarray
+    rtx: np.ndarray
+    waited_ms: np.ndarray
+    cause: np.ndarray
+
+
+def _frame_draws(trace: Trace, template: ChannelConfig, interferences: Sequence[InterferenceParams],
+                 seeds: Sequence[Sequence[int]]):
+    """Attempt counts, server times and transport delays (None when the
+    bound is 0) of every frame of every run, as (R, H) arrays: a run for
+    each seed of seeds[k] under interferences[k], drawn in a fixed order from
+    its own generator.
 
     The attempt counts are Generator.choice(max_rtx + 1, p=probs)'s draws,
     made as it makes them (one uniform per frame, searched in the normalised
     cumulative probabilities) without its per-call checks of probs, which
-    ChannelConfig has already made. A deliverable attempt count j takes an
+    ChannelConfig has already made; probs and its cumulative sum are
+    computed once per cell. A deliverable attempt count j takes an
     exponential server time with mean mean_delay_given_rtx(j); a frame
     exhausting its attempts (j == max_rtx) holds the server for the full
     failed-attempt airtime.
     """
-    probs = channel_rtx_probs(cfg)
-    max_rtx = cfg.mac.max_rtx
-    times = cfg.mac.server_times()
-
-    rng = np.random.default_rng(cfg.seed)
     n = len(trace)
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    branches = cdf.searchsorted(rng.random(n), side="right")
-    service = rng.exponential(1.0, size=n) * times[branches]
-    service[branches == max_rtx] = times[-1]
-    if cfg.transport_bound_ms > 0:
-        transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
-    else:
-        transport = np.zeros(n)
-    arrivals = (trace.start_us + np.arange(n) * trace.period_us) / 1000.0
-    return arrivals, branches, service, transport
+    n_runs = sum(map(len, seeds))
+    bound = template.transport_bound_ms
+    uniform = np.empty((n_runs, n))
+    exponential = np.empty((n_runs, n))
+    transport = np.empty((n_runs, n)) if bound > 0 else None
+    branches = np.empty((n_runs, n), dtype=np.intp)
+    r = 0
+    for interference, cell_seeds in zip(interferences, seeds):
+        cdf = channel_rtx_probs(replace(template, interference=interference)).cumsum()
+        cdf /= cdf[-1]
+        lo = r
+        for seed in cell_seeds:
+            rng = np.random.default_rng(seed)
+            uniform[r] = rng.random(n)
+            exponential[r] = rng.exponential(1.0, size=n)
+            if transport is not None:
+                transport[r] = rng.random(n)
+            r += 1
+        branches[lo:r] = cdf.searchsorted(uniform[lo:r], side="right")
+    times = template.mac.server_times()
+    service = exponential
+    service *= times[branches]
+    service[branches == template.mac.max_rtx] = times[-1]
+    if transport is not None:
+        transport = bound * (1.0 - transport)
+    return branches, service, transport
 
 
 def _queue_starts(arrivals: np.ndarray, service: np.ndarray, queue_cap: int):
-    """(starts, overflow): the service start time of every frame of the FIFO
+    """(starts, overflow): for (R, H) server times of R runs over the same
+    (H,) arrivals, the service start time of every frame of each run's FIFO
     queue, and which frames found queue_cap frames waiting and were dropped
     (their start is unused).
 
     A frame starts on arrival unless the server is still busy. A busy period
     is entered at a frame whose predecessor, started on arrival, is still in
-    service; one array compare finds these entries. From each entry the
-    per-frame recursion (start = last departure, departure = start + s, a
-    drop when the waiting room is full) is stepped until an arrival finds
-    the server idle. These are the per-frame loop's own IEEE operations, so
-    the starts equal its values bit for bit. An entry at or before the frame
-    where the last walk stopped is false: its predecessor lies in that walk
-    or was dropped.
+    service; one array compare over all runs finds these entries. From each
+    entry the per-frame recursion (start = last departure, departure =
+    start + s, a drop when the waiting room is full) is stepped until an
+    arrival finds the server idle. These are the per-frame loop's own IEEE
+    operations, so the starts equal its values bit for bit. An entry at or
+    before the frame where the run's last walk stopped is false: its
+    predecessor lies in that walk or was dropped.
     """
-    n = len(arrivals)
-    starts = arrivals.copy()
-    overflow = np.zeros(n, dtype=bool)
-    i = 0
-    for k in (np.flatnonzero(arrivals[:-1] + service[:-1] > arrivals[1:]) + 1).tolist():
+    n_runs, n = service.shape
+    starts = np.tile(arrivals, (n_runs, 1))
+    overflow = np.zeros((n_runs, n), dtype=bool)
+    rows, entries = np.nonzero(arrivals[:-1] + service[:, :-1] > arrivals[1:])
+    run, i = -1, 0
+    for r, k in zip(rows.tolist(), (entries + 1).tolist()):
+        if r != run:
+            run, i = r, 0
+            s, run_starts, run_overflow = service[r], starts[r], overflow[r]
         if k <= i:
             continue
-        departure = arrivals[k - 1] + service[k - 1]
+        departure = arrivals[k - 1] + s[k - 1]
         waiting: deque[float] = deque()
         i = k
         while i < n and departure > arrivals[i]:
             while waiting and waiting[0] <= arrivals[i]:
                 waiting.popleft()
             if len(waiting) >= queue_cap:
-                overflow[i] = True
+                run_overflow[i] = True
             else:
-                starts[i] = departure
+                run_starts[i] = departure
                 waiting.append(departure)
-                departure = departure + service[i]
+                departure = departure + s[i]
             i += 1
     return starts, overflow
 
 
-def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
-    """Push a command trace through the access-point queue.
+def simulate_channels(trace: Trace, template: ChannelConfig, interferences: Sequence[InterferenceParams],
+                      seeds: Sequence[Sequence[int]]) -> ChannelRuns:
+    """Runs of a channel over one trace, as (R, H) arrays: for each cell k a
+    run per seed of seeds[k], under interference interferences[k], in that
+    order. The cells share the template's MAC, waiting room, transport bound
+    and period.
+
+    Each run is the run of replace(template, interference=interferences[k],
+    seed=seed), bit for bit: its frames are drawn from its own generator and
+    its queue is walked alone, while the server times, causes, waits and
+    delays of all runs are formed together.
 
     Arrivals follow the trace schedule; the waiting room holds queue_cap
     frames (an arrival finding it full is dropped). Each frame entering
@@ -419,26 +470,34 @@ def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
     service time with the matching mean, while a frame exhausting its attempts
     holds the server for the full failed-attempt airtime and is then dropped.
     Delivered delay = wait + service + a uniform (0, D] transport delay.
-    Runs are reproducible from the config seed.
     """
-    if trace.period_us != ms_to_us(cfg.period_ms):
+    if trace.period_us != ms_to_us(template.period_ms):
         raise ConfigError(
-            f"trace period {trace.period_ms} ms does not match channel period {cfg.period_ms} ms"
+            f"trace period {trace.period_ms} ms does not match channel period {template.period_ms} ms"
         )
-    arrivals, branches, service, transport = _frame_draws(trace, cfg)
-    starts, overflow = _queue_starts(arrivals, service, cfg.queue_cap)
-    cause = np.where(branches == cfg.mac.max_rtx, RTX_EXCEEDED, DELIVERED)
+    arrivals = (trace.start_us + np.arange(len(trace)) * trace.period_us) / 1000.0
+    branches, service, transport = _frame_draws(trace, template, interferences, seeds)
+    starts, overflow = _queue_starts(arrivals, service, template.queue_cap)
+    cause = np.where(branches == template.mac.max_rtx, np.int8(RTX_EXCEEDED), np.int8(DELIVERED))
     cause[overflow] = QUEUE_OVERFLOW
     delivered = cause == DELIVERED
-    waited = np.where(delivered, starts - arrivals, math.nan)
-    return ChannelOutcomes(
-        seq=np.arange(trace.seq0, trace.seq0 + len(trace)),
-        delivered=delivered,
-        delay_ms=waited + service + transport,
-        rtx=np.where(delivered, branches, -1),
-        waited_ms=waited,
-        cause=cause,
-    )
+    rtx = np.where(delivered, branches, -1)
+    # the waits and delays take the place of the starts and server times
+    waited = starts
+    waited -= arrivals
+    waited[~delivered] = math.nan
+    delay = service
+    delay += waited
+    if transport is not None:
+        delay += transport
+    return ChannelRuns(delivered, delay, rtx, waited, cause)
+
+
+def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
+    """Push a command trace through the access-point queue: simulate_channels
+    for the one run of cfg, reproducible from the config seed."""
+    runs = simulate_channels(trace, cfg, [cfg.interference], [[cfg.seed]])
+    return ChannelOutcomes._unchecked(np.arange(trace.seq0, trace.seq0 + len(trace)), *(column[0] for column in runs))
 
 
 def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, float]:

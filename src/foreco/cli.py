@@ -446,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("io", str(exc), 2)
     except ForecoError as exc:
         return _fail(exc.kind, str(exc), 3)
+    except MemoryError as exc:
+        # an input asked for more memory than the machine grants
+        return _fail("memory", f"out of memory: {exc}", 3)
     except Exception as exc:  # pragma: no cover - last-resort guard
         log.exception("unexpected failure")
         return _fail("internal", f"{type(exc).__name__}: {exc}", 1)

@@ -2,7 +2,7 @@
 
 The sweep crosses interferer probability, interferer duration, and station
 count; every cell runs the channel simulation a fixed number of times and
-feeds the identical outcome list to each recovery policy, so policies are
+feeds the identical outcomes to each recovery policy, so policies are
 compared on exactly the same losses.
 """
 
@@ -17,13 +17,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DELIVERED, RTX_EXCEEDED, ChannelConfig, ChannelOutcomes, simulate_channel
+# The sweep runs the channel, recovery and scoring as batches of arrays.
+# simulate_channel, run_recovery and rmse stay bound here although it no
+# longer calls them, because perfbench's tracer wraps them in this module.
+from .channel import (  # noqa: F401
+    DELIVERED,
+    RTX_EXCEEDED,
+    ChannelConfig,
+    ChannelOutcomes,
+    InterferenceParams,
+    simulate_channel,
+    simulate_channels,
+)
 from .core import Trace, checked_fields, checked_number, checked_numbers
 from .errors import ConfigError
 from .forecasting import MaModel, VarModel, fit_var_ols
-# The sweep recovers a cell's runs together with run_recoveries. run_recovery
-# stays bound here because perfbench's tracer wraps evaluation.run_recovery.
-from .recovery import ExecutedStream, RecoveryPolicy, run_recoveries, run_recovery  # noqa: F401
+from .recovery import ExecutedStream, RecoveryPolicy, on_time_mask, run_recoveries, run_recovery  # noqa: F401
 
 CellKey = tuple[int, float, float]  # (robot count, interferer prob, duration slots)
 
@@ -84,13 +93,13 @@ def controlled_loss_outcomes(
     for s in starts:
         lost[s : s + burst_len] = True
     on_time = np.where(lost, math.nan, 0.0)
-    return ChannelOutcomes(
-        seq=np.arange(trace.seq0, trace.seq0 + n),
-        delivered=~lost,
-        delay_ms=on_time,
-        rtx=np.where(lost, -1, 0),
-        waited_ms=on_time,
-        cause=np.where(lost, RTX_EXCEEDED, DELIVERED),
+    return ChannelOutcomes._unchecked(
+        np.arange(trace.seq0, trace.seq0 + n),
+        ~lost,
+        on_time,
+        np.where(lost, -1, 0),
+        on_time,
+        np.where(lost, RTX_EXCEEDED, DELIVERED).astype(np.int8),
     )
 
 
@@ -238,17 +247,34 @@ def _task_seed(master_seed: int, cell_index: int, rep: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _cell_config(template: ChannelConfig, key: CellKey, seed: int) -> ChannelConfig:
+def _cell_interference(template: ChannelConfig, key: CellKey) -> InterferenceParams:
+    """A cell's interference: the template's, with the cell's station count,
+    interferer probability and duration."""
     robots, prob, duration = key
-    interference = replace(
-        template.interference, p_if=prob, t_if_slots=duration, n_stations=robots
-    )
-    return replace(template, interference=interference, seed=seed)
+    return replace(template.interference, p_if=prob, t_if_slots=duration, n_stations=robots)
 
 
 # A batch of cells holds at most this many (run, slot) rows, about one
 # 40-repetition cell of a 1,500-command trace; a larger cell is a batch alone.
 _BATCH_SLOTS = 1 << 16
+
+
+def _run_errors(trace: Trace, joints: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """rmse(stream, trace) for each of the R executed runs of
+    run_recoveries' (R, H, d) joints and (R, H) codes, bit for bit.
+
+    An original slot (code 0) holds the trace row, so its squared error is
+    exactly 0.0: only the other slots are squared and summed as rmse sums
+    them, and the per-run mean and root are taken over all slots at once.
+    """
+    missed = codes != 0
+    if missed.all(axis=1).any():
+        raise ConfigError("stream has no executed commands")
+    flat = np.flatnonzero(missed)
+    diff = joints.reshape(-1, trace.dim)[flat] - trace.joints[flat % len(trace)]
+    squared = np.zeros(codes.size)
+    squared[flat] = np.sum(diff * diff, axis=1)
+    return np.sqrt(np.mean(squared.reshape(codes.shape), axis=1))
 
 
 def _run_cells(
@@ -260,20 +286,25 @@ def _run_cells(
 ) -> list[dict[str, list[float]]]:
     """Every repetition of the cells at `indices`: per cell, the error of
     each policy in repetition order, on one channel run seeded per
-    repetition. Each policy recovers all the batch's runs in one
-    run_recoveries call; each run's recovery and error are its own, so a
-    cell's values do not depend on the batch it is in."""
+    repetition.
+
+    The batch is one pipeline of (run, slot) arrays: simulate_channels
+    draws every run from its own seed and returns the runs' outcomes
+    together; then, per policy, on_time_mask, run_recoveries and
+    _run_errors each take the whole batch. Each run's recovery and error
+    are its own, so a cell's values do not depend on the batch it is in."""
     keys = grid.cells()
     reps = grid.repetitions
-    runs = [
-        simulate_channel(trace, _cell_config(template, keys[index], _task_seed(grid.master_seed, index, rep)))
-        for index in indices
-        for rep in range(reps)
-    ]
-    errors = {
-        policy.label: [rmse(stream, trace) for stream in run_recoveries(trace, runs, policy)]
-        for policy in policies
-    }
+    runs = simulate_channels(
+        trace,
+        template,
+        [_cell_interference(template, keys[index]) for index in indices],
+        [[_task_seed(grid.master_seed, index, rep) for rep in range(reps)] for index in indices],
+    )
+    errors = {}
+    for policy in policies:
+        joints, codes, _ = run_recoveries(trace, on_time_mask(runs, trace.period_ms, policy.cfg), policy)
+        errors[policy.label] = _run_errors(trace, joints, codes).tolist()
     return [
         {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}
         for k in range(len(indices))
@@ -315,9 +346,11 @@ def run_sweep(
     A batch is a contiguous run of cells whose repetitions together hold
     about _BATCH_SLOTS (run, slot) rows; with jobs > 1 the cells are split
     into at least min(jobs, cells) batches. Every repetition of every cell
-    derives its own seed from (master seed, cell index, repetition), so
-    results are reproducible and independent of batching and worker
-    scheduling; both policies see identical channel outcomes.
+    derives its own seed from (master seed, cell index, repetition) and is
+    drawn from it alone; a batch is then simulated, recovered and scored as
+    (run, slot) arrays (see _run_cells). Results are reproducible and
+    independent of batching and worker scheduling; all policies see
+    identical channel outcomes.
     """
     labels = [p.label for p in policies]
     if len(set(labels)) != len(labels):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelOutcome, ChannelOutcomes
+from .channel import ChannelOutcome, ChannelOutcomes, ChannelRuns
 from .core import Command, Provenance, RecoveryConfig, Trace
 from .errors import ConfigError
 from .forecasting import Forecaster, predict
@@ -211,8 +211,9 @@ def replay_deadline(outcome: ChannelOutcome, period_ms: float, cfg: RecoveryConf
     return outcome.delivered and outcome.delay_ms <= period_ms + cfg.tolerance_ms
 
 
-def on_time_mask(outcomes: ChannelOutcomes, period_ms: float, cfg: RecoveryConfig) -> np.ndarray:
-    """replay_deadline for every outcome at once, as a boolean array."""
+def on_time_mask(outcomes: ChannelOutcomes | ChannelRuns, period_ms: float, cfg: RecoveryConfig) -> np.ndarray:
+    """replay_deadline for every outcome at once, as a boolean array of the
+    columns' shape: (H,) for one run, (R, H) for ChannelRuns."""
     return outcomes.delivered & (outcomes.delay_ms <= period_ms + cfg.tolerance_ms)
 
 
@@ -262,25 +263,30 @@ def _forecast_levels(forecast: np.ndarray, record_len: int) -> tuple[np.ndarray,
 
 
 def run_recoveries(
-    trace: Trace, runs: Sequence[Sequence[ChannelOutcome]], policy: RecoveryPolicy
-) -> list[ExecutedStream]:
-    """The executed stream of a trace under each run of channel outcomes.
+    trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The executed runs of a trace for an (R, H) mask of the slots whose
+    command met the replay deadline in each of R runs (see on_time_mask):
+    the (R, H, d) joints, the (R, H) int8 provenance codes (0 original,
+    1 forecast, 2 repeat-last, 3 empty) and the (R, 4) slot counts per code.
 
-    Slot i is on time iff outcome i meets the replay deadline; then the
-    original command is emitted unchanged. Otherwise the policy fills the
-    slot. Forecasting needs enough executed history for the model, so early
-    losses degrade to repeating the previous command, and to dropping when
-    nothing has executed yet. Every emitted command, forecasts included,
-    enters the history the next forecasts read from.
+    An on-time slot holds the original command unchanged. Otherwise the
+    policy fills the slot. Forecasting needs enough executed history for the
+    model, so early losses degrade to repeating the previous command, and to
+    dropping when nothing has executed yet. Every emitted command, forecasts
+    included, enters the history the next forecasts read from. An empty slot
+    holds the last executed row; leading empty slots hold the first, and a
+    run with no executed slot holds the trace's last row.
 
     All runs are recovered at once: repeat-last and drop are one forward
     fill over the (R, H) slots, and the forecasts run level by level (see
     _forecast_levels), each level over all runs as one next_rows step.
     """
     n_slots = len(trace)
-    for outcomes in runs:
-        if len(outcomes) != n_slots:
-            raise ConfigError(f"{len(outcomes)} outcomes for {n_slots} commands")
+    on_time = np.asarray(on_time, dtype=bool)
+    if on_time.ndim != 2 or on_time.shape[1] != n_slots:
+        raise ConfigError(f"on-time mask of shape {on_time.shape} for {n_slots} commands")
+    n_runs = len(on_time)
     cfg = policy.cfg
     model = policy.model
     limits = policy.max_step_per_joint
@@ -294,17 +300,13 @@ def run_recoveries(
                 f"model needs {model.min_history} past commands but the record keeps {cfg.record_len}"
             )
 
-    on_time = np.array(
-        [on_time_mask(ChannelOutcomes.from_outcomes(o), trace.period_ms, cfg) for o in runs], dtype=bool
-    ).reshape(len(runs), n_slots)
     # The first on-time slot is the first executed one: a miss before it
     # finds no history and is dropped. From there on, forecast and
     # repeat-last fill every slot, so the history at slot i is the slots
     # from max(first, i - record_len) up to i. Misses before drop_until are
     # dropped, those from forecast_from on are forecast, and the rest repeat
     # the slot before.
-    any_on_time = on_time.any(axis=1)
-    first = np.where(any_on_time, np.argmax(on_time, axis=1), n_slots)
+    first = np.where(on_time.any(axis=1), np.argmax(on_time, axis=1), n_slots)
     drop_until = np.full_like(first, n_slots) if policy.mode is PolicyMode.DROP else first
     forecast_from = np.full_like(first, n_slots)
     if policy.mode is PolicyMode.FORECAST:
@@ -346,24 +348,25 @@ def run_recoveries(
             rows_of[flat[lo:hi]] = rows
             lo = hi
 
-    # Slots per code and run, as (R, 4) counts in code order.
-    counts = np.bincount((codes + 4 * np.arange(len(runs))[:, None]).ravel(), minlength=4 * len(runs))
-    streams = []
-    for r, (on, fc, rep, drop) in enumerate(counts.reshape(-1, 4).tolist()):
-        stream = ExecutedStream(ExecutedCommands(trace, joints[r], codes[r]), RecoveryStats(on, fc, rep, drop))
-        stream._cache(codes=codes[r], seq0=trace.seq0)
-        if any_on_time[r]:
-            stream._cache(joints=joints[r])
-        streams.append(stream)
-    return streams
+    counts = np.bincount((codes + 4 * np.arange(n_runs)[:, None]).ravel(), minlength=4 * n_runs)
+    return joints, codes, counts.reshape(n_runs, 4)
 
 
 def run_recovery(
     trace: Trace, outcomes: Sequence[ChannelOutcome], policy: RecoveryPolicy
 ) -> ExecutedStream:
     """The executed stream of a trace under one run of channel outcomes:
-    run_recoveries for a single run."""
-    return run_recoveries(trace, [outcomes], policy)[0]
+    run_recoveries for the run's on_time_mask."""
+    columns = ChannelOutcomes.from_outcomes(outcomes)
+    if len(columns) != len(trace):
+        raise ConfigError(f"{len(columns)} outcomes for {len(trace)} commands")
+    on_time = on_time_mask(columns, trace.period_ms, policy.cfg)
+    joints, codes, counts = run_recoveries(trace, on_time[None], policy)
+    stream = ExecutedStream(ExecutedCommands(trace, joints[0], codes[0]), RecoveryStats(*counts[0].tolist()))
+    stream._cache(codes=codes[0], seq0=trace.seq0)
+    if on_time.any():
+        stream._cache(joints=joints[0])
+    return stream
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:

@@ -478,6 +478,44 @@ class TestChannelOutcomes:
         with pytest.raises(ConfigError):
             ChannelOutcomes(out.seq, out.delivered[:2], out.delay_ms, out.rtx, out.waited_ms, out.cause)
 
+    @pytest.mark.parametrize("bad", [
+        lambda out: (out.seq, ~out.delivered, out.delay_ms, out.rtx, out.waited_ms, out.cause),
+        lambda out: (out.seq, out.delivered[:2], out.delay_ms, out.rtx, out.waited_ms, out.cause),
+        lambda out: (out.seq, out.delivered, out.delay_ms[None], out.rtx, out.waited_ms, out.cause),
+        lambda out: (out.seq, out.delivered, out.delay_ms, out.rtx, out.waited_ms, np.zeros(len(out))),
+        lambda out: (out.seq, out.delivered, out.delay_ms, out.rtx, out.waited_ms, out.cause.tolist()[:-1]),
+    ])
+    def test_outside_columns_are_checked(self, bad):
+        # the library's own columns skip the checks; columns from outside do not
+        out = simulate_channel(flat_trace(300), ChannelConfig(
+            interference=InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25), queue_cap=1, seed=3))
+        assert 0 < out.delivered.sum() < len(out)
+        with pytest.raises(ConfigError):
+            ChannelOutcomes(*bad(out))
+
+    def test_inconsistent_outcome_list_rejected(self):
+        with pytest.raises(ConfigError):
+            ChannelOutcomes.from_outcomes([ChannelOutcome(0, True, 1.0, 0, 0.0, LossCause.RTX_EXCEEDED)])
+
+    @pytest.mark.parametrize("cfg", [
+        quiet_config(),
+        ChannelConfig(interference=InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25),
+                      queue_cap=1, transport_bound_ms=4.0, seed=5),
+        ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=(0.0, 0.0, 1.0), seed=6),
+    ])
+    def test_library_built_columns_equal_the_checked_constructor(self, cfg):
+        from foreco.evaluation import controlled_loss_outcomes
+
+        trace = flat_trace(400).slice(50, 400)
+        for built in (simulate_channel(trace, cfg), controlled_loss_outcomes(trace, 5, 4, seed=cfg.seed)):
+            columns = [getattr(built, name) for name in ChannelOutcomes.__dataclass_fields__]
+            checked = ChannelOutcomes(*columns)
+            assert built == checked
+            for a, b in zip(columns, (getattr(checked, name) for name in ChannelOutcomes.__dataclass_fields__)):
+                assert a.dtype == b.dtype and a.shape == b.shape == (len(trace),)
+                assert not a.flags.writeable
+            assert list(built) == list(checked)
+
     def test_simulate_returns_columns(self):
         out = simulate_channel(flat_trace(300).slice(100, 300), quiet_config())
         assert isinstance(out, ChannelOutcomes)

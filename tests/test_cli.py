@@ -331,6 +331,22 @@ class TestOutOfRangeFlags:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    def test_exits_3_with_a_memory_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.63 PiB for an array with shape (230000000000000,)")
+
+        monkeypatch.setattr(cli, "synthetic_trace", refuse)
+        out = tmp_path / "t.csv"
+        argv = ["gen-trace", "--profile", "pick-and-place", "--duration-s", "4.6e12", "--seed", "0",
+                "--out", str(out)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "memory"
+        assert error["message"] == "out of memory: Unable to allocate 1.63 PiB for an array with shape (230000000000000,)"
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_all_lost_channel_writes_outputs_with_null_rmse(self, trace_csv, tmp_path, capsys):
         ch = tmp_path / "ch.json"

@@ -1,7 +1,10 @@
 """Fast paths against the slow references they replaced, on randomized inputs.
 
 The queue walk of simulate_channel is checked against the per-frame loop,
-its attempt-count draws against Generator.choice, the batched run_recoveries against the per-slot loop, the batched
+its attempt-count draws against Generator.choice, the batched
+simulate_channels against each run alone, the batched run_recoveries
+against the per-slot loop, the sweep's batch scoring against rmse and the
+sweep against the per-run composition of the public functions, the batched
 next_rows and window study against their per-row forms, and the array CSV
 reader and writers against their per-cell and per-Command forms, all kept
 below as references. Every comparison is exact: no tolerance.
@@ -24,10 +27,12 @@ from foreco.channel import (
     ChannelConfig,
     ChannelOutcome,
     ChannelOutcomes,
+    ChannelRuns,
     InterferenceParams,
     LossCause,
     MacParams,
     simulate_channel,
+    simulate_channels,
 )
 from foreco.core import (
     Command,
@@ -39,7 +44,8 @@ from foreco.core import (
     us_to_ms,
     write_trace_csv,
 )
-from foreco.errors import InvalidTrace
+from foreco.errors import ConfigError, InvalidTrace
+from foreco.evaluation import SweepGrid, rmse, run_sweep
 from foreco.forecasting import MaModel, VarModel, fit_var_ols, predict
 from foreco.recovery import (
     ExecutedCommands,
@@ -127,14 +133,27 @@ def _simulate_loop(trace: Trace, cfg: ChannelConfig, arrivals, branches, service
     return ChannelOutcomes(seq, delivered, delay, rtx, waited, cause)
 
 
+def one_run(cfg: ChannelConfig) -> tuple:
+    """The arguments after the template that make a batch of cfg's one run."""
+    return [cfg.interference], [[cfg.seed]]
+
+
+def run_draws(trace: Trace, cfg: ChannelConfig):
+    """Arrival times of the trace's frames, then channel._frame_draws for the
+    one run of cfg as 1-D arrays, zero transport delays when the bound is 0."""
+    arrivals = (trace.start_us + np.arange(len(trace)) * trace.period_us) / 1000.0
+    branches, service, transport = channel._frame_draws(trace, cfg, *one_run(cfg))
+    return arrivals, branches[0], service[0], np.zeros(len(trace)) if transport is None else transport[0]
+
+
 def loop_outcomes(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
-    return _simulate_loop(trace, cfg, *channel._frame_draws(trace, cfg))
+    return _simulate_loop(trace, cfg, *run_draws(trace, cfg))
 
 
 def has_waiting_frame(trace: Trace, cfg: ChannelConfig) -> bool:
     """Whether some frame arrives while its predecessor, started on arrival,
     is still in service; without one, no frame ever waits."""
-    arrivals, _, service, _ = channel._frame_draws(trace, cfg)
+    arrivals, _, service, _ = run_draws(trace, cfg)
     return bool(np.any(arrivals[:-1] + service[:-1] > arrivals[1:]))
 
 
@@ -194,30 +213,41 @@ class TestArrayQueue:
             ([2.0, 1.0, 1.0, 1.0], 1, [0.0, 2.0, 3.0, 4.0], []),
         ]
         for service, cap, starts, dropped in table:
-            got, overflow = channel._queue_starts(arrivals, np.array(service), cap)
-            assert np.flatnonzero(overflow).tolist() == dropped
-            np.testing.assert_array_equal(got[~overflow], starts)
+            got, overflow = channel._queue_starts(arrivals, np.array([service]), cap)
+            assert np.flatnonzero(overflow[0]).tolist() == dropped
+            np.testing.assert_array_equal(got[0][~overflow[0]], starts)
+        # the same runs as one batch: each row is walked alone
+        services = np.array([service for service, _, _, _ in table])
+        for cap in (1, 2, 4):
+            got, overflow = channel._queue_starts(arrivals, services, cap)
+            for k, service in enumerate(services):
+                alone = channel._queue_starts(arrivals, service[None], cap)
+                np.testing.assert_array_equal(got[k], alone[0][0])
+                np.testing.assert_array_equal(overflow[k], alone[1][0])
 
 
 # ---------------------------------------------------------------------------
 # Attempt-count draws against Generator.choice
 
-def choice_frame_draws(trace: Trace, cfg: ChannelConfig):
-    """channel._frame_draws with the attempt counts drawn by Generator.choice."""
-    probs = channel.channel_rtx_probs(cfg)
-    max_rtx = cfg.mac.max_rtx
-    times = cfg.mac.server_times()
-    rng = np.random.default_rng(cfg.seed)
+def choice_frame_draws(trace: Trace, template: ChannelConfig, interferences, seeds):
+    """channel._frame_draws with the attempt counts drawn by Generator.choice,
+    one run at a time."""
+    max_rtx = template.mac.max_rtx
+    times = template.mac.server_times()
+    bound = template.transport_bound_ms
     n = len(trace)
-    branches = rng.choice(max_rtx + 1, size=n, p=probs)
-    service = rng.exponential(1.0, size=n) * times[branches]
-    service[branches == max_rtx] = times[-1]
-    if cfg.transport_bound_ms > 0:
-        transport = cfg.transport_bound_ms * (1.0 - rng.random(n))
-    else:
-        transport = np.zeros(n)
-    arrivals = (trace.start_us + np.arange(n) * trace.period_us) / 1000.0
-    return arrivals, branches, service, transport
+    runs = []
+    for interference, cell_seeds in zip(interferences, seeds):
+        probs = channel.channel_rtx_probs(replace(template, interference=interference))
+        for seed in cell_seeds:
+            rng = np.random.default_rng(seed)
+            branches = rng.choice(max_rtx + 1, size=n, p=probs)
+            service = rng.exponential(1.0, size=n) * times[branches]
+            service[branches == max_rtx] = times[-1]
+            transport = bound * (1.0 - rng.random(n)) if bound > 0 else None
+            runs.append((branches, service, transport))
+    branches, service, transport = zip(*runs)
+    return np.array(branches), np.array(service), None if bound == 0 else np.array(transport)
 
 
 def random_rtx_probs(rng: np.random.Generator, max_rtx: int) -> tuple[float, ...]:
@@ -247,9 +277,11 @@ class TestAttemptDraws:
             cases.append((trace, cfg))
         fast = [simulate_channel(trace, cfg) for trace, cfg in cases]
         for (trace, cfg), out in zip(cases, fast):
-            for a, b in zip(channel._frame_draws(trace, cfg), choice_frame_draws(trace, cfg)):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+            for a, b in zip(channel._frame_draws(trace, cfg, *one_run(cfg)), choice_frame_draws(trace, cfg, *one_run(cfg))):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
         monkeypatch.setattr(channel, "_frame_draws", choice_frame_draws)
         lost = 0
         for (trace, cfg), out in zip(cases, fast):
@@ -278,6 +310,97 @@ class TestAttemptDraws:
         fast = [simulate_channel(trace, cfg) for cfg in floored]
         monkeypatch.setattr(channel, "_frame_draws", choice_frame_draws)
         assert all(out == simulate_channel(trace, cfg) for cfg, out in zip(floored, fast))
+
+
+# ---------------------------------------------------------------------------
+# Batched channel runs against each run alone
+
+def per_run_oracle(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
+    """One run stepped frame by frame on Generator.choice draws: no code in
+    common with simulate_channels."""
+    arrivals = (trace.start_us + np.arange(len(trace)) * trace.period_us) / 1000.0
+    branches, service, transport = choice_frame_draws(trace, cfg, *one_run(cfg))
+    transport = np.zeros(len(trace)) if transport is None else transport[0]
+    return _simulate_loop(trace, cfg, arrivals, branches[0], service[0], transport)
+
+
+def random_interference(rng: np.random.Generator) -> InterferenceParams:
+    return InterferenceParams(
+        p_if=float(rng.uniform(0.0, 1.0)),
+        t_if_slots=float(rng.choice([0.0, 1.0, 8.0, 32.0])),
+        n_stations=int(rng.integers(1, 40)),
+        attempt_prob=float(rng.uniform(0.0, 0.3)),
+    )
+
+
+class TestBatchChannel:
+    """simulate_channels against simulate_channel and per_run_oracle, run by
+    run, on every column."""
+
+    def assert_rows_are_the_runs(self, trace, template, interferences, seeds) -> ChannelRuns:
+        runs = simulate_channels(trace, template, interferences, seeds)
+        assert all(column.shape == (sum(map(len, seeds)), len(trace)) for column in runs)
+        configs = [replace(template, interference=i, seed=seed) for i, cell in zip(interferences, seeds) for seed in cell]
+        for r, cfg in enumerate(configs):
+            alone, oracle = simulate_channel(trace, cfg), per_run_oracle(trace, cfg)
+            assert alone == oracle
+            np.testing.assert_array_equal(alone.seq, np.arange(trace.seq0, trace.seq0 + len(trace)))
+            for name, column in zip(ChannelRuns._fields, runs):
+                for expected in (getattr(alone, name), getattr(oracle, name)):
+                    assert column.dtype == expected.dtype, name
+                    np.testing.assert_array_equal(column[r], expected, err_msg=name)
+        return runs
+
+    def test_random_batches_equal_each_run_alone(self):
+        rng = np.random.default_rng(20261020)
+        seen = {"bound 0": 0, "bound > 0": 0, "cap 1": 0, "overflow": 0, "explicit a_j": 0}
+        for case in range(60):
+            trace, template = random_channel_case(rng)
+            template = replace(template, transport_bound_ms=0.0 if case % 2 else float(rng.uniform(0.1, 9.0)))
+            if case % 3 == 0:
+                template = replace(template, queue_cap=1)
+            if case % 5 == 0:
+                template = replace(template, rtx_probs=random_rtx_probs(rng, template.mac.max_rtx))
+            interferences = [random_interference(rng) for _ in range(int(rng.integers(1, 5)))]
+            seeds = [rng.integers(0, 2**63, size=int(rng.integers(1, 4))).tolist() for _ in interferences]
+            runs = self.assert_rows_are_the_runs(trace, template, interferences, seeds)
+            seen["bound 0"] += template.transport_bound_ms == 0
+            seen["bound > 0"] += template.transport_bound_ms > 0
+            seen["cap 1"] += template.queue_cap == 1
+            seen["overflow"] += bool(np.any(runs.cause == QUEUE_OVERFLOW))
+            seen["explicit a_j"] += template.rtx_probs is not None
+        assert all(count >= 10 for count in seen.values()), seen
+
+    def test_a_j_that_loses_every_frame(self):
+        trace = Trace.from_joints(np.zeros((300, 1)), 20.0).slice(20, 300)
+        template = ChannelConfig(mac=MacParams(max_rtx=3), rtx_probs=(0.0, 0.0, 0.0, 1.0),
+                                 transport_bound_ms=2.0, queue_cap=1)
+        interferences = [InterferenceParams(p_if=0.5, t_if_slots=8.0, n_stations=5), template.interference]
+        runs = self.assert_rows_are_the_runs(trace, template, interferences, [[1, 2], [3]])
+        assert not runs.delivered.any()
+        assert np.isnan(runs.delay_ms).all() and np.isnan(runs.waited_ms).all()
+        assert (runs.rtx == -1).all() and (runs.cause == RTX_EXCEEDED).all()
+
+    def test_period_mismatch_is_rejected(self):
+        trace = Trace.from_joints(np.zeros((50, 1)), 10.0)
+        template = ChannelConfig()
+        message = "trace period 10.0 ms does not match channel period 20.0 ms"
+        with pytest.raises(ConfigError, match=message):
+            simulate_channel(trace, template)
+        with pytest.raises(ConfigError, match=message):
+            simulate_channels(trace, template, [template.interference] * 2, [[1], [2, 3]])
+
+    def test_bad_probability_is_rejected(self):
+        # an always-on interferer whose window covers every transmission
+        # makes every attempt fail
+        trace = Trace.from_joints(np.zeros((50, 1)), 20.0)
+        template = ChannelConfig()
+        bad = InterferenceParams(p_if=1.0, t_if_slots=1e300)
+        with pytest.raises(ConfigError) as alone:
+            simulate_channel(trace, replace(template, interference=bad, seed=4))
+        with pytest.raises(ConfigError) as batch:
+            simulate_channels(trace, template, [template.interference, bad], [[1], [4]])
+        assert str(batch.value) == str(alone.value) == "per-attempt failure probability must lie in [0, 1), got 1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +569,23 @@ def spaced_losses(trace: Trace, start: int, gaps: list[int]) -> list[ChannelOutc
     ]
 
 
+def on_time_masks(trace: Trace, runs, cfg: RecoveryConfig) -> np.ndarray:
+    """The (R, H) on-time mask of runs of outcomes, one on_time_mask per run."""
+    return np.array([on_time_mask(ChannelOutcomes.from_outcomes(o), trace.period_ms, cfg) for o in runs])
+
+
+def assert_same_run(trace: Trace, joints, codes, counts, slow: ExecutedStream) -> None:
+    """One run of run_recoveries' arrays against an oracle stream: the
+    same stats, codes and, where a slot executed, joints; a run with no
+    executed slot holds the trace's last row."""
+    assert RecoveryStats(*counts.tolist()) == slow.stats
+    np.testing.assert_array_equal(codes, slow.codes())
+    if slow.stats.dropped < len(slow):
+        np.testing.assert_array_equal(joints, slow.joints_matrix())
+    else:
+        np.testing.assert_array_equal(joints, np.broadcast_to(trace.joints[-1], joints.shape))
+
+
 class TestBatchedRecovery:
     """run_recoveries on batches of runs equals per_slot_recovery run by run."""
 
@@ -478,10 +618,12 @@ class TestBatchedRecovery:
                 RecoveryPolicy(PolicyMode.DROP, cfg),
             ]
             for policy in policies:
-                streams = run_recoveries(trace, runs, policy)
-                assert len(streams) == len(runs)
-                for stream, outcomes in zip(streams, runs):
-                    assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
+                joints, codes, counts = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+                assert joints.shape == (len(runs), len(trace), trace.dim)
+                assert codes.shape == (len(runs), len(trace)) and codes.dtype == np.int8
+                assert counts.shape == (len(runs), 4)
+                for outcomes, *arrays in zip(runs, joints, codes, counts):
+                    assert_same_run(trace, *arrays, per_slot_recovery(trace, outcomes, policy))
         assert all(count >= 3 for count in kinds.values()), kinds
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -500,10 +642,10 @@ class TestBatchedRecovery:
         ]
         for model in (fit_var_ols(train, record_len), MaModel(3, record_len), WholeRecordMean()):
             policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model)
-            streams = run_recoveries(trace, runs, policy)
-            for stream, outcomes in zip(streams, runs):
-                assert_same_stream(stream, per_slot_recovery(trace, outcomes, policy))
-            assert streams[0].stats.forecast == 7
+            joints, codes, counts = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+            for outcomes, *arrays in zip(runs, joints, codes, counts):
+                assert_same_run(trace, *arrays, per_slot_recovery(trace, outcomes, policy))
+            assert counts[0, 1] == 7
 
     def test_single_run_is_the_batch_of_one(self):
         rng = np.random.default_rng(13)
@@ -511,8 +653,141 @@ class TestBatchedRecovery:
         model = fit_var_ols(smooth_trace(rng, 600, 3), 6)
         runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(5)]
         policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model)
-        for stream, outcomes in zip(run_recoveries(trace, runs, policy), runs):
-            assert_same_stream(stream, run_recovery(trace, outcomes, policy))
+        batch = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
+        for outcomes, *arrays in zip(runs, *batch):
+            assert_same_run(trace, *arrays, run_recovery(trace, outcomes, policy))
+            alone = run_recoveries(trace, on_time_masks(trace, [outcomes], policy.cfg), policy)
+            for a, b in zip(arrays, alone):
+                np.testing.assert_array_equal(a, b[0])
+
+    def test_mask_of_the_wrong_shape_is_rejected(self):
+        rng = np.random.default_rng(16)
+        trace = smooth_trace(rng, 50, 3)
+        policy = RecoveryPolicy(PolicyMode.REPEAT_LAST)
+        for mask in (np.ones(len(trace), bool), np.ones((2, len(trace) + 1), bool), np.ones((1, 2, 3), bool)):
+            with pytest.raises(ConfigError, match="on-time mask of shape"):
+                run_recoveries(trace, mask, policy)
+        with pytest.raises(ConfigError, match=f"{len(trace) - 1} outcomes for {len(trace)} commands"):
+            run_recovery(trace, random_outcomes(rng, trace, trace.period_ms)[1:], policy)
+
+
+class TestBatchScoring:
+    """evaluation._run_errors against rmse on each run's ExecutedStream."""
+
+    def test_random_runs_equal_rmse(self):
+        rng = np.random.default_rng(17)
+        train = smooth_trace(rng, 800, 3)
+        models = [fit_var_ols(train, lag) for lag in (1, 4, 12)] + [MaModel(3, 3)]
+        seen = {"leading drop": 0, "dropped inside": 0, "tolerance": 0, "no executed slot": 0}
+        for case in range(40):
+            trace = smooth_trace(rng, int(rng.integers(30, 300)), 3)
+            runs = [random_outcomes(rng, trace, trace.period_ms + float(rng.choice([0.0, 2.5])))
+                    for _ in range(int(rng.integers(1, 6)))]
+
+            def cfg():
+                return RecoveryConfig(tolerance_ms=float(rng.choice([0.0, 1.0, 2.5])), record_len=12)
+
+            policies = [
+                RecoveryPolicy(PolicyMode.FORECAST, cfg(), models[case % len(models)],
+                               max_step_per_joint=step_limit_from_trace(train) if case % 2 else None),
+                RecoveryPolicy(PolicyMode.REPEAT_LAST, cfg()),
+                RecoveryPolicy(PolicyMode.DROP, cfg()),
+            ]
+            for policy in policies:
+                # each policy's own mask: the tolerances differ
+                joints, codes, _ = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
+                executed = ~(codes != 0).all(axis=1)
+                streams = [run_recovery(trace, outcomes, policy) for outcomes in runs]
+                expected = [rmse(stream, trace) for stream, ok in zip(streams, executed) if ok]
+                got = evaluation._run_errors(trace, joints[executed], codes[executed])
+                assert got.tolist() == expected
+                if not executed.all():
+                    with pytest.raises(ConfigError, match="stream has no executed commands"):
+                        evaluation._run_errors(trace, joints, codes)
+                    with pytest.raises(ConfigError, match="stream has no executed commands"):
+                        rmse(streams[int(np.argmin(executed))], trace)
+                dropped = codes[executed] == 3
+                seen["leading drop"] += int(dropped[:, 0].sum())
+                seen["dropped inside"] += int((dropped[:, 1:] & ~dropped[:, :-1]).sum())
+                seen["tolerance"] += policy.cfg.tolerance_ms > 0
+                seen["no executed slot"] += int((~executed).sum())
+        assert all(count >= 5 for count in seen.values()), seen
+
+
+def per_run_sweep(trace: Trace, grid, template: ChannelConfig, policies) -> dict:
+    """run_sweep's cells composed one run at a time, as perfbench's sweep
+    warm-up composes them: simulate_channel on the cell's config seeded
+    from (master seed, cell index, repetition), then run_recovery and rmse
+    per policy."""
+    cells = {}
+    for index, (robots, prob, duration) in enumerate(grid.cells()):
+        interference = replace(template.interference, p_if=prob, t_if_slots=duration, n_stations=robots)
+        values = {policy.label: [] for policy in policies}
+        for rep in range(grid.repetitions):
+            seq = np.random.SeedSequence([grid.master_seed, index, rep])
+            seed = int(seq.generate_state(1, dtype=np.uint64)[0])
+            outcomes = simulate_channel(trace, replace(template, interference=interference, seed=seed))
+            for policy in policies:
+                values[policy.label].append(rmse(run_recovery(trace, outcomes, policy), trace))
+        cells[(robots, prob, duration)] = values
+    return cells
+
+
+class TestSweepPipeline:
+    """run_sweep's batches of arrays against the per-run composition."""
+
+    @pytest.fixture(scope="class")
+    def policies(self, pick_and_place_split):
+        train, _ = pick_and_place_split
+        model = fit_var_ols(train, 6, ridge=0.1)
+        return (
+            RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model,
+                           max_step_per_joint=step_limit_from_trace(train, 1.5)),
+            RecoveryPolicy(PolicyMode.REPEAT_LAST, RecoveryConfig(tolerance_ms=3.0, record_len=10)),
+            RecoveryPolicy(PolicyMode.DROP, RecoveryConfig(tolerance_ms=0.5)),
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_random_grids_equal_the_per_run_composition(self, pick_and_place_split, policies, monkeypatch, jobs):
+        _, test = pick_and_place_split
+        rng = np.random.default_rng(19 + jobs)
+        for _ in range(3):
+            n = int(rng.integers(40, 400))
+            start = int(rng.integers(0, len(test) - n + 1))
+            trace = test.slice(start, start + n)
+
+            def axis(values):
+                return tuple(rng.choice(values, size=int(rng.integers(1, 3)), replace=False).tolist())
+
+            grid = SweepGrid(probs=axis([0.0, 0.5, 0.9]), durations=axis([1.0, 8.0, 32.0]),
+                             robot_counts=axis([1, 5, 25]), repetitions=int(rng.integers(1, 4)),
+                             master_seed=int(rng.integers(0, 1000)))
+            template = ChannelConfig(transport_bound_ms=float(rng.choice([0.0, 6.0])),
+                                     queue_cap=int(rng.choice([1, 50])))
+            # below one cell's rows, so that every cell is a batch alone
+            monkeypatch.setattr(evaluation, "_BATCH_SLOTS", int(rng.integers(1, grid.repetitions * n)))
+            result = run_sweep(trace, grid, template, policies, jobs=jobs)
+            assert result.cells == per_run_sweep(trace, grid, template, policies)
+
+    def test_default_batches_equal_the_per_run_composition(self, pick_and_place_split, policies):
+        _, test = pick_and_place_split
+        trace = test.slice(0, 300)
+        grid = SweepGrid(probs=(0.0, 0.3, 0.9), durations=(2.0, 32.0), robot_counts=(5, 25),
+                         repetitions=3, master_seed=5)
+        result = run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0), policies)
+        assert result.cells == per_run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0), policies)
+
+    def test_a_run_with_no_executed_slot_fails_as_the_composition_does(self, pick_and_place_split, policies):
+        _, test = pick_and_place_split
+        trace = test.slice(0, 50)
+        template = ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=(0.0, 0.0, 1.0))
+        grid = SweepGrid(probs=(0.0,), durations=(1.0,), robot_counts=(1,), repetitions=2)
+        for policy in policies:
+            with pytest.raises(ConfigError) as batched:
+                run_sweep(trace, grid, template, [policy])
+            with pytest.raises(ConfigError) as composed:
+                per_run_sweep(trace, grid, template, [policy])
+            assert str(batched.value) == str(composed.value) == "stream has no executed commands"
 
 
 class TestNextRows:
@@ -1036,8 +1311,8 @@ class TestExecutedCsvWriter:
                 RecoveryPolicy(PolicyMode.REPEAT_LAST, cfg),
                 RecoveryPolicy(PolicyMode.DROP, cfg),
             ):
-                for stream, outcomes in zip(run_recoveries(trace, runs, policy), runs):
-                    self.assert_same_file(tmp_path, stream)
+                for outcomes in runs:
+                    self.assert_same_file(tmp_path, run_recovery(trace, outcomes, policy))
                     # and the same stream built by hand from its Commands
                     self.assert_same_file(tmp_path, per_slot_recovery(trace, outcomes, policy))
         assert all(count >= 3 for count in kinds.values()), kinds

@@ -13,7 +13,7 @@ from foreco import evaluation
 from foreco.evaluation import (
     SweepGrid,
     SweepResult,
-    _cell_config,
+    _cell_interference,
     _closed_loop_errors,
     _task_seed,
     controlled_loss_outcomes,
@@ -23,7 +23,7 @@ from foreco.evaluation import (
     run_sweep,
 )
 from foreco.forecasting import MaModel, fit_var_ols, predict
-from foreco.recovery import PolicyMode, RecoveryPolicy, run_recoveries, run_recovery
+from foreco.recovery import PolicyMode, RecoveryPolicy, run_recovery
 import foreco
 
 
@@ -135,7 +135,7 @@ class TestRunSweep:
         grid = tiny_grid()
         key = grid.cells()[3]
         seed = _task_seed(grid.master_seed, 3, 0)
-        cfg = _cell_config(ChannelConfig(seed=0), key, seed)
+        cfg = ChannelConfig(interference=_cell_interference(ChannelConfig(seed=0), key), seed=seed)
         assert simulate_channel(test, cfg) == simulate_channel(test, cfg)
 
     def test_lossless_cell_is_zero_for_both(self, pick_and_place_split, sweep_setup):
@@ -167,7 +167,8 @@ class TestRunSweep:
         result = run_sweep(test, grid, template, policies)
         for index, key in enumerate(grid.cells()):
             for rep in range(grid.repetitions):
-                cfg = _cell_config(template, key, _task_seed(grid.master_seed, index, rep))
+                cfg = replace(template, interference=_cell_interference(template, key),
+                              seed=_task_seed(grid.master_seed, index, rep))
                 outcomes = simulate_channel(test, cfg)
                 for policy in policies:
                     expected = rmse(run_recovery(test, outcomes, policy), test)
@@ -236,7 +237,7 @@ def per_cell_sweep(trace, grid, template, policies):
             state = np.random.SeedSequence([grid.master_seed, index, rep]).generate_state(1, dtype=np.uint64)
             runs.append(simulate_channel(trace, replace(template, interference=interference, seed=int(state[0]))))
         cells[(robots, prob, duration)] = {
-            policy.label: [rmse(stream, trace) for stream in run_recoveries(trace, runs, policy)]
+            policy.label: [rmse(run_recovery(trace, outcomes, policy), trace) for outcomes in runs]
             for policy in policies
         }
     return cells
