@@ -21,7 +21,6 @@ from .channel import (
     rtx_distribution,
     simulate_channel,
     verify_causality_prob,
-    verify_unbounded_delay,
 )
 from .core import (
     Command,
@@ -37,14 +36,12 @@ from .evaluation import (
     SweepResult,
     controlled_loss_outcomes,
     default_grid,
-    forecast_window_study,
     rmse,
     run_sweep,
 )
 from .forecasting import (
     AdamConfig,
     Forecaster,
-    MaModel,
     VarModel,
     aic,
     fit_var_adam,

@@ -331,12 +331,6 @@ def mean_delay_given_rtx(j: int, mac: MacParams) -> float:
     return float(mac.server_times()[j])
 
 
-def lost_frame_airtime(mac: MacParams) -> float:
-    """Server time consumed by a frame that fails all attempts before being
-    dropped: every attempt collides and every backoff stage is paid."""
-    return float(mac.server_times()[-1])
-
-
 def expected_delay_bound(cfg: ChannelConfig) -> tuple[float, float]:
     """Mean-delay bound for delivered commands and the probability it applies.
 
@@ -514,28 +508,6 @@ def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, fl
     first, second = draws[0::2], draws[1::2]
     hit = (first == second) & (first < cfg.mac.max_rtx)
     return analytic, float(np.mean(hit))
-
-
-def verify_unbounded_delay(
-    cfg: ChannelConfig, k_ms: float, n_samples: int
-) -> tuple[float, float]:
-    """Loss probability (closed form) next to the observed fraction of
-    commands whose delay exceeds k_ms in a queue run of n_samples commands.
-
-    Lost commands count as exceeding any threshold; delivered delays are
-    finite, so for thresholds beyond their range the observed fraction
-    converges on the loss probability (plus queue overflow when the waiting
-    room is small).
-    """
-    if n_samples < 10_000:
-        raise ConfigError("need at least 1e4 samples for a meaningful estimate")
-    probs = channel_rtx_probs(cfg)
-    analytic_loss = float(probs[-1])
-    period = cfg.period_ms
-    trace = Trace.from_joints(np.zeros((n_samples, 1)), period_ms=period)
-    outcomes = simulate_channel(trace, cfg)
-    exceed = np.count_nonzero(~outcomes.delivered | (outcomes.delay_ms > k_ms))
-    return analytic_loss, int(exceed) / n_samples
 
 
 # ---------------------------------------------------------------------------

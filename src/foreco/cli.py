@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +31,7 @@ from .channel import (
 )
 from .core import RecoveryConfig, checked_fields, checked_number, read_json, read_trace_csv, write_trace_csv
 from .errors import ConfigError, ForecoError
-from .evaluation import SweepGrid, rmse, run_sweep
+from .evaluation import MATERIAL_ERROR_FLOOR, SweepGrid, rmse, run_sweep
 from .forecasting import (
     BIAS_CORRECTIONS,
     AdamConfig,
@@ -165,18 +166,18 @@ def cmd_train(args) -> int:
         selection = select_lag(trace, args.max_lag)
         best_lag, curve = selection
         lags = list(range(1, args.max_lag + 1))
+        # Huge ratios overflow floats: likelihood_ratio warns and returns inf,
+        # which the report writes as "inf" to stay valid JSON.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ratios = [likelihood_ratio(curve[i], curve[i + 1], trace.dim) for i in range(len(lags) - 1)]
         report.update(
             best_lag=best_lag,
             lags=lags,
             aic=curve,
             likelihood_ratios=[
-                {
-                    "from_lag": lags[i],
-                    "to_lag": lags[i + 1],
-                    # huge ratios overflow floats; keep the report valid JSON
-                    "ratio": _json_float(likelihood_ratio(curve[i], curve[i + 1], trace.dim)),
-                }
-                for i in range(len(lags) - 1)
+                {"from_lag": lags[i], "to_lag": lags[i + 1], "ratio": _json_float(ratio)}
+                for i, ratio in enumerate(ratios)
             ],
         )
         lag = best_lag
@@ -354,7 +355,7 @@ def cmd_sweep(args) -> int:
     manifest.write(out_dir / "manifest.json")
 
     if "forecast" in policy_names and "repeat-last" in policy_names:
-        ratio = result.worst_cell_ratio("forecast", "repeat-last")
+        ratio = result.worst_cell_ratio("forecast", "repeat-last", min_denominator=MATERIAL_ERROR_FLOOR)
         print(f"sweep done: worst-cell forecast/repeat-last mean-RMSE ratio = {ratio:.4f}")
     else:
         print("sweep done")

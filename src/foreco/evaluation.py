@@ -1,4 +1,4 @@
-"""Trajectory-error metrics, the interference sweep, and forecast-window study.
+"""Trajectory-error metrics, controlled loss bursts and the interference sweep.
 
 The sweep crosses interferer probability, interferer duration, and station
 count; every cell runs the channel simulation a fixed number of times and
@@ -29,9 +29,8 @@ from .channel import (  # noqa: F401
     simulate_channel,
     simulate_channels,
 )
-from .core import Trace, checked_fields, checked_number, checked_numbers
+from .core import Trace
 from .errors import ConfigError
-from .forecasting import MaModel, VarModel, fit_var_ols
 from .recovery import ExecutedStream, RecoveryPolicy, on_time_mask, run_recoveries, run_recovery  # noqa: F401
 
 CellKey = tuple[int, float, float]  # (robot count, interferer prob, duration slots)
@@ -141,6 +140,12 @@ def default_grid(
     )
 
 
+# A cell whose baseline mean error is at or below this (rad) carries no
+# material loss: both policies sit at the noise floor, and their quotient is a
+# 0/0 artifact that the worst-cell ratio should skip.
+MATERIAL_ERROR_FLOOR = 1e-3
+
+
 @dataclass
 class SweepResult:
     grid: SweepGrid
@@ -194,33 +199,6 @@ class SweepResult:
                 for key in self.grid.cells()
             ],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SweepResult":
-        """The result a to_dict document describes; a missing or unknown key
-        or a value of the wrong type raises ConfigError naming the field."""
-        (grid,) = checked_fields(doc, "", SweepGrid, extra=("policies", "cells"))
-        policies, cell_docs = doc.get("policies"), doc.get("cells")
-        if not isinstance(policies, list) or not all(isinstance(p, str) for p in policies):
-            raise ConfigError(f"policies: expected a list of names, got {policies!r}")
-        if not isinstance(cell_docs, list):
-            raise ConfigError(f"cells: expected a list, got {cell_docs!r}")
-        cells = {}
-        for k, cell in enumerate(cell_docs):
-            name = f"cells[{k}]"
-            if not isinstance(cell, dict) or not isinstance(cell.get("rmse"), dict):
-                raise ConfigError(f"{name}: expected an object with an rmse object, got {cell!r}")
-            key = (
-                checked_number(cell.get("robots"), f"{name}.robots", integer=True),
-                checked_number(cell.get("prob"), f"{name}.prob"),
-                checked_number(cell.get("duration"), f"{name}.duration"),
-            )
-            cells[key] = {
-                policy: list(checked_numbers(entry.get("values") if isinstance(entry, dict) else None,
-                                             f"{name}.rmse.{policy}.values"))
-                for policy, entry in cell["rmse"].items()
-            }
-        return cls(SweepGrid(**grid), tuple(policies), cells)
 
     def write_matrices(self, out_dir: str | Path) -> list[Path]:
         """One CSV per (policy, robot count): mean error with interferer
@@ -371,78 +349,3 @@ def run_sweep(
     else:
         results = [_run_cells(*ctx, indices) for indices in batches]
     return SweepResult(grid, tuple(labels), dict(zip(cells, itertools.chain.from_iterable(results))))
-
-
-# ---------------------------------------------------------------------------
-# Forecast-window accuracy study
-
-def _closed_loop_errors(
-    model: VarModel | MaModel, values: np.ndarray, window_max: int, stride: int
-) -> np.ndarray:
-    """Squared per-step distances of closed-loop forecasts.
-
-    For every anchor (a true sample index), forecasts run window_max steps
-    feeding on themselves; entry [a, s] is the squared distance at horizon
-    s+1. Returns an (anchors, window_max) array.
-    """
-    hist_len = model.min_history
-    n = len(values)
-    first = hist_len - 1
-    last = n - 1 - window_max
-    if last < first:
-        raise ConfigError("test trace too short for the requested window")
-    anchors = np.arange(first, last + 1, stride)
-    recent = values[anchors[:, None] + np.arange(1 - hist_len, 1)]
-    errors = np.empty((len(anchors), window_max))
-    for s in range(window_max):
-        pred = model.next_rows(recent)
-        diff = pred - values[anchors + 1 + s]
-        # One dot product per anchor, as diff @ diff rounds it; a sum over
-        # axis 1 rounds differently.
-        errors[:, s] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        recent = np.concatenate([recent[:, 1:], pred[:, None]], axis=1)
-    return errors
-
-
-def forecast_window_study(
-    train: Trace,
-    test: Trace,
-    window_max: int,
-    models: Sequence[str] = ("var", "ma"),
-    record_candidates: Sequence[int] = tuple(range(1, 21)),
-    stride: int | None = None,
-) -> dict:
-    """Closed-loop forecast accuracy versus forecast-window length.
-
-    For each model family the history-record length is scanned over
-    record_candidates and the best performer (lowest error pooled over all
-    horizons) is reported together with its error curve: entry w-1 is the
-    RMSE pooled over horizons 1..w.
-    """
-    if window_max < 1:
-        raise ConfigError("window_max must be >= 1")
-    values = test.joints_matrix()
-    if stride is None:
-        stride = max(1, (len(values) - window_max) // 400)
-    study: dict[str, dict] = {}
-    for name in models:
-        if name not in ("var", "ma"):
-            raise ConfigError(f"unknown model family {name!r}")
-        best_record = None
-        best_metric = math.inf
-        best_curve: list[float] = []
-        scan: dict[int, float] = {}
-        for record in record_candidates:
-            if name == "var":
-                model = fit_var_ols(train, record)
-            else:
-                model = MaModel(train.dim, record)
-            errors = _closed_loop_errors(model, values, window_max, stride)
-            curve = [float(np.sqrt(errors[:, :w].mean())) for w in range(1, window_max + 1)]
-            scan[record] = curve[-1]
-            if curve[-1] < best_metric:
-                best_metric = curve[-1]
-                best_record = record
-                best_curve = curve
-        study[name] = {"best_record": best_record, "curve": best_curve, "by_record": scan}
-    return study

@@ -1,9 +1,9 @@
 """Multivariate forecasters for joint-command streams.
 
-Two model families: a vector autoregression (bias + one coefficient matrix per
-lag) trained either by ordinary least squares or by Adam gradient descent, and
-a moving-average baseline. Lag-order selection uses an information criterion
-computed from the Gaussian likelihood of one-step residuals.
+A vector autoregression (bias + one coefficient matrix per lag) trained
+either by ordinary least squares or by Adam gradient descent. Lag-order
+selection uses an information criterion computed from the Gaussian likelihood
+of one-step residuals.
 """
 
 from __future__ import annotations
@@ -43,25 +43,13 @@ class Forecaster(Protocol):
     period after them. A model may instead have only predict_next(history,
     period_ms), returning the Command one period after history[-1]
     (Commands, oldest first); run_recovery then reaches it through predict.
-    VarModel and MaModel have both.
+    VarModel has both.
     """
 
     dim: int
     min_history: int
 
     def next_rows(self, records: np.ndarray) -> np.ndarray: ...
-
-
-def _forecast_command(model, history: Sequence[Command], period_ms: float) -> Command:
-    """predict_next for models with an array step next_rows(records) -> rows."""
-    record = np.array([c.joints for c in history[-model.min_history:]])
-    last = history[-1]
-    return Command(
-        seq=last.seq + 1,
-        joints=tuple(model.next_rows(record[None])[0].tolist()),
-        gen_time_us=last.gen_time_us + ms_to_us(period_ms),
-        provenance=Provenance.FORECAST,
-    )
 
 
 @dataclass(frozen=True)
@@ -120,29 +108,17 @@ class VarModel:
         x = records[:, ::-1][:, : self.lag].reshape(len(records), self.lag * self.dim)
         return self.bias + (self.stacked @ x[:, :, None])[:, :, 0]
 
-    predict_next = _forecast_command
-
-
-@dataclass(frozen=True)
-class MaModel:
-    """Moving-average baseline: the mean of the last `window` commands."""
-
-    dim: int
-    window: int
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-
-    @property
-    def min_history(self) -> int:
-        return self.window
-
-    def next_rows(self, records: np.ndarray) -> np.ndarray:
-        """The mean of the last `window` rows of each record of an (n, m, d) array."""
-        return records[:, -self.window:].mean(axis=1)
-
-    predict_next = _forecast_command
+    def predict_next(self, history: Sequence[Command], period_ms: float) -> Command:
+        """The forecast Command one period after history[-1] (Commands,
+        oldest first), from next_rows on the last min_history rows."""
+        record = np.array([c.joints for c in history[-self.min_history:]])
+        last = history[-1]
+        return Command(
+            seq=last.seq + 1,
+            joints=tuple(self.next_rows(record[None])[0].tolist()),
+            gen_time_us=last.gen_time_us + ms_to_us(period_ms),
+            provenance=Provenance.FORECAST,
+        )
 
 
 @dataclass(frozen=True)
@@ -343,26 +319,22 @@ def predict(model: Forecaster, history: Sequence[Command], period_ms: float | No
     return model.predict_next(history, us_to_ms(period_us))
 
 
-def one_step_residuals(model: VarModel, data: Trace) -> np.ndarray:
-    """Open-loop one-step prediction errors of the model over a trace."""
-    if model.dim != data.dim:
-        raise ConfigError(f"model dim {model.dim} != trace dim {data.dim}")
-    if len(data) <= model.lag:
-        raise InsufficientData(f"trace length {len(data)} must exceed lag {model.lag}")
-    x, y = lagged_design(data.joints_matrix(), model.lag)
-    pred = model.bias + x[:, 1:] @ model.stacked.T
-    return y - pred
-
-
 def aic(model: VarModel, data: Trace) -> float:
-    """Information criterion 2*p - logL over one-step residuals.
+    """Information criterion 2*p - logL over the model's open-loop one-step
+    prediction errors on a trace.
 
     p counts d^2 per lag; logL is the Gaussian log-likelihood of the residuals
     under the model's training residual covariance.
     """
-    resid = one_step_residuals(model, data)
+    if model.dim != data.dim:
+        raise ConfigError(f"model dim {model.dim} != trace dim {data.dim}")
+    if len(data) <= model.lag:
+        raise InsufficientData(f"trace length {len(data)} must exceed lag {model.lag}")
+    values = data.joints_matrix()
+    x, y = lagged_design(values, model.lag)
+    resid = y - (model.bias + x[:, 1:] @ model.stacked.T)
     n, d = resid.shape
-    chol = _checked_cholesky(model.residual_cov, _data_scale(data.joints_matrix()))
+    chol = _checked_cholesky(model.residual_cov, _data_scale(values))
     # Solve L z = e^T once for the whole block; quad form = sum z^2.
     z = np.linalg.solve(chol, resid.T)
     quad = float(np.sum(z * z))

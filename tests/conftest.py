@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from foreco.core import Trace
+from foreco.core import Command, Provenance, Trace, ms_to_us
 
 
 def make_var_system(d: int, lag: int, seed: int, rho: float = 0.9):
@@ -78,6 +78,25 @@ def rotation_trace(n: int, theta: float, amp: float, period_ms: float = 20.0) ->
 def rotation_matrix(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+class WindowMean:
+    """A moving-average forecaster: the mean of the last `window` rows. It
+    has an array step but is not a VAR, and its min_history is its window,
+    not a lag."""
+
+    def __init__(self, dim: int, window: int):
+        self.dim = dim
+        self.min_history = window
+
+    def next_rows(self, records: np.ndarray) -> np.ndarray:
+        return records[:, -self.min_history:].mean(axis=1)
+
+    def predict_next(self, history, period_ms: float) -> Command:
+        last = history[-1]
+        record = np.array([c.joints for c in history[-self.min_history:]])
+        return Command(last.seq + 1, tuple(self.next_rows(record[None])[0].tolist()),
+                       last.gen_time_us + ms_to_us(period_ms), provenance=Provenance.FORECAST)
 
 
 @pytest.fixture(scope="session")

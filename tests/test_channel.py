@@ -20,13 +20,11 @@ from foreco.channel import (
     channel_rtx_probs,
     expected_delay_bound,
     load_channel_config,
-    lost_frame_airtime,
     mean_delay_given_rtx,
     rtx_distribution,
     save_channel_config,
     simulate_channel,
     verify_causality_prob,
-    verify_unbounded_delay,
     write_outcomes_csv,
 )
 from foreco.core import Trace
@@ -35,6 +33,17 @@ from foreco.errors import AlwaysLost, ConfigError, OutOfRange
 
 def flat_trace(n: int, period_ms: float = 20.0) -> Trace:
     return Trace.from_joints(np.zeros((n, 1)), period_ms)
+
+
+def loss_and_exceedance(cfg: ChannelConfig, k_ms: float, n_samples: int) -> tuple[float, float]:
+    """The loss probability in closed form next to the observed fraction of
+    commands whose delay exceeds k_ms in one queue run of n_samples commands.
+    A lost command exceeds any threshold, so for a k_ms beyond every
+    delivered delay the fraction converges on the loss probability (plus
+    queue overflow when the waiting room is small)."""
+    outcomes = simulate_channel(flat_trace(n_samples, cfg.period_ms), cfg)
+    exceed = np.count_nonzero(~outcomes.delivered | (outcomes.delay_ms > k_ms))
+    return float(channel_rtx_probs(cfg)[-1]), int(exceed) / n_samples
 
 
 def quiet_config(**kwargs) -> ChannelConfig:
@@ -165,7 +174,7 @@ class TestServerTimes:
         lost = mac.max_rtx * mac.t_col_ms + mac.slot_ms * backoff(mac.max_rtx)
         assert mac.server_times().tolist() == delivered + [lost]
         assert [mean_delay_given_rtx(j, mac) for j in range(mac.max_rtx)] == delivered
-        assert lost_frame_airtime(mac) == lost
+        assert mac.server_times()[-1] == lost
 
     def test_window_doubles_up_to_the_cap(self):
         mac = MacParams(w0=16, max_window_exp=3)
@@ -195,7 +204,8 @@ class TestServerTimes:
         mac = MacParams(max_rtx=4000)
         times = mac.server_times()
         assert len(times) == 4001 and np.all(np.diff(times[:-1]) > 0)
-        assert times[-1] == lost_frame_airtime(mac)
+        backoff = sum((mac.window(k) - 1) / 2.0 for k in range(mac.max_rtx))
+        assert times[-1] == mac.max_rtx * mac.t_col_ms + mac.slot_ms * backoff
 
 
 class TestExpectedDelayBound:
@@ -322,7 +332,7 @@ class TestVerifiers:
         assert abs(empirical - analytic) < 3 * sigma
 
     def test_unbounded_delay_lossless(self):
-        analytic, empirical = verify_unbounded_delay(quiet_config(queue_cap=10**6), 1e6, 20_000)
+        analytic, empirical = loss_and_exceedance(quiet_config(queue_cap=10**6), 1e6, 20_000)
         assert analytic == 0.0
         assert empirical == 0.0
 
@@ -330,7 +340,7 @@ class TestVerifiers:
         mac = MacParams(max_rtx=3)
         cfg = ChannelConfig(mac=mac, rtx_probs=(0.5, 0.25, 0.125, 0.125),
                             queue_cap=10**6, seed=12)
-        analytic, empirical = verify_unbounded_delay(cfg, 1e6, 100_000)
+        analytic, empirical = loss_and_exceedance(cfg, 1e6, 100_000)
         assert analytic == pytest.approx(0.125)
         sigma = math.sqrt(analytic * (1 - analytic) / 100_000)
         assert empirical >= analytic - 3 * sigma
@@ -342,7 +352,7 @@ class TestVerifiers:
             queue_cap=10**6,
             seed=13,
         )
-        _, empirical = verify_unbounded_delay(cfg, 1e9, 50_000)
+        _, empirical = loss_and_exceedance(cfg, 1e9, 50_000)
         assert empirical > 0.0
 
     def test_sample_floor_enforced(self):
@@ -416,7 +426,7 @@ class TestChannelFiles:
 
     def test_lost_airtime_exceeds_worst_delivery_backoff(self):
         mac = MacParams()
-        assert lost_frame_airtime(mac) > mean_delay_given_rtx(mac.max_rtx - 1, mac) - mac.t_s_ms
+        assert mac.server_times()[-1] > mean_delay_given_rtx(mac.max_rtx - 1, mac) - mac.t_s_ms
 
 
 class TestChannelOutcomes:
@@ -525,7 +535,7 @@ class TestChannelOutcomes:
         cfg = ChannelConfig(
             interference=InterferenceParams(p_if=0.7, t_if_slots=16.0, n_stations=20), seed=4
         )
-        _, observed = verify_unbounded_delay(cfg, 5.0, 10_000)
+        _, observed = loss_and_exceedance(cfg, 5.0, 10_000)
         outcomes = simulate_channel(flat_trace(10_000), cfg)
         exceed = sum(1 for o in outcomes if not o.delivered or o.delay_ms > 5.0)
         assert observed == exceed / 10_000

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -124,6 +125,17 @@ class TestTrain:
         assert report["lags"] == [3]
         manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
         assert str(model_path) in manifest["outputs"]
+
+    def test_overflowing_ratios_are_written_as_inf_without_a_warning(self, trace_csv, tmp_path):
+        model_path = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--trace", str(trace_csv), "--lag", "auto", "--max-lag", "4",
+                       "--out", str(model_path)])
+        assert rc == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        report = json.loads((tmp_path / "m.json.aic.json").read_text())
+        assert "inf" in [entry["ratio"] for entry in report["likelihood_ratios"]]
 
     def test_source_date_epoch_pins_trained_at(self, trace_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -506,6 +518,27 @@ class TestSweepCli:
         assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
                      "--out-dir", str(tmp_path / "sw")]) == 0
         assert [(p.label, p.cfg.record_len) for p in seen] == [("forecast", 25), ("repeat-last", 25)]
+
+    def test_printed_worst_cell_skips_cells_below_the_error_floor(self, sweep_inputs, tmp_path, capsys):
+        trace_csv, spec = sweep_inputs
+        # At master seed 9 the (0.2, 1.0) cell loses a few commands: its
+        # repeat-last error is positive but below 1e-3, and its forecast /
+        # repeat-last ratio is above the material cell's.
+        doc = json.loads(spec.read_text())
+        doc.update(probs=[0.2, 0.8], durations=[1.0, 16.0], master_seed=9)
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec),
+                     "--jobs", "1", "--out-dir", str(out_dir)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        ratios = {}
+        for cell in json.loads((out_dir / "sweep_result.json").read_text())["cells"]:
+            baseline = cell["rmse"]["repeat-last"]["mean"]
+            if baseline > 0.0:
+                ratios[cell["rmse"]["forecast"]["mean"] / baseline] = baseline
+        floored = max(ratio for ratio, baseline in ratios.items() if baseline > 1e-3)
+        assert f"{max(ratios):.4f}" != f"{floored:.4f}"
+        assert printed == f"sweep done: worst-cell forecast/repeat-last mean-RMSE ratio = {floored:.4f}"
 
     def test_rerun_reproduces_results(self, sweep_inputs, tmp_path):
         trace_csv, spec = sweep_inputs

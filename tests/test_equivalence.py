@@ -5,7 +5,7 @@ its attempt-count draws against Generator.choice, the batched
 simulate_channels against each run alone, the batched run_recoveries
 against the per-slot loop, the sweep's batch scoring against rmse and the
 sweep against the per-run composition of the public functions, the batched
-next_rows and window study against their per-row forms, and the array CSV
+next_rows against its per-row form, and the array CSV
 reader and writers against their per-cell and per-Command forms, all kept
 below as references. Every comparison is exact: no tolerance.
 """
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import WindowMean
 from foreco import channel, evaluation, recovery
 from foreco.channel import (
     DELIVERED,
@@ -46,7 +47,7 @@ from foreco.core import (
 )
 from foreco.errors import ConfigError, InvalidTrace
 from foreco.evaluation import SweepGrid, rmse, run_sweep
-from foreco.forecasting import MaModel, VarModel, fit_var_ols, predict
+from foreco.forecasting import VarModel, fit_var_ols, predict
 from foreco.recovery import (
     ExecutedCommands,
     ExecutedStream,
@@ -512,7 +513,7 @@ class TestBulkRecovery:
     def test_random_cases_equal_the_per_slot_loop(self):
         rng = np.random.default_rng(7)
         train = smooth_trace(rng, 800, 3)
-        models = [fit_var_ols(train, lag) for lag in (1, 3, 8)] + [MaModel(3, 4), WholeRecordMean()]
+        models = [fit_var_ols(train, lag) for lag in (1, 3, 8)] + [WindowMean(3, 4), WholeRecordMean()]
         limits = step_limit_from_trace(train, margin=1.2)
         for case in range(60):
             trace = smooth_trace(rng, int(rng.integers(40, 400)), 3)
@@ -592,7 +593,7 @@ class TestBatchedRecovery:
     def test_random_batches_equal_the_per_slot_loop(self):
         rng = np.random.default_rng(10)
         train = smooth_trace(rng, 800, 3)
-        models = [fit_var_ols(train, lag) for lag in (1, 3, 8, 20)] + [MaModel(3, 5), WholeRecordMean()]
+        models = [fit_var_ols(train, lag) for lag in (1, 3, 8, 20)] + [WindowMean(3, 5), WholeRecordMean()]
         limits = step_limit_from_trace(train, margin=1.2)
         kinds = {"all lost": 0, "loss free": 0, "leading loss": 0}
         for case in range(36):
@@ -640,7 +641,7 @@ class TestBatchedRecovery:
             spaced_losses(trace, 45, [record_len + extra, 1, record_len + extra, 2]),
             random_outcomes(rng, trace, trace.period_ms),
         ]
-        for model in (fit_var_ols(train, record_len), MaModel(3, record_len), WholeRecordMean()):
+        for model in (fit_var_ols(train, record_len), WindowMean(3, record_len), WholeRecordMean()):
             policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model)
             joints, codes, counts = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
             for outcomes, *arrays in zip(runs, joints, codes, counts):
@@ -677,7 +678,7 @@ class TestBatchScoring:
     def test_random_runs_equal_rmse(self):
         rng = np.random.default_rng(17)
         train = smooth_trace(rng, 800, 3)
-        models = [fit_var_ols(train, lag) for lag in (1, 4, 12)] + [MaModel(3, 3)]
+        models = [fit_var_ols(train, lag) for lag in (1, 4, 12)] + [WindowMean(3, 3)]
         seen = {"leading drop": 0, "dropped inside": 0, "tolerance": 0, "no executed slot": 0}
         for case in range(40):
             trace = smooth_trace(rng, int(rng.integers(30, 300)), 3)
@@ -807,40 +808,6 @@ class TestNextRows:
         assert got.shape == (n, dim)
         assert np.array_equal(got, np.array(expected))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 40, 200])
-    @pytest.mark.parametrize("window, dim", [(1, 3), (4, 6), (17, 6), (17, 1)])
-    def test_ma_rows_are_the_per_row_mean(self, n, window, dim):
-        rng = np.random.default_rng(window * 1000 + n)
-        records = rng.normal(size=(n, window + 2, dim))
-        got = MaModel(dim, window).next_rows(records)
-        assert np.array_equal(got, np.array([record[-window:].mean(axis=0) for record in records]))
-
-
-def per_anchor_errors(model, values: np.ndarray, window_max: int, stride: int) -> np.ndarray:
-    """The window study's closed loop one anchor at a time, kept as the
-    reference for the batched _closed_loop_errors."""
-    hist_len = model.min_history
-    anchors = range(hist_len - 1, len(values) - window_max, stride)
-    errors = np.empty((len(anchors), window_max))
-    for row, a in enumerate(anchors):
-        recent = values[a - hist_len + 1 : a + 1].copy()
-        for s in range(window_max):
-            pred = model.next_rows(recent[None])[0]
-            diff = pred - values[a + 1 + s]
-            errors[row, s] = float(diff @ diff)
-            recent = np.vstack([recent[1:], pred])
-    return errors
-
-
-class TestWindowStudy:
-    @pytest.mark.parametrize("family, record", [("var", 5), ("var", 20), ("ma", 4), ("ma", 17)])
-    def test_batched_anchors_equal_the_per_anchor_loop(self, pick_and_place_split, family, record):
-        train, test = pick_and_place_split
-        model = fit_var_ols(train, record) if family == "var" else MaModel(train.dim, record)
-        values = test.joints_matrix()[:400]
-        got = evaluation._closed_loop_errors(model, values, 12, 3)
-        assert np.array_equal(got, per_anchor_errors(model, values, 12, 3))
-
 
 class TestCommandsView:
     """A recovered stream's commands are built from its arrays on access."""
@@ -924,7 +891,7 @@ class TestForecastStep:
 
         monkeypatch.setattr(recovery, "predict", refuse)
         rng = np.random.default_rng(6)
-        for model in (fit_var_ols(smooth_trace(rng, 500, 3), 4), MaModel(3, 5)):
+        for model in (fit_var_ols(smooth_trace(rng, 500, 3), 4), WindowMean(3, 5)):
             trace, outcomes, policy = self.case(model)
             stream = run_recovery(trace, outcomes, policy)
             assert stream.stats.forecast >= 20
@@ -989,7 +956,7 @@ class TestCachedJoints:
         outcomes = random_outcomes(np.random.default_rng(11), trace, trace.period_ms)
         outcomes[0] = ChannelOutcome.loss(trace.seq0, LossCause.QUEUE_OVERFLOW)
         outcomes[1] = ChannelOutcome.delivery(trace.seq0 + 1, 0.0, 0, 0.0)
-        model = MaModel(3, 2) if mode is PolicyMode.FORECAST else None
+        model = WindowMean(3, 2) if mode is PolicyMode.FORECAST else None
         return run_recovery(trace, outcomes, RecoveryPolicy(mode, model=model))
 
     @pytest.mark.parametrize("mode", [PolicyMode.DROP, PolicyMode.REPEAT_LAST])
@@ -1295,7 +1262,7 @@ class TestExecutedCsvWriter:
     def test_random_runs_write_byte_equal(self, tmp_path):
         rng = np.random.default_rng(25)
         train = smooth_trace(rng, 800, 3)
-        models = [fit_var_ols(train, lag) for lag in (1, 5)] + [MaModel(3, 4), WholeRecordMean()]
+        models = [fit_var_ols(train, lag) for lag in (1, 5)] + [WindowMean(3, 4), WholeRecordMean()]
         kinds = {"all lost": 0, "leading loss": 0}
         for case in range(40):
             trace = smooth_trace(rng, int(rng.integers(40, 300)), 3)

@@ -1,28 +1,24 @@
-"""Error metric, interference sweep, and forecast-window study."""
+"""Error metric, controlled loss bursts and the interference sweep."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from foreco.channel import ChannelConfig, simulate_channel
-from foreco.core import Command, RecoveryConfig, Trace
+from foreco.core import RecoveryConfig, Trace
 from foreco.errors import ConfigError
 from foreco import evaluation
 from foreco.evaluation import (
     SweepGrid,
-    SweepResult,
     _cell_interference,
-    _closed_loop_errors,
     _task_seed,
     controlled_loss_outcomes,
     default_grid,
-    forecast_window_study,
     rmse,
     run_sweep,
 )
-from foreco.forecasting import MaModel, fit_var_ols, predict
+from foreco.forecasting import fit_var_ols
 from foreco.recovery import PolicyMode, RecoveryPolicy, run_recovery
 import foreco
 
@@ -343,33 +339,6 @@ class TestSweepBatches:
 
 
 class TestSweepResultFiles:
-    def test_json_round_trip(self, sweep_setup, tmp_path):
-        test, policies = sweep_setup
-        result = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies)
-        doc = result.to_dict()
-        back = SweepResult.from_dict(doc)
-        assert back.cells == result.cells
-        assert back.grid == result.grid
-
-    @pytest.mark.parametrize("field, change", [
-        pytest.param("probs", lambda doc: doc.clear(), id="probs"),
-        pytest.param("master_seed", lambda doc: doc.update(master_seed=0.5), id="master_seed"),
-        pytest.param("extra", lambda doc: doc.update(extra=1), id="extra"),
-        pytest.param("policies", lambda doc: doc.pop("policies"), id="policies"),
-        pytest.param("cells[0]", lambda doc: doc.update(cells=[1]), id="cells[0]"),
-        pytest.param("cells", lambda doc: doc.update(cells={}), id="cells"),
-        pytest.param("cells[0].prob", lambda doc: doc["cells"][0].pop("prob"), id="cells[0].prob"),
-        pytest.param("cells[0].rmse.forecast.values", lambda doc: doc["cells"][0]["rmse"].update(forecast=[0.1]),
-                     id="cells[0].rmse.forecast.values"),
-        pytest.param("axis probs", lambda doc: doc["probs"].append(doc["probs"][0]), id="probs-repeated"),
-    ])
-    def test_malformed_document_raises_config_error(self, sweep_setup, field, change):
-        test, policies = sweep_setup
-        doc = run_sweep(test, tiny_grid(reps=1), ChannelConfig(seed=0), policies).to_dict()
-        change(doc)
-        with pytest.raises(ConfigError, match=re.escape(field)):
-            SweepResult.from_dict(doc)
-
     def test_matrix_files(self, sweep_setup, tmp_path):
         test, policies = sweep_setup
         result = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies)
@@ -414,55 +383,3 @@ class TestDefaultGrid:
         axes[axis] += axes[axis][-1:]
         with pytest.raises(ConfigError, match=f"axis {axis} must be non-empty with distinct values"):
             SweepGrid(**axes)
-
-
-class TestForecastWindowStudy:
-    def test_var_beats_ma_and_curves_grow(self, pick_and_place_split):
-        train, test = pick_and_place_split
-        study = forecast_window_study(train, test, window_max=8,
-                                      record_candidates=(1, 2, 4, 8))
-        var_curve = study["var"]["curve"]
-        ma_curve = study["ma"]["curve"]
-        assert len(var_curve) == 8
-        assert var_curve[0] <= ma_curve[0]
-        assert var_curve[-1] <= ma_curve[-1]
-        for curve in (var_curve, ma_curve):
-            assert all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
-        assert study["var"]["best_record"] in (1, 2, 4, 8)
-        assert set(study["var"]["by_record"]) == {1, 2, 4, 8}
-
-    def test_perfect_model_scores_zero_at_window_one(self):
-        # on exactly linear data the fitted model is the true system, so the
-        # one-step error is at machine precision
-        from conftest import rotation_trace
-
-        tr = rotation_trace(600, 0.37, amp=1.0)
-        train, test = tr.slice(0, 400), tr.slice(400, 600)
-        study = forecast_window_study(train, test, window_max=3,
-                                      models=("var",), record_candidates=(1,))
-        assert study["var"]["curve"][0] < 1e-9
-
-    @pytest.mark.parametrize("family, record", [("var", 1), ("var", 5), ("var", 20), ("ma", 4)])
-    def test_array_step_matches_predict_over_commands(self, pick_and_place_split, family, record):
-        # slow reference: feed closed-loop forecasts back as Command histories
-        train, test = pick_and_place_split
-        model = fit_var_ols(train, record) if family == "var" else MaModel(train.dim, record)
-        values = test.joints_matrix()[:200]
-        window_max, stride = 6, 7
-        got = _closed_loop_errors(model, values, window_max, stride)
-        anchors = range(model.min_history - 1, len(values) - window_max, stride)
-        expected = np.empty((len(anchors), window_max))
-        for row, a in enumerate(anchors):
-            history = [Command.at(i, values[i], gen_time_ms=20.0 * i)
-                       for i in range(a - model.min_history + 1, a + 1)]
-            for s in range(window_max):
-                nxt = predict(model, history, period_ms=20.0)
-                diff = np.array(nxt.joints) - values[a + 1 + s]
-                expected[row, s] = float(diff @ diff)
-                history = history[1:] + [nxt]
-        assert np.array_equal(got, expected)
-
-    def test_unknown_family_rejected(self, pick_and_place_split):
-        train, test = pick_and_place_split
-        with pytest.raises(ConfigError):
-            forecast_window_study(train, test, 2, models=("lstm",))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    WindowMean,
     lag_dominant_trace,
     rotation_matrix,
     rotation_trace,
@@ -23,7 +24,6 @@ from foreco.errors import (
 )
 from foreco.forecasting import (
     AdamConfig,
-    MaModel,
     VarModel,
     aic,
     fit_var_adam,
@@ -183,7 +183,7 @@ class TestPredict:
     def test_ma_of_constant_history_is_the_constant(self):
         v = (0.3, -0.1, 0.7)
         hist = self.history([v] * 4)
-        out = predict(MaModel(3, 4), hist)
+        out = predict(WindowMean(3, 4), hist)
         assert out.joints == pytest.approx(v)
 
     def test_identity_var_repeats_previous_command(self):
@@ -195,7 +195,7 @@ class TestPredict:
 
     def test_metadata_of_forecast(self):
         hist = self.history([(0.0,)] * 3, period_ms=20.0)
-        out = predict(MaModel(1, 2), hist)
+        out = predict(WindowMean(1, 2), hist)
         assert out.provenance is Provenance.FORECAST
         assert out.seq == hist[-1].seq + 1
         assert out.gen_time_us == hist[-1].gen_time_us + 20_000
@@ -203,20 +203,20 @@ class TestPredict:
     def test_period_inference_needs_two_commands(self):
         hist = self.history([(0.0,)])
         with pytest.raises(ConfigError):
-            predict(MaModel(1, 1), hist)
-        out = predict(MaModel(1, 1), hist, period_ms=20.0)
+            predict(WindowMean(1, 1), hist)
+        out = predict(WindowMean(1, 1), hist, period_ms=20.0)
         assert out.gen_time_us == 20_000
 
     def test_short_history_rejected(self):
         hist = self.history([(0.0, 0.0)] * 2)
         with pytest.raises(InsufficientHistory):
-            predict(MaModel(2, 5), hist)
+            predict(WindowMean(2, 5), hist)
 
     def test_var_closed_loop_beats_ma_on_rotation(self):
         # lag 1 is the complete model here; deeper lags are exactly collinear
         tr = rotation_trace(500, 0.3, amp=1.0)
         var = fit_var_ols(tr, 1)
-        ma = MaModel(2, 4)
+        ma = WindowMean(2, 4)
         values = tr.joints_matrix()
         errs = {}
         for name, model in (("var", var), ("ma", ma)):
@@ -291,6 +291,11 @@ class TestAic:
         other, _ = var_trace(3, 1, 200, seed=3)
         with pytest.raises(ConfigError):
             aic(fit_var_ols(tr, 1), other)
+
+    def test_trace_no_longer_than_the_lag_rejected(self):
+        tr, _ = var_trace(2, 3, 200, seed=3)
+        with pytest.raises(InsufficientData, match="trace length 3 must exceed lag 3"):
+            aic(fit_var_ols(tr, 3), tr.slice(0, 3))
 
 
 class TestLikelihoodRatio:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import rotation_trace
+from conftest import WindowMean, rotation_trace
 from foreco.channel import ChannelOutcome, LossCause
 from foreco.core import Command, Provenance, RecoveryConfig, Trace
 from foreco.errors import ConfigError
 from foreco.evaluation import controlled_loss_outcomes, rmse
-from foreco.forecasting import MaModel, fit_var_ols
+from foreco.forecasting import fit_var_ols
 from foreco.recovery import (
     PolicyMode,
     RecoveryPolicy,
@@ -308,7 +308,7 @@ class TestStepLimit:
     def test_on_time_commands_never_limited(self):
         tr = rotation_trace(50, 1.5, amp=2.0)  # large genuine steps
         policy = RecoveryPolicy(
-            PolicyMode.FORECAST, RecoveryConfig(), MaModel(2, 2),
+            PolicyMode.FORECAST, RecoveryConfig(), WindowMean(2, 2),
             max_step_per_joint=(1e-6, 1e-6),
         )
         stream = run_recovery(tr, all_on_time(tr), policy)
