@@ -356,7 +356,10 @@ def cmd_sweep(args) -> int:
 
     if "forecast" in policy_names and "repeat-last" in policy_names:
         ratio = result.worst_cell_ratio("forecast", "repeat-last", min_denominator=MATERIAL_ERROR_FLOOR)
-        print(f"sweep done: worst-cell forecast/repeat-last mean-RMSE ratio = {ratio:.4f}")
+        if ratio is None:
+            print(f"sweep done: no cell has a repeat-last mean RMSE above the {MATERIAL_ERROR_FLOOR:g} floor")
+        else:
+            print(f"sweep done: worst-cell forecast/repeat-last mean-RMSE ratio = {ratio:.4f}")
     else:
         print("sweep done")
     return 0

@@ -155,19 +155,19 @@ class SweepResult:
     def mean(self, key: CellKey, policy: str) -> float:
         return float(np.mean(self.cells[key][policy]))
 
-    def worst_cell_ratio(self, numerator: str, denominator: str, min_denominator: float = 0.0) -> float:
-        """Largest per-cell mean-error ratio.
+    def worst_cell_ratio(self, numerator: str, denominator: str, min_denominator: float = 0.0) -> float | None:
+        """Largest per-cell mean-error ratio, or None when no cell qualifies.
 
         Cells where the denominator policy's mean error is at or below
         min_denominator are skipped: with no material losses both policies
         sit at the noise floor and their quotient is a 0/0 artifact.
         """
-        worst = 0.0
-        for key in self.cells:
-            den = self.mean(key, denominator)
-            if den > min_denominator:
-                worst = max(worst, self.mean(key, numerator) / den)
-        return worst
+        ratios = [
+            self.mean(key, numerator) / den
+            for key in self.cells
+            if (den := self.mean(key, denominator)) > min_denominator
+        ]
+        return max(ratios, default=None)
 
     def peak_ratio(self, numerator: str, denominator: str) -> float:
         """Ratio of the two policies' worst cells (each policy's own maximum

@@ -164,30 +164,38 @@ def lagged_design(values: np.ndarray, lag: int, start: int | None = None):
     n = n_total - start
     if n < 1:
         raise InsufficientData(f"no targets left: {n_total} samples, start={start}")
-    x = np.empty((n, 1 + dim * lag))
+    return _fill_design(np.empty((n, 1 + dim * lag)), values, lag, start), values[start:]
+
+
+def _fill_design(x: np.ndarray, values: np.ndarray, lag: int, start: int) -> np.ndarray:
+    """x, filled with the rows of lagged_design's X for targets start onwards."""
+    n_total, dim = values.shape
     x[:, 0] = 1.0
     for i in range(1, lag + 1):
         x[:, 1 + (i - 1) * dim : 1 + i * dim] = values[start - i : n_total - i]
-    return x, values[start:]
+    return x
 
 
-def _ols_factors(x: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """R and Q^T y of a reduced QR of the design, with a relative pivot
-    check; ridge > 0 appends Tikhonov rows for every non-intercept column."""
-    if ridge > 0.0:
-        k = x.shape[1]
-        penalty = math.sqrt(ridge) * np.eye(k)[1:]
-        x = np.vstack([x, penalty])
-        y = np.vstack([y, np.zeros((k - 1, y.shape[1]))])
-    q, r = np.linalg.qr(x)
-    _check_pivots(np.abs(np.diag(r)), y.shape[1])
-    return r, q.T @ y
+def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lagged_design's X and Y, and the R of one QR of [X | Y] built in one
+    column-major buffer, under which ridge > 0 adds a row sqrt(ridge) e_j per
+    non-intercept column j. R[:k, :k] is X's R, R[:k, k:] is Q^T Y, and with
+    R_e = R[k:, k:], R_e^T R_e = E^T E (Bjorck 1996, 1.3): Q is never formed."""
+    n_total, dim = values.shape
+    n, k = n_total - lag, 1 + lag * dim
+    n_penalty = k - 1 if ridge > 0.0 else 0
+    a = np.zeros((n + n_penalty, k + dim), order="F")
+    _fill_design(a[:n, :k], values, lag, lag)
+    a[:n, k:] = values[lag:]
+    a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
+    return a[:n, :k], a[:n, k:], np.linalg.qr(a, mode="r")
 
 
-def _ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, qty: np.ndarray, lag: int) -> VarModel:
-    """The OLS VarModel of design x and targets y, from the R factor of a QR
-    of the design and Q^T times the targets."""
-    weights = np.linalg.solve(r, qty)
+def _ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, lag: int) -> VarModel:
+    """The OLS VarModel of _ols_factors' output, pivots checked: R[:k, :k] W = R[:k, k:]."""
+    k = x.shape[1]
+    _check_pivots(np.abs(np.diag(r))[:k], y.shape[1])
+    weights = np.linalg.solve(r[:k, :k], r[:k, k:])
     return _weights_to_model(weights, y - x @ weights, y.shape[1], lag, "ols")
 
 
@@ -209,13 +217,9 @@ def _describe_column(col: int, dim: int) -> str:
 
 
 def _weights_to_model(weights: np.ndarray, residuals: np.ndarray, dim: int, lag: int, trainer: str) -> VarModel:
-    bias = weights[0].copy()
-    if lag:
-        coeffs = np.stack([weights[1 + i * dim : 1 + (i + 1) * dim].T for i in range(lag)])
-    else:
-        coeffs = np.zeros((0, dim, dim))
+    coeffs = weights[1:].reshape(lag, dim, dim).transpose(0, 2, 1)
     cov = residuals.T @ residuals / len(residuals)
-    return VarModel(dim=dim, lag=lag, bias=bias, coeffs=coeffs, residual_cov=cov, trainer=trainer)
+    return VarModel(dim=dim, lag=lag, bias=weights[0].copy(), coeffs=coeffs, residual_cov=cov, trainer=trainer)
 
 
 def _check_fit_inputs(train: Trace, lag: int) -> np.ndarray:
@@ -239,9 +243,7 @@ def fit_var_ols(train: Trace, lag: int, ridge: float = 0.0) -> VarModel:
     """
     if not 0 <= ridge < math.inf:
         raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
-    values = _check_fit_inputs(train, lag)
-    x, y = lagged_design(values, lag)
-    return _ols_model(x, y, *_ols_factors(x, y, ridge), lag)
+    return _ols_model(*_ols_factors(_check_fit_inputs(train, lag), lag, ridge), lag)
 
 
 def fit_var_adam(
@@ -373,9 +375,8 @@ class LagSelection(tuple):
         return selection
 
     def fit(self, ridge: float = 0.0) -> VarModel:
-        """fit_var_ols(train, best, ridge). At the largest lag with no ridge
-        that fit's design is the lag search's own, so its weights are solved
-        from the search's factorisation instead of a second QR."""
+        """fit_var_ols(train, best, ridge); at the max lag with no ridge, bit for
+        bit that fit solved from the lag search's R of [X | Y], not a second QR."""
         best = self[0]
         if ridge == 0.0 and best == len(self[1]):
             return self._max_lag_model()
@@ -387,21 +388,19 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
 
     Every order is fitted on the same targets, rows max_lag onwards, so the
     lag-l design is the first k = 1 + l*d columns of the max-lag design and
-    one reduced QR of that design serves every order. With C = Q^T y and
-    E = y - Q C, the lag-l residual sum of squares is E^T E + C[k:]^T C[k:].
-    The criterion is 2*d^2*l - logL, with logL the Gaussian log-likelihood at
-    the maximum-likelihood covariance, that sum divided by the n shared rows.
+    the R of one QR of [X | Y] (_ols_factors) serves every order: with C =
+    Q^T y and R_e read from R, the lag-l residual sum of squares is R_e^T R_e
+    + C[k:]^T C[k:]. The criterion is 2*d^2*l - logL, with logL the Gaussian
+    log-likelihood at the ML covariance, that sum divided by the n shared rows.
     Returns (best, curve) as a LagSelection.
     """
     if max_lag < 1:
         raise ConfigError(f"max_lag must be >= 1, got {max_lag}")
     values = _check_fit_inputs(train, max_lag)
-    x, y = lagged_design(values, max_lag)
+    x, y, r = _ols_factors(values, max_lag)
     n, d = y.shape
-    q, r = np.linalg.qr(x)
-    c = q.T @ y
-    e = y - q @ c
-    ete = e.T @ e
+    k_max = x.shape[1]
+    c, ete = r[:k_max, k_max:], r[k_max:, k_max:].T @ r[k_max:, k_max:]
     pivots = np.abs(np.diag(r))
     data_scale = _data_scale(values)
     loglik_const = -0.5 * n * d * (math.log(2.0 * math.pi) + 1.0)
@@ -413,7 +412,7 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
         logdet = 2.0 * float(np.sum(np.log(np.diag(_checked_cholesky(cov, data_scale)))))
         curve.append(2.0 * d * d * lag - (loglik_const - 0.5 * n * logdet))
     best = 1 + int(np.argmin(curve))
-    return LagSelection(best, curve, train, lambda: _ols_model(x, y, r, c, max_lag))
+    return LagSelection(best, curve, train, lambda: _ols_model(x, y, r, max_lag))
 
 
 def _data_scale(values: np.ndarray) -> float:

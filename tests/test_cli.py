@@ -540,6 +540,21 @@ class TestSweepCli:
         assert f"{max(ratios):.4f}" != f"{floored:.4f}"
         assert printed == f"sweep done: worst-cell forecast/repeat-last mean-RMSE ratio = {floored:.4f}"
 
+    def test_no_cell_above_the_error_floor_prints_no_ratio(self, sweep_inputs, tmp_path, capsys):
+        # probability 0: no command is lost, so every cell's repeat-last
+        # error is 0 and no ratio exists; 0.0000 would read as a perfect forecast
+        trace_csv, spec = sweep_inputs
+        doc = json.loads(spec.read_text())
+        doc.update(probs=[0.0], durations=[16.0])
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec),
+                     "--jobs", "1", "--out-dir", str(out_dir)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        assert printed == "sweep done: no cell has a repeat-last mean RMSE above the 0.001 floor"
+        cells = json.loads((out_dir / "sweep_result.json").read_text())["cells"]
+        assert len(cells) == 1 and cells[0]["rmse"]["repeat-last"]["mean"] <= 1e-3
+
     def test_rerun_reproduces_results(self, sweep_inputs, tmp_path):
         trace_csv, spec = sweep_inputs
         digests = []

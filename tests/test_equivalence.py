@@ -7,7 +7,10 @@ against the per-slot loop, the sweep's batch scoring against rmse and the
 sweep against the per-run composition of the public functions, the batched
 next_rows against its per-row form, and the array CSV
 reader and writers against their per-cell and per-Command forms, all kept
-below as references. Every comparison is exact: no tolerance.
+below as references. Every comparison of those is exact: no tolerance.
+The VAR fits, which read Q^T y and the residual Gram from the R of one QR
+of [X | Y], are checked against the explicit-Q factorisation at a relative
+tolerance of 1e-10 (FIT_RTOL), with equal best lags and equal typed errors.
 """
 
 import csv
@@ -19,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import WindowMean
-from foreco import channel, evaluation, recovery
+from conftest import WindowMean, make_var_system, rotation_trace, simulate_var
+from foreco import channel, evaluation, forecasting, recovery
 from foreco.channel import (
     DELIVERED,
     QUEUE_OVERFLOW,
@@ -45,9 +48,16 @@ from foreco.core import (
     us_to_ms,
     write_trace_csv,
 )
-from foreco.errors import ConfigError, InvalidTrace
+from foreco.errors import (
+    ConfigError,
+    DegenerateCovariance,
+    ForecoError,
+    InsufficientData,
+    InvalidTrace,
+    RankDeficient,
+)
 from foreco.evaluation import SweepGrid, rmse, run_sweep
-from foreco.forecasting import VarModel, fit_var_ols, predict
+from foreco.forecasting import VarModel, fit_var_ols, lagged_design, predict, select_lag
 from foreco.recovery import (
     ExecutedCommands,
     ExecutedStream,
@@ -807,6 +817,148 @@ class TestNextRows:
         expected = [model.bias + model.stacked @ record[::-1][:lag].reshape(-1) for record in records]
         assert got.shape == (n, dim)
         assert np.array_equal(got, np.array(expected))
+
+
+# ---------------------------------------------------------------------------
+# VAR fits from the R of [X | Y] against the explicit-Q factorisation
+
+# Both fits are backward stable, so they agree to a few ulps times the
+# design's condition number; compared relative to the reference's largest
+# entry.
+FIT_RTOL = 1e-10
+
+
+def explicit_q_fit(train: Trace, lag: int, ridge: float) -> VarModel:
+    """fit_var_ols by a reduced QR of the design with its explicit Q, the
+    ridge rows stacked under it, and Q^T y."""
+    values = forecasting._check_fit_inputs(train, lag)
+    x, y = lagged_design(values, lag)
+    xs, ys = x, y
+    if ridge > 0.0:
+        k = x.shape[1]
+        xs = np.vstack([x, math.sqrt(ridge) * np.eye(k)[1:]])
+        ys = np.vstack([y, np.zeros((k - 1, y.shape[1]))])
+    q, r = np.linalg.qr(xs)
+    forecasting._check_pivots(np.abs(np.diag(r)), train.dim)
+    weights = np.linalg.solve(r, q.T @ ys)
+    resid = y - x @ weights
+    d = train.dim
+    coeffs = np.stack([weights[1 + i * d : 1 + (i + 1) * d].T for i in range(lag)]) if lag else np.zeros((0, d, d))
+    return VarModel(dim=d, lag=lag, bias=weights[0], coeffs=coeffs, residual_cov=resid.T @ resid / len(resid))
+
+
+def explicit_q_select(train: Trace, max_lag: int) -> tuple[int, list[float]]:
+    """select_lag with E = y - Q Q^T y formed from the explicit Q."""
+    values = forecasting._check_fit_inputs(train, max_lag)
+    x, y = lagged_design(values, max_lag)
+    n, d = y.shape
+    q, r = np.linalg.qr(x)
+    c = q.T @ y
+    e = y - q @ c
+    pivots = np.abs(np.diag(r))
+    curve = []
+    for lag in range(1, max_lag + 1):
+        k = 1 + lag * d
+        forecasting._check_pivots(pivots[:k], d)
+        cov = (e.T @ e + c[k:].T @ c[k:]) / n
+        chol = forecasting._checked_cholesky(cov, forecasting._data_scale(values))
+        loglik = -0.5 * n * d * (math.log(2.0 * math.pi) + 1.0) - n * float(np.sum(np.log(np.diag(chol))))
+        curve.append(2.0 * d * d * lag - loglik)
+    return 1 + int(np.argmin(curve)), curve
+
+
+def assert_rel_close(new, old) -> None:
+    new, old = np.asarray(new, dtype=float), np.asarray(old, dtype=float)
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old), initial=0.0) <= FIT_RTOL * np.max(np.abs(old), initial=0.0)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the ForecoError it raised."""
+    try:
+        return fn(*args)
+    except ForecoError as exc:
+        return exc
+
+
+def assert_same_error(new, old, kind) -> None:
+    assert type(new) is type(old) is kind
+    assert str(new) == str(old)
+    if kind is RankDeficient:
+        assert new.column == old.column
+
+
+def needed_rows(d: int, lag: int) -> int:
+    return lag + d * lag + 1
+
+
+def random_var_values(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """A stable VAR(1) or VAR(2) path with noise and a per-joint offset."""
+    mats = make_var_system(d, int(rng.integers(1, 3)), int(rng.integers(0, 2**31)), rho=float(rng.uniform(0.3, 0.95)))
+    path = simulate_var(mats, n, int(rng.integers(0, 2**31)), noise=float(rng.uniform(0.01, 0.5)))
+    return path + rng.normal(0.0, 2.0, d)
+
+
+class TestRFactorFit:
+    """fit_var_ols and select_lag from the R of one QR of [X | Y] against
+    the explicit-Q factorisation they replaced, at FIT_RTOL."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_traces_match_the_explicit_q_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        d, lag, max_lag = int(rng.integers(1, 8)), int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        n = needed_rows(d, max(lag, max_lag)) + int(rng.integers(4 * d + 20, 400))
+        train = Trace.from_joints(random_var_values(rng, n, d), 20.0)
+        for ridge in (0.0, 0.1):
+            new, old = fit_var_ols(train, lag, ridge), explicit_q_fit(train, lag, ridge)
+            for a, b in ((new.bias, old.bias), (new.coeffs, old.coeffs), (new.residual_cov, old.residual_cov)):
+                assert_rel_close(a, b)
+        (best, curve), (old_best, old_curve) = select_lag(train, max_lag), explicit_q_select(train, max_lag)
+        assert_rel_close(curve, old_curve)
+        assert best == old_best
+
+    @pytest.mark.parametrize("d, lag", [(1, 1), (3, 2), (7, 8), (2, 5), (4, 0), (1, 0)])
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_trace_of_exactly_the_needed_rows(self, d, lag, ridge):
+        # n = k targets: [X | Y] has fewer than k + d rows, so R_e has fewer
+        # than d rows (none without ridge rows; lag 0 has no ridge rows)
+        rng = np.random.default_rng(100 * d + lag)
+        values = rng.normal(size=(needed_rows(d, lag), d))
+        train = Trace.from_joints(values, 20.0)
+        new, old = fit_var_ols(train, lag, ridge), explicit_q_fit(train, lag, ridge)
+        assert_rel_close(np.vstack([new.bias, *new.coeffs]), np.vstack([old.bias, *old.coeffs]))
+        if ridge == 0.0 or lag == 0:
+            # the fit interpolates: both covariances are float noise
+            scale = float(np.max(np.var(values, axis=0)))
+            assert max(np.max(np.abs(new.residual_cov)), np.max(np.abs(old.residual_cov))) <= 1e-20 * scale
+        else:
+            assert_rel_close(new.residual_cov, old.residual_cov)
+        if lag:
+            # the max-lag residual is zero: degenerate on both paths
+            assert_same_error(outcome(select_lag, train, lag), outcome(explicit_q_select, train, lag),
+                              DegenerateCovariance)
+
+    @pytest.mark.parametrize("joint", [0, 2])
+    def test_constant_joint_is_rank_deficient_at_the_same_column(self, joint):
+        values = np.random.default_rng(joint).normal(size=(300, 3))
+        values[:, joint] = 0.3
+        train = Trace.from_joints(values, 20.0)
+        for lag in (1, 3):
+            assert_same_error(outcome(fit_var_ols, train, lag, 0.0), outcome(explicit_q_fit, train, lag, 0.0),
+                              RankDeficient)
+        assert_same_error(outcome(select_lag, train, 4), outcome(explicit_q_select, train, 4), RankDeficient)
+
+    def test_noiseless_trace_is_degenerate_on_both(self):
+        train = rotation_trace(200, 0.5, amp=1.0)
+        assert_same_error(outcome(select_lag, train, 3), outcome(explicit_q_select, train, 3), DegenerateCovariance)
+
+    @pytest.mark.parametrize("d, lag", [(3, 2), (1, 4), (6, 1)])
+    def test_too_short_a_trace_is_insufficient_on_both(self, d, lag):
+        train = Trace.from_joints(np.random.default_rng(d).normal(size=(needed_rows(d, lag) - 1, d)), 20.0)
+        for ridge in (0.0, 0.1):
+            assert_same_error(outcome(fit_var_ols, train, lag, ridge), outcome(explicit_q_fit, train, lag, ridge),
+                              InsufficientData)
+        assert_same_error(outcome(select_lag, train, lag), outcome(explicit_q_select, train, lag), InsufficientData)
 
 
 class TestCommandsView:

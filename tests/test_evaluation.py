@@ -354,6 +354,7 @@ class TestSweepResultFiles:
         result = run_sweep(test, tiny_grid(), ChannelConfig(seed=0), policies)
         floored = result.worst_cell_ratio("forecast", "repeat-last", min_denominator=1e-3)
         assert 0.0 <= floored < 1.0
+        assert result.worst_cell_ratio("forecast", "repeat-last", min_denominator=np.inf) is None
         assert 0.0 < result.peak_ratio("forecast", "repeat-last") < 1.0
 
 

@@ -5,7 +5,10 @@ The pinned SHA-256 digests were recorded with numpy 2.4.6 on Python 3.11.7
 because they hold wall time. The outcomes.csv digest is of a file whose
 delivered delays are plain float reprs (`0.2558`, not `np.float64(0.2558)`).
 A refactor that keeps these digests keeps every output byte of the
-gen-trace, train, simulate and sweep pipeline.
+gen-trace, train, simulate and sweep pipeline. The six digests of the
+outputs that read the fitted model were re-pinned when the fit moved from an
+explicit Q to the R factor of [design | targets], which moves their last
+bits; tests/test_equivalence.py checks that fit against the explicit-Q one.
 """
 
 import hashlib
@@ -15,14 +18,14 @@ from foreco.cli import main
 
 GOLDEN = {
     "trace.csv": "9f1b2463abf8cb0facd1558ae966414d52653556c6010c44c650de4b6eaddd24",
-    "model.json": "56577f294ce7bded8f881a2a1fe554382156645c1dc6406ba599c602b3b04622",
-    "model.json.aic.json": "32f8085f3414f8ea35600c49ec1ebde88ec3c40a65959ae0e97cd818c3bfef19",
+    "model.json": "901780b5b49c55c587caaee33282fa194e2529f0b032570c7ac48848daf072e9",
+    "model.json.aic.json": "f05c0a1dafdff577f2c29483e6296e0d120d97b56faa4fc1daf433d0931d6992",
     "run/outcomes.csv": "257ccdccfd1887c4a2878535eb9af5b454d92a2bc149b873889acca130672cd5",
-    "run/executed.csv": "17e8a70c00c5416d47079c06579795e765f004b03a2f2e0d86d8b35c51da5d6d",
+    "run/executed.csv": "ef7797fde0ddd13cc84b63561337d331bd024e7c578b1b122dd78adfa53dbff3",
     "run/stats.json": "302f3a51168ee8c9aae6efd8a0c1a8b53992676eab296a7e5256a15b624a0eb4",
-    "run/summary.json": "eeedeaad570b349a0c73e2051300cc52556353bd780b7748f3928d5cc013f4d4",
-    "sweep/sweep_result.json": "de1acb3be8c65004a5fc8c143cf4d552ab68accff899f855edf98a71ff4366ae",
-    "sweep/rmse_forecast_5.csv": "a6e226c8af7aaf7f4f1bc970ac607360fef1cb298ea0151e35e2f8fa6d90580a",
+    "run/summary.json": "31d4e73e76cbeaa6062486115ec0966b264f07923fe0cf59f368895d95d2f342",
+    "sweep/sweep_result.json": "76eabeea520284c4b5608f0172453b9ee8a9623513ede1d60df9840567c1b7a2",
+    "sweep/rmse_forecast_5.csv": "479a9590e1928ac847ead96a790c06451b62363b02519b243b0bb0c2154b5daf",
     "sweep/rmse_repeat-last_5.csv": "f2873a8e9253fe5793e0d507c54563ac1b75a49f2cb23984013ddc3bac1990a6",
 }
 
