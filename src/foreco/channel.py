@@ -16,7 +16,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -38,8 +38,6 @@ class MacParams:
     w0: int = 16
     max_window_exp: int = 6
     max_rtx: int = 7
-    # server_times() for these parameters, read-only, computed once
-    _server_times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if min(self.t_s_ms, self.t_col_ms, self.slot_ms) <= 0:
@@ -50,7 +48,7 @@ class MacParams:
             raise ConfigError("backoff cap exponent must be >= 0")
         if self.max_rtx < 1:
             raise ConfigError(f"attempt budget must be >= 1, got {self.max_rtx}")
-        object.__setattr__(self, "_server_times", self._mean_server_times())
+        self.server_times()  # ConfigError unless the delays are finite
 
     def window(self, k: int) -> int:
         """Backoff window before attempt k, doubling up to the cap."""
@@ -58,13 +56,9 @@ class MacParams:
 
     def server_times(self) -> np.ndarray:
         """Mean server time of a frame delivered after j = 0..max_rtx-1 failed
-        attempts, then that of a frame failing all of them, as a read-only
-        array."""
-        return self._server_times
-
-    def _mean_server_times(self) -> np.ndarray:
-        """server_times() from one cumulative sum over the backoff stages;
-        ConfigError unless all are finite."""
+        attempts, then that of a frame failing all of them, computed on each
+        call from one cumulative sum over the backoff stages; ConfigError
+        unless all are finite."""
         attempts = np.arange(self.max_rtx)
         capped = np.minimum(attempts, self.max_window_exp)
         try:
@@ -78,7 +72,6 @@ class MacParams:
         if not np.all(np.isfinite(times)):
             raise ConfigError(f"MAC delays are not finite floats with max_rtx={self.max_rtx}, "
                               f"max_window_exp={self.max_window_exp} and these times and windows")
-        times.setflags(write=False)
         return times
 
 
@@ -185,13 +178,15 @@ _COLUMNS = (
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelOutcomes(Sequence[ChannelOutcome]):
-    """Per-command outcomes of one run as read-only columns of equal length.
+class ChannelOutcomes:
+    """Per-command outcomes of one run as read-only columns of equal length,
+    copied and checked on construction.
 
     A lost command has delay_ms and waited_ms NaN, rtx -1 and a nonzero cause
-    code (an index into ``_CAUSES``); a delivered one has cause code 0. As a
-    sequence it yields ChannelOutcome values built on access, so code that
-    reads single outcomes works unchanged; bulk code reads the columns.
+    code (an index into ``_CAUSES``); a delivered one has cause code 0.
+    Iterating yields ChannelOutcome values built on the fly; there is no
+    indexing, and bulk code reads the columns. Two outcomes are equal when
+    their columns are.
     """
 
     seq: np.ndarray
@@ -213,18 +208,7 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
             raise ConfigError("an outcome is delivered exactly when its cause code is 0")
 
     @classmethod
-    def _unchecked(cls, *columns: np.ndarray) -> "ChannelOutcomes":
-        """Outcomes from columns the library has built, in constructor order,
-        with _COLUMNS' dtypes, one length and delivered == (cause == 0):
-        made read-only in place, neither copied nor checked."""
-        outcomes = object.__new__(cls)
-        for (name, _), column in zip(_COLUMNS, columns, strict=True):
-            column.setflags(write=False)
-            object.__setattr__(outcomes, name, column)
-        return outcomes
-
-    @classmethod
-    def from_outcomes(cls, outcomes: Sequence[ChannelOutcome]) -> "ChannelOutcomes":
+    def from_outcomes(cls, outcomes: ChannelOutcomes | Sequence[ChannelOutcome]) -> "ChannelOutcomes":
         """The columns of a sequence of outcomes; columns pass through as is."""
         if isinstance(outcomes, ChannelOutcomes):
             return outcomes
@@ -240,12 +224,6 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
 
     def __len__(self) -> int:
         return len(self.seq)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ChannelOutcomes(*(getattr(self, name)[i] for name, _ in _COLUMNS))
-        i = range(len(self))[i]
-        return next(iter(self[i : i + 1]))
 
     def __iter__(self):
         lost = ~self.delivered
@@ -263,14 +241,12 @@ class ChannelOutcomes(Sequence[ChannelOutcome]):
         return map(tuple.__new__, repeat(ChannelOutcome), rows)
 
     def __eq__(self, other):
-        if isinstance(other, ChannelOutcomes):
-            return all(
-                np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
-                for name, _ in _COLUMNS
-            )
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, ChannelOutcomes):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name, _ in _COLUMNS
+        )
 
 
 def attempt_failure_prob(cfg: ChannelConfig) -> float:
@@ -491,7 +467,7 @@ def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
     """Push a command trace through the access-point queue: simulate_channels
     for the one run of cfg, reproducible from the config seed."""
     runs = simulate_channels(trace, cfg, [cfg.interference], [[cfg.seed]])
-    return ChannelOutcomes._unchecked(np.arange(trace.seq0, trace.seq0 + len(trace)), *(column[0] for column in runs))
+    return ChannelOutcomes(np.arange(trace.seq0, trace.seq0 + len(trace)), *(column[0] for column in runs))
 
 
 def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, float]:
@@ -515,7 +491,6 @@ def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, fl
 
 def channel_config_to_dict(cfg: ChannelConfig) -> dict:
     doc = asdict(cfg)
-    del doc["mac"]["_server_times"]
     rtx_probs = doc.pop("rtx_probs")
     if rtx_probs is not None:
         doc["a_j"] = list(rtx_probs)
@@ -546,7 +521,7 @@ def save_channel_config(cfg: ChannelConfig, path: str | Path) -> None:
     Path(path).write_text(json.dumps(channel_config_to_dict(cfg), indent=2) + "\n")
 
 
-def write_outcomes_csv(outcomes: Sequence[ChannelOutcome], path: str | Path) -> None:
+def write_outcomes_csv(outcomes: ChannelOutcomes | Sequence[ChannelOutcome], path: str | Path) -> None:
     columns = ChannelOutcomes.from_outcomes(outcomes)
     rows = zip(columns.seq.tolist(), columns.delay_ms.tolist(), columns.rtx.tolist(), columns.cause.tolist())
     with Path(path).open("w", newline="") as fh:

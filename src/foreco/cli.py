@@ -341,7 +341,9 @@ def cmd_sweep(args) -> int:
         manifest.add_input(model_path)
     policies = _build_policies(policy_names, recovery, model, trace, spec.get("step_limit_margin"))
 
-    jobs = args.jobs or os.cpu_count() or 1
+    # Results do not depend on jobs; more workers than usable CPUs only cost.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(args.jobs or cpus, cpus)
     log.info("sweep: %d cells x %d repetitions, jobs=%d", len(grid.cells()), grid.repetitions, jobs)
     result = run_sweep(trace, grid, template, policies, jobs=jobs)
 
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="interference sweep over a grid spec JSON")
     p.add_argument("--trace", required=True)
     p.add_argument("--spec", required=True, help="sweep spec JSON")
-    p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes (default: cores)")
+    p.add_argument("--jobs", type=_positive_int, default=None, help="worker processes (default and cap: usable CPUs)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_sweep)
 

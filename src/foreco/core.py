@@ -139,9 +139,9 @@ class Trace:
         )
 
     @classmethod
-    def from_joints(cls, joints, period_ms: float, start_ms: float = 0.0) -> "Trace":
-        """Build a fresh trace (seq starting at 0) from an (H, d) array of joints."""
-        return cls(ms_to_us(period_ms), ms_to_us(start_ms), 0, joints)
+    def from_joints(cls, joints, period_ms: float) -> "Trace":
+        """Build a fresh trace (seq 0 at time 0) from an (H, d) array of joints."""
+        return cls(ms_to_us(period_ms), 0, 0, joints)
 
 
 @dataclass(frozen=True)

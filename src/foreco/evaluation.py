@@ -57,30 +57,29 @@ def rmse(executed: Trace | ExecutedStream, reference: Trace | ExecutedStream) ->
 # ---------------------------------------------------------------------------
 # Controlled-loss experiments
 
+# Delivered slots kept between two controlled loss bursts.
+BURST_GAP = 20
+
+
 def controlled_loss_outcomes(
-    trace: Trace,
-    burst_len: int,
-    n_bursts: int,
-    seed: int,
-    min_start: int = 0,
-    min_gap: int = 20,
+    trace: Trace, burst_len: int, n_bursts: int, seed: int, min_start: int = 0
 ) -> ChannelOutcomes:
     """Outcomes with every command on time except seeded bursts of
     consecutive losses, mimicking a controller that drops runs of commands.
 
     Bursts start at or after min_start, are placed uniformly at random, and
-    keep at least min_gap delivered slots between them so each loss event is
-    entered with a record refilled by real commands.
+    keep at least BURST_GAP delivered slots between them so each loss event
+    is entered with a record refilled by real commands.
     """
     n = len(trace)
     if burst_len < 1 or n_bursts < 1:
         raise ConfigError("burst length and count must be >= 1")
-    if min_start + n_bursts * (burst_len + min_gap) > n:
+    spacing = burst_len + BURST_GAP
+    if min_start + n_bursts * spacing > n:
         raise ConfigError("trace too short for the requested bursts")
     rng = np.random.default_rng(seed)
     starts: list[int] = []
     attempts = 0
-    spacing = burst_len + min_gap
     while len(starts) < n_bursts:
         attempts += 1
         if attempts > 10_000:
@@ -92,7 +91,7 @@ def controlled_loss_outcomes(
     for s in starts:
         lost[s : s + burst_len] = True
     on_time = np.where(lost, math.nan, 0.0)
-    return ChannelOutcomes._unchecked(
+    return ChannelOutcomes(
         np.arange(trace.seq0, trace.seq0 + n),
         ~lost,
         on_time,

@@ -17,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Command, Provenance, Trace, checked_number, ms_to_us, read_json, us_to_ms
+from .core import Command, Provenance, Trace, checked_number, ms_to_us, read_json
 from .errors import (
     ConfigError,
     DegenerateCovariance,
@@ -150,29 +150,25 @@ class AdamConfig:
             raise ConfigError(f"unknown bias correction mode {self.bias_correction!r}")
 
 
-def lagged_design(values: np.ndarray, lag: int, start: int | None = None):
+def lagged_design(values: np.ndarray, lag: int):
     """Regression matrices for one-step prediction.
 
     Row t of X is [1, y_{t-1}, ..., y_{t-lag}] and the matching row of Y is
-    y_t, for targets t = start .. H-1 (start defaults to lag).
+    y_t, for targets t = lag .. H-1.
     """
     n_total, dim = values.shape
-    if start is None:
-        start = lag
-    if start < lag:
-        raise ConfigError(f"start={start} must be >= lag={lag}")
-    n = n_total - start
+    n = n_total - lag
     if n < 1:
-        raise InsufficientData(f"no targets left: {n_total} samples, start={start}")
-    return _fill_design(np.empty((n, 1 + dim * lag)), values, lag, start), values[start:]
+        raise InsufficientData(f"no targets left: {n_total} samples, lag={lag}")
+    return _fill_design(np.empty((n, 1 + dim * lag)), values, lag), values[lag:]
 
 
-def _fill_design(x: np.ndarray, values: np.ndarray, lag: int, start: int) -> np.ndarray:
-    """x, filled with the rows of lagged_design's X for targets start onwards."""
+def _fill_design(x: np.ndarray, values: np.ndarray, lag: int) -> np.ndarray:
+    """x, filled with the rows of lagged_design's X."""
     n_total, dim = values.shape
     x[:, 0] = 1.0
     for i in range(1, lag + 1):
-        x[:, 1 + (i - 1) * dim : 1 + i * dim] = values[start - i : n_total - i]
+        x[:, 1 + (i - 1) * dim : 1 + i * dim] = values[lag - i : n_total - i]
     return x
 
 
@@ -185,7 +181,7 @@ def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> tuple[np.n
     n, k = n_total - lag, 1 + lag * dim
     n_penalty = k - 1 if ridge > 0.0 else 0
     a = np.zeros((n + n_penalty, k + dim), order="F")
-    _fill_design(a[:n, :k], values, lag, lag)
+    _fill_design(a[:n, :k], values, lag)
     a[:n, k:] = values[lag:]
     a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
     return a[:n, :k], a[:n, k:], np.linalg.qr(a, mode="r")
@@ -246,17 +242,12 @@ def fit_var_ols(train: Trace, lag: int, ridge: float = 0.0) -> VarModel:
     return _ols_model(*_ols_factors(_check_fit_inputs(train, lag), lag, ridge), lag)
 
 
-def fit_var_adam(
-    train: Trace,
-    lag: int,
-    cfg: AdamConfig,
-    loss_history: list | None = None,
-) -> VarModel:
+def fit_var_adam(train: Trace, lag: int, cfg: AdamConfig) -> VarModel:
     """Fit the same regression as fit_var_ols by mini-batch Adam.
 
     Weights start at zero and batches sweep the training rows in order, so
-    runs are deterministic. When loss_history is given, the mean per-batch
-    loss of each epoch is appended to it.
+    runs are deterministic. Diverged names the step whose batch loss is not
+    finite.
     """
     values = _check_fit_inputs(train, lag)
     x, y = lagged_design(values, lag)
@@ -271,7 +262,6 @@ def fit_var_adam(
 
     step = 0
     for _ in range(cfg.epochs):
-        epoch_losses = []
         for lo in range(0, n_train, cfg.batch_size):
             xb = x[lo : lo + cfg.batch_size]
             yb = y[lo : lo + cfg.batch_size]
@@ -290,35 +280,25 @@ def fit_var_adam(
                 c1 = 1.0 - cfg.beta1 ** step
                 c2 = 1.0 - cfg.beta2 ** step
             weights = weights - cfg.step_size * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
-            epoch_losses.append(loss)
-        if loss_history is not None and epoch_losses:
-            loss_history.append(float(np.mean(epoch_losses)))
 
     residuals = y - x @ weights
     return _weights_to_model(weights, residuals, dim, lag, "adam")
 
 
-def predict(model: Forecaster, history: Sequence[Command], period_ms: float | None = None) -> Command:
+def predict(model: Forecaster, history: Sequence[Command], period_ms: float) -> Command:
     """One-step forecast from the most recent commands.
 
     history is ordered oldest-to-newest and may mix original and forecast
     commands (closed-loop use). The result carries forecast provenance and a
-    generation time one period after the last history entry. Without
-    period_ms, the period is the spacing of the last two history entries.
+    generation time period_ms after the last history entry.
     """
     if not history:
         raise InsufficientHistory("history is empty")
-    if period_ms is None:
-        if len(history) < 2:
-            raise ConfigError("period_ms is required when history has a single entry")
-        period_us = history[-1].gen_time_us - history[-2].gen_time_us
-    else:
-        period_us = ms_to_us(period_ms)
     if len(history) < model.min_history:
         raise InsufficientHistory(f"need {model.min_history} past commands, have {len(history)}")
     if history[-1].dim != model.dim:
         raise ConfigError(f"model dim {model.dim} does not match command dim {history[-1].dim}")
-    return model.predict_next(history, us_to_ms(period_us))
+    return model.predict_next(history, period_ms)
 
 
 def aic(model: VarModel, data: Trace) -> float:
@@ -392,11 +372,19 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
     Q^T y and R_e read from R, the lag-l residual sum of squares is R_e^T R_e
     + C[k:]^T C[k:]. The criterion is 2*d^2*l - logL, with logL the Gaussian
     log-likelihood at the ML covariance, that sum divided by the n shared rows.
-    Returns (best, curve) as a LagSelection.
+    Returns (best, curve) as a LagSelection. The max-lag fit must keep at
+    least d residual rows, or no covariance can be full rank: a shorter
+    trace raises InsufficientData naming the samples needed.
     """
     if max_lag < 1:
         raise ConfigError(f"max_lag must be >= 1, got {max_lag}")
-    values = _check_fit_inputs(train, max_lag)
+    needed = max_lag + train.dim * max_lag + 1 + train.dim
+    if len(train) < needed:
+        raise InsufficientData(
+            f"{len(train)} samples cannot select a lag up to {max_lag} in dim {train.dim}; "
+            f"need at least {needed}"
+        )
+    values = train.joints_matrix()
     x, y, r = _ols_factors(values, max_lag)
     n, d = y.shape
     k_max = x.shape[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,13 +92,14 @@ _ORIGINAL, _FORECAST, _REPEATED, _DROPPED = range(4)
 _PROVENANCE = (Provenance.ORIGINAL, Provenance.FORECAST, Provenance.REPEAT_LAST)
 
 
-class ExecutedCommands(Sequence):
-    """The commands of a recovered run, built from its arrays on first access.
+class ExecutedCommands:
+    """The commands of a recovered run, built from its arrays on first
+    iteration.
 
-    A read-only, tuple-like view over the trace, the run's (H, d) joints and
-    its provenance codes: on-time slots are the trace's own Command objects,
-    dropped slots None. len() reads the codes only; slicing gives a tuple,
-    and a view equals the tuple of its commands.
+    An iterable view over the trace, the run's (H, d) joints and its
+    provenance codes: on-time slots are the trace's own Command objects,
+    dropped slots None. len() reads the codes only. It has no indexing and
+    no equality; read slots from the stream's joints_matrix() and codes().
     """
 
     __slots__ = ("_trace", "_joints", "_codes", "_built")
@@ -128,22 +129,11 @@ class ExecutedCommands(Sequence):
     def __len__(self) -> int:
         return len(self._codes)
 
-    def __getitem__(self, i):
-        return self._commands()[i]
-
     def __iter__(self):
         return iter(self._commands())
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, ExecutedCommands)):
-            return self._commands() == tuple(other)
-        return NotImplemented
 
-    def __repr__(self) -> str:
-        return repr(self._commands())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExecutedStream:
     """One entry per command slot; None marks a slot left empty (drop mode).
 
@@ -151,14 +141,15 @@ class ExecutedStream:
     caches the arrays it filled, the (H, d) joints, the (H,) provenance
     codes and the seq of slot 0, in the non-init fields that joints_matrix,
     codes and seq0 return; any other stream builds them from commands on
-    first use. dataclasses.replace starts the copy without them.
+    first use. dataclasses.replace starts the copy without them. Streams
+    compare by identity; compare their joints_matrix() and codes() instead.
     """
 
-    commands: Sequence[Command | None]
+    commands: Collection[Command | None]
     stats: RecoveryStats
-    _joints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _codes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _seq0: int | None = field(default=None, init=False, repr=False, compare=False)
+    _joints: np.ndarray | None = field(default=None, init=False, repr=False)
+    _codes: np.ndarray | None = field(default=None, init=False, repr=False)
+    _seq0: int | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.commands)
@@ -182,8 +173,7 @@ class ExecutedStream:
     def seq0(self) -> int:
         """The seq of slot 0 (0 for a stream with no executed command)."""
         if self._seq0 is None:
-            i = next((i for i, c in enumerate(self.commands) if c is not None), None)
-            self._cache(seq0=0 if i is None else self.commands[i].seq - i)
+            self._cache(seq0=next((c.seq - i for i, c in enumerate(self.commands) if c is not None), 0))
         return self._seq0
 
     def _cache(self, **values) -> None:
@@ -353,7 +343,7 @@ def run_recoveries(
 
 
 def run_recovery(
-    trace: Trace, outcomes: Sequence[ChannelOutcome], policy: RecoveryPolicy
+    trace: Trace, outcomes: ChannelOutcomes | Sequence[ChannelOutcome], policy: RecoveryPolicy
 ) -> ExecutedStream:
     """The executed stream of a trace under one run of channel outcomes:
     run_recoveries for the run's on_time_mask."""

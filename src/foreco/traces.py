@@ -16,6 +16,9 @@ from .errors import ConfigError
 
 PROFILES = ("pick-and-place", "sine-mix", "constant")
 
+# Standard deviation of the Gaussian noise added to every non-constant profile.
+NOISE = 1e-3
+
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
@@ -68,12 +71,13 @@ def synthetic_trace(
     seed: int,
     period_ms: float = 20.0,
     dim: int = 6,
-    noise: float = 1e-3,
 ) -> Trace:
     """Generate a deterministic synthetic trace of the given profile.
 
     Profiles: pick-and-place (cyclic waypoint motion), sine-mix (correlated
-    sinusoids), constant (identical rows, noise-free).
+    sinusoids), each with Gaussian noise of standard deviation NOISE, and
+    constant (identical rows, noise-free). A period that rounds to less than
+    one microsecond, the resolution of trace timestamps, is a ConfigError.
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose one of {PROFILES}")
@@ -83,6 +87,8 @@ def synthetic_trace(
         )
     if dim < 1 or seed < 0:
         raise ConfigError(f"dim must be >= 1 and seed >= 0, got dim={dim}, seed={seed}")
+    if ms_to_us(period_ms) < 1:
+        raise ConfigError(f"period {period_ms} ms rounds to less than the 1 us timestamp resolution")
     n = round(duration_s * 1000.0 / period_ms)
     if n < 1:
         raise ConfigError("duration shorter than one command period")
@@ -99,6 +105,5 @@ def synthetic_trace(
         joints = _pick_and_place(n, dim, period_ms, rng)
     else:
         joints = _sine_mix(n, dim, period_ms, rng)
-    if noise > 0:
-        joints = joints + rng.normal(0.0, noise, size=joints.shape)
+    joints = joints + rng.normal(0.0, NOISE, size=joints.shape)
     return Trace.from_joints(np.round(joints, 6), period_ms)

@@ -190,15 +190,13 @@ class TestServerTimes:
         with pytest.raises(ConfigError, match="not finite"):
             MacParams(**fields)
 
-    def test_computed_once_and_read_only(self):
+    def test_computed_on_each_call(self):
         mac = MacParams(w0=8, max_rtx=5)
         times = mac.server_times()
-        assert mac.server_times() is times
-        assert not times.flags.writeable
-        with pytest.raises(ValueError):
-            times[0] = 0.0
+        expected = times.tolist()
+        times[0] = 0.0
+        assert mac.server_times().tolist() == expected
         assert mac == MacParams(w0=8, max_rtx=5) and hash(mac) == hash(MacParams(w0=8, max_rtx=5))
-        assert "_server_times" not in repr(mac)
 
     def test_large_budget_with_capped_windows(self):
         mac = MacParams(max_rtx=4000)
@@ -453,17 +451,10 @@ class TestChannelOutcomes:
         out = self.columns()
         assert len(out) == 4
         assert list(out) == self.OUTCOMES
-        assert [out[i] for i in range(4)] == self.OUTCOMES
-        assert out[-1] == self.OUTCOMES[-1]
-        assert out == self.OUTCOMES and self.OUTCOMES == out
-        assert out[1:3] == self.OUTCOMES[1:3]
-        assert isinstance(out[1:3], ChannelOutcomes)
         assert self.OUTCOMES[2] in out
-        with pytest.raises(IndexError):
-            out[4]
 
     def test_items_hold_python_scalars(self):
-        item = self.columns()[0]
+        item = next(iter(self.columns()))
         assert type(item.seq) is int and type(item.rtx) is int
         assert type(item.delay_ms) is float and type(item.waited_ms) is float
 
@@ -496,7 +487,7 @@ class TestChannelOutcomes:
         lambda out: (out.seq, out.delivered, out.delay_ms, out.rtx, out.waited_ms, out.cause.tolist()[:-1]),
     ])
     def test_outside_columns_are_checked(self, bad):
-        # the library's own columns skip the checks; columns from outside do not
+        # columns from outside get the checks the library's own columns pass
         out = simulate_channel(flat_trace(300), ChannelConfig(
             interference=InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25), queue_cap=1, seed=3))
         assert 0 < out.delivered.sum() < len(out)

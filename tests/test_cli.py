@@ -95,7 +95,7 @@ class TestTrain:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"]["kind"] == "data"
         assert "100 samples" in doc["error"]["message"]
-        assert "need at least 281" in doc["error"]["message"]
+        assert "need at least 287" in doc["error"]["message"]
         assert not model_path.exists()
 
     def test_missing_trace_exits_2_with_io_error(self, tmp_path, capsys):
@@ -322,6 +322,8 @@ class TestOutOfRangeFlags:
         ("train", ["--trainer", "adam", "--epsilon", "inf"], "epsilon"),
         ("train", ["--trainer", "adam", "--step-size", "nan"], "step size"),
         ("gen-trace", ["--duration-s", "1e300"], "duration 1e+300 s is too long"),
+        ("gen-trace", ["--period-ms", "1e-300"], "rounds to less than the 1 us"),
+        ("gen-trace", ["--period-ms", "0.0004"], "rounds to less than the 1 us"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
         out = tmp_path / "out"
@@ -518,6 +520,24 @@ class TestSweepCli:
         assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
                      "--out-dir", str(tmp_path / "sw")]) == 0
         assert [(p.label, p.cfg.record_len) for p in seen] == [("forecast", 25), ("repeat-last", 25)]
+
+    @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2), (["--jobs", "1000"], 3)])
+    def test_jobs_default_to_and_stop_at_the_usable_cpus(self, trace_csv, tmp_path, monkeypatch, flags, jobs):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        seen = []
+        real_run_sweep = cli.run_sweep
+
+        def run_sweep(trace, grid, template, policies, jobs):
+            seen.append(jobs)
+            return real_run_sweep(trace, grid, template, policies, jobs=1)
+
+        monkeypatch.setattr(cli, "run_sweep", run_sweep)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [4.0], "robot_counts": [5], "repetitions": 1,
+                                    "channel": {}, "policies": ["repeat-last"]}))
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), *flags,
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+        assert seen == [jobs]
 
     def test_printed_worst_cell_skips_cells_below_the_error_floor(self, sweep_inputs, tmp_path, capsys):
         trace_csv, spec = sweep_inputs

@@ -103,7 +103,7 @@ def random_channel_case(rng: np.random.Generator) -> tuple[Trace, ChannelConfig]
         seed=int(rng.integers(0, 2**32)),
     )
     n = int(rng.integers(2, 1500))
-    full = Trace.from_joints(np.zeros((n, 1)), period_ms, start_ms=float(rng.integers(0, 1000)))
+    full = Trace(ms_to_us(period_ms), ms_to_us(float(rng.integers(0, 1000))), 0, np.zeros((n, 1)))
     start = int(rng.integers(0, n - 1))
     return full.slice(start, int(rng.integers(start + 1, n + 1))), cfg
 
@@ -493,13 +493,13 @@ def smooth_trace(rng: np.random.Generator, n: int, d: int) -> Trace:
     t = np.arange(n) * 0.02
     joints = np.sin(2 * np.pi * np.outer(t, rng.uniform(0.2, 0.5, d)) + rng.uniform(0, 6, d))
     joints += rng.normal(0.0, 1e-3, joints.shape)
-    full = Trace.from_joints(joints, 20.0, start_ms=40.0)
+    full = Trace(ms_to_us(20.0), ms_to_us(40.0), 0, joints)
     return full.slice(int(rng.integers(0, 30)), n)
 
 
 def assert_same_stream(fast: ExecutedStream, slow: ExecutedStream) -> None:
     assert fast.stats == slow.stats
-    assert fast.commands == slow.commands
+    assert tuple(fast.commands) == tuple(slow.commands)
     np.testing.assert_array_equal(fast.codes(), slow.codes())
     if slow.stats.dropped < len(slow):
         np.testing.assert_array_equal(fast.joints_matrix(), slow.joints_matrix())
@@ -934,9 +934,9 @@ class TestRFactorFit:
         else:
             assert_rel_close(new.residual_cov, old.residual_cov)
         if lag:
-            # the max-lag residual is zero: degenerate on both paths
-            assert_same_error(outcome(select_lag, train, lag), outcome(explicit_q_select, train, lag),
-                              DegenerateCovariance)
+            # the max-lag residual is zero: no covariance of d residual rows
+            with pytest.raises(InsufficientData, match=f"need at least {needed_rows(d, lag) + d}$"):
+                select_lag(train, lag)
 
     @pytest.mark.parametrize("joint", [0, 2])
     def test_constant_joint_is_rank_deficient_at_the_same_column(self, joint):
@@ -958,7 +958,23 @@ class TestRFactorFit:
         for ridge in (0.0, 0.1):
             assert_same_error(outcome(fit_var_ols, train, lag, ridge), outcome(explicit_q_fit, train, lag, ridge),
                               InsufficientData)
-        assert_same_error(outcome(select_lag, train, lag), outcome(explicit_q_select, train, lag), InsufficientData)
+        assert type(outcome(explicit_q_select, train, lag)) is InsufficientData
+        with pytest.raises(InsufficientData, match=f"need at least {needed_rows(d, lag) + d}$"):
+            select_lag(train, lag)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("max_lag", [1, 2, 3])
+    def test_fewer_than_d_residual_rows_are_insufficient(self, d, max_lag):
+        # up to d - 1 rows past the fit's minimum leave the max-lag residual
+        # covariance rank deficient, which Cholesky does not always detect
+        needed = needed_rows(d, max_lag)
+        for seed in range(20):
+            values = np.random.default_rng(seed).normal(size=(needed + d, d))
+            for extra in range(d):
+                with pytest.raises(InsufficientData, match=f"need at least {needed + d}$"):
+                    select_lag(Trace.from_joints(values[: needed + extra], 20.0), max_lag)
+            best, curve = select_lag(Trace.from_joints(values, 20.0), max_lag)
+            assert len(curve) == max_lag and all(map(math.isfinite, curve))
 
 
 class TestCommandsView:
@@ -981,7 +997,7 @@ class TestCommandsView:
         assert len(stream) == len(stream.commands) == len(trace)
         stream.joints_matrix()
         assert stream.commands._built is None
-        assert stream.commands[0] is None
+        assert next(iter(stream.commands)) is None
         assert stream.commands._built is not None
 
     def test_commands_are_built_once_and_on_time_slots_are_the_trace_samples(self):
@@ -993,18 +1009,6 @@ class TestCommandsView:
         for hit, executed, sent in zip(mask.tolist(), commands, trace.samples):
             assert (executed is sent) == hit
         assert stream.stats.forecast >= 20
-
-    def test_equals_a_tuple(self):
-        trace, outcomes, policy, stream = self.recovered()
-        commands = tuple(stream.commands)
-        assert stream.commands == commands
-        assert commands == stream.commands
-        assert stream == ExecutedStream(commands, stream.stats)
-        assert stream.commands != commands[:-1]
-        assert commands[3] is trace.samples[3]
-        assert stream.commands != commands[:3] + (None,) + commands[4:]
-        assert stream.commands[5:9] == commands[5:9]
-        assert stream.commands != list(commands)
 
     def test_replace_keeps_working(self):
         trace, outcomes, policy, stream = self.recovered()
@@ -1094,8 +1098,9 @@ class TestStepClamp:
         last = trace.samples[2].joints
         row = (np.array(last) + moves).tolist()
         expected = tuple(p + min(max(j - p, -lim), lim) for j, p in zip(row, last))
-        assert stream.commands[3].joints == expected
-        assert stream.commands[3].provenance is Provenance.FORECAST
+        executed = list(stream.commands)[3]
+        assert executed.joints == expected
+        assert executed.provenance is Provenance.FORECAST
         assert stream.joints_matrix()[3].tolist() == list(expected)
         if (prev, lim) == (0.5, 0.25):
             assert expected == (0.75, 0.25, 0.75, 0.25, 0.5, 0.75, 0.25)
@@ -1128,7 +1133,7 @@ class TestCachedJoints:
         same = replace(stream, commands=stream.commands)
         assert same._joints is None
         np.testing.assert_array_equal(same.joints_matrix(), stream.joints_matrix())
-        shifted = replace(stream, commands=(None,) + stream.commands[:-1])
+        shifted = replace(stream, commands=(None,) + tuple(stream.commands)[:-1])
         np.testing.assert_array_equal(
             shifted.joints_matrix(),
             np.vstack([stream.joints_matrix()[1:2], stream.joints_matrix()[:-1]]),
@@ -1148,7 +1153,7 @@ class TestCachedJoints:
         assert rebuilt._codes is None
         np.testing.assert_array_equal(rebuilt.codes(), stream.codes())
         assert not rebuilt.codes().flags.writeable
-        assert rebuilt.seq0 == stream.seq0 == stream.commands[1].seq - 1
+        assert rebuilt.seq0 == stream.seq0 == tuple(stream.commands)[1].seq - 1
 
 
 class TestDeadlineMask:
@@ -1166,9 +1171,10 @@ class TestDeadlineMask:
 
 
 class TestOutcomeView:
-    """Iterating ChannelOutcomes builds the same items as indexing it."""
+    """Iterating ChannelOutcomes builds ChannelOutcome items, which
+    from_outcomes turns back into the same columns."""
 
-    def test_iteration_equals_indexing(self):
+    def test_iteration_round_trips_through_from_outcomes(self):
         trace = Trace.from_joints(np.zeros((400, 1)), 2.0)
         interference = InterferenceParams(p_if=0.9, t_if_slots=32.0, n_stations=25)
         cfg = ChannelConfig(interference=interference, queue_cap=1, period_ms=2.0, seed=2)
@@ -1176,8 +1182,6 @@ class TestOutcomeView:
         causes = {o.cause for o in columns}
         assert causes == {None, LossCause.RTX_EXCEEDED, LossCause.QUEUE_OVERFLOW}
         items = list(columns)
-        assert items == [columns[i] for i in range(len(columns))]
-        assert items[-1] == columns[-1]
         assert all(type(o) is ChannelOutcome for o in items)
         assert ChannelOutcomes.from_outcomes(items) == columns
 
@@ -1188,14 +1192,12 @@ class TestOutcomeView:
             ChannelOutcome.loss(6, LossCause.QUEUE_OVERFLOW),
         ]
         columns = ChannelOutcomes.from_outcomes(outcomes)
-        assert list(columns) == [columns[i] for i in range(3)] == outcomes
+        assert list(columns) == outcomes
         assert outcomes == [
             (4, True, 0.42, 1, 0.1, None),
             (5, False, None, None, None, LossCause.RTX_EXCEEDED),
             (6, False, None, None, None, LossCause.QUEUE_OVERFLOW),
         ]
-        with pytest.raises(IndexError):
-            columns[3]
 
 
 # ---------------------------------------------------------------------------

