@@ -31,6 +31,11 @@ from .errors import (
 # collinear with the preceding ones.
 RANK_TOL = 1e-10
 
+# Row-block height of the tall-skinny QR in _ols_factors. A design wider
+# than _QR_ROWS / 8 columns is cut into blocks of 8 rows per column instead,
+# so each level of the reduction leaves at most a quarter of its rows.
+_QR_ROWS = 1024
+
 BIAS_CORRECTIONS = ("fixed", "per-step")
 
 
@@ -173,10 +178,17 @@ def _fill_design(x: np.ndarray, values: np.ndarray, lag: int) -> np.ndarray:
 
 
 def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lagged_design's X and Y, and the R of one QR of [X | Y] built in one
+    """lagged_design's X and Y, and the R of a QR of [X | Y] built in one
     column-major buffer, under which ridge > 0 adds a row sqrt(ridge) e_j per
     non-intercept column j. R[:k, :k] is X's R, R[:k, k:] is Q^T Y, and with
-    R_e = R[k:, k:], R_e^T R_e = E^T E (Bjorck 1996, 1.3): Q is never formed."""
+    R_e = R[k:, k:], R_e^T R_e = E^T E (Bjorck 1996, 1.3): Q is never formed.
+
+    R comes from a tall-skinny QR (Demmel et al. 2012): the buffer is cut
+    into blocks of _QR_ROWS rows (8 per column for a wide design), the R of
+    each block is taken, and the stacked Rs are reduced the same way until
+    one block is left. Each block is factored in cache, and R differs from
+    one QR's only in row signs and rounding, which none of its readers see;
+    a buffer of at most one block is factored exactly as by one QR."""
     n_total, dim = values.shape
     n, k = n_total - lag, 1 + lag * dim
     n_penalty = k - 1 if ridge > 0.0 else 0
@@ -184,7 +196,11 @@ def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> tuple[np.n
     _fill_design(a[:n, :k], values, lag)
     a[:n, k:] = values[lag:]
     a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
-    return a[:n, :k], a[:n, k:], np.linalg.qr(a, mode="r")
+    x, y = a[:n, :k], a[:n, k:]
+    rows = max(_QR_ROWS, 8 * a.shape[1])
+    while len(a) > rows:
+        a = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
+    return x, y, np.linalg.qr(a, mode="r")
 
 
 def _ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, lag: int) -> VarModel:
@@ -356,7 +372,8 @@ class LagSelection(tuple):
 
     def fit(self, ridge: float = 0.0) -> VarModel:
         """fit_var_ols(train, best, ridge); at the max lag with no ridge, bit for
-        bit that fit solved from the lag search's R of [X | Y], not a second QR."""
+        bit that fit, solved from the lag search's R of [X | Y] (the same
+        blocked reduction of the same buffer) instead of a second one."""
         best = self[0]
         if ridge == 0.0 and best == len(self[1]):
             return self._max_lag_model()
@@ -368,10 +385,11 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
 
     Every order is fitted on the same targets, rows max_lag onwards, so the
     lag-l design is the first k = 1 + l*d columns of the max-lag design and
-    the R of one QR of [X | Y] (_ols_factors) serves every order: with C =
+    one R of [X | Y] (_ols_factors' blocked QR) serves every order: with C =
     Q^T y and R_e read from R, the lag-l residual sum of squares is R_e^T R_e
-    + C[k:]^T C[k:]. The criterion is 2*d^2*l - logL, with logL the Gaussian
-    log-likelihood at the ML covariance, that sum divided by the n shared rows.
+    + C[k:]^T C[k:], which no row sign of R changes. The criterion is
+    2*d^2*l - logL, with logL the Gaussian log-likelihood at the ML
+    covariance, that sum divided by the n shared rows.
     Returns (best, curve) as a LagSelection. The max-lag fit must keep at
     least d residual rows, or no covariance can be full rank: a shorter
     trace raises InsufficientData naming the samples needed.

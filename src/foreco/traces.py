@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_TIMESTAMP_US, Trace, ms_to_us
+from .core import MAX_TIMESTAMP_US, Trace, ms_to_us, us_to_ms
 from .errors import ConfigError
 
 PROFILES = ("pick-and-place", "sine-mix", "constant")
@@ -76,8 +76,10 @@ def synthetic_trace(
 
     Profiles: pick-and-place (cyclic waypoint motion), sine-mix (correlated
     sinusoids), each with Gaussian noise of standard deviation NOISE, and
-    constant (identical rows, noise-free). A period that rounds to less than
-    one microsecond, the resolution of trace timestamps, is a ConfigError.
+    constant (identical rows, noise-free). The motion is sampled at
+    period_ms and the timestamps step by it, so a period that is not a whole
+    number of microseconds, the resolution of trace timestamps, is a
+    ConfigError.
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose one of {PROFILES}")
@@ -89,6 +91,8 @@ def synthetic_trace(
         raise ConfigError(f"dim must be >= 1 and seed >= 0, got dim={dim}, seed={seed}")
     if ms_to_us(period_ms) < 1:
         raise ConfigError(f"period {period_ms} ms rounds to less than the 1 us timestamp resolution")
+    if us_to_ms(ms_to_us(period_ms)) != period_ms:
+        raise ConfigError(f"period {period_ms} ms is not a whole number of microseconds, the timestamp resolution")
     n = round(duration_s * 1000.0 / period_ms)
     if n < 1:
         raise ConfigError("duration shorter than one command period")

@@ -324,6 +324,8 @@ class TestOutOfRangeFlags:
         ("gen-trace", ["--duration-s", "1e300"], "duration 1e+300 s is too long"),
         ("gen-trace", ["--period-ms", "1e-300"], "rounds to less than the 1 us"),
         ("gen-trace", ["--period-ms", "0.0004"], "rounds to less than the 1 us"),
+        ("gen-trace", ["--period-ms", "0.0006"], "not a whole number of microseconds"),
+        ("gen-trace", ["--period-ms", "20.0004"], "not a whole number of microseconds"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
         out = tmp_path / "out"

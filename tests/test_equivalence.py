@@ -8,9 +8,11 @@ sweep against the per-run composition of the public functions, the batched
 next_rows against its per-row form, and the array CSV
 reader and writers against their per-cell and per-Command forms, all kept
 below as references. Every comparison of those is exact: no tolerance.
-The VAR fits, which read Q^T y and the residual Gram from the R of one QR
-of [X | Y], are checked against the explicit-Q factorisation at a relative
-tolerance of 1e-10 (FIT_RTOL), with equal best lags and equal typed errors.
+The VAR fits, which read Q^T y and the residual Gram from the R of a QR
+of [X | Y], are checked against the explicit-Q factorisation, and the
+blocked tall-skinny QR that takes that R against one QR of the whole
+buffer, at a relative tolerance of 1e-10 (FIT_RTOL), with equal best lags
+and equal typed errors.
 """
 
 import csv
@@ -873,6 +875,17 @@ def assert_rel_close(new, old) -> None:
     assert np.max(np.abs(new - old), initial=0.0) <= FIT_RTOL * np.max(np.abs(old), initial=0.0)
 
 
+def assert_same_fit(new: VarModel, old: VarModel) -> None:
+    for a, b in ((new.bias, old.bias), (new.coeffs, old.coeffs), (new.residual_cov, old.residual_cov)):
+        assert_rel_close(a, b)
+
+
+def assert_same_selection(new, old) -> None:
+    (best, curve), (old_best, old_curve) = new, old
+    assert_rel_close(curve, old_curve)
+    assert best == old_best
+
+
 def outcome(fn, *args):
     """fn(*args), or the ForecoError it raised."""
     try:
@@ -910,12 +923,8 @@ class TestRFactorFit:
         n = needed_rows(d, max(lag, max_lag)) + int(rng.integers(4 * d + 20, 400))
         train = Trace.from_joints(random_var_values(rng, n, d), 20.0)
         for ridge in (0.0, 0.1):
-            new, old = fit_var_ols(train, lag, ridge), explicit_q_fit(train, lag, ridge)
-            for a, b in ((new.bias, old.bias), (new.coeffs, old.coeffs), (new.residual_cov, old.residual_cov)):
-                assert_rel_close(a, b)
-        (best, curve), (old_best, old_curve) = select_lag(train, max_lag), explicit_q_select(train, max_lag)
-        assert_rel_close(curve, old_curve)
-        assert best == old_best
+            assert_same_fit(fit_var_ols(train, lag, ridge), explicit_q_fit(train, lag, ridge))
+        assert_same_selection(select_lag(train, max_lag), explicit_q_select(train, max_lag))
 
     @pytest.mark.parametrize("d, lag", [(1, 1), (3, 2), (7, 8), (2, 5), (4, 0), (1, 0)])
     @pytest.mark.parametrize("ridge", [0.0, 0.1])
@@ -975,6 +984,129 @@ class TestRFactorFit:
                     select_lag(Trace.from_joints(values[: needed + extra], 20.0), max_lag)
             best, curve = select_lag(Trace.from_joints(values, 20.0), max_lag)
             assert len(curve) == max_lag and all(map(math.isfinite, curve))
+
+
+# ---------------------------------------------------------------------------
+# The blocked tall-skinny QR of [X | Y] against one QR of the whole buffer
+
+
+def single_qr_factors(values: np.ndarray, lag: int, ridge: float = 0.0):
+    """_ols_factors as it was before the blocked reduction: one QR of the
+    whole [X | Y] buffer, ridge rows included."""
+    n_total, dim = values.shape
+    n, k = n_total - lag, 1 + lag * dim
+    n_penalty = k - 1 if ridge > 0.0 else 0
+    a = np.zeros((n + n_penalty, k + dim), order="F")
+    forecasting._fill_design(a[:n, :k], values, lag)
+    a[:n, k:] = values[lag:]
+    a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
+    return a[:n, :k], a[:n, k:], np.linalg.qr(a, mode="r")
+
+
+def single_qr(fn, *args):
+    """outcome(fn, *args) with _ols_factors replaced by single_qr_factors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forecasting, "_ols_factors", single_qr_factors)
+        return outcome(fn, *args)
+
+
+def qr_schedule(rows: int, cols: int, block: int) -> list[int]:
+    """The row counts of the QRs the blocked reduction takes, in order."""
+    calls = []
+    while rows > block:
+        heights = [min(block, rows - i) for i in range(0, rows, block)]
+        calls += heights
+        rows = sum(min(h, cols) for h in heights)
+    return calls + [rows]
+
+
+def record_qr_rows(monkeypatch) -> list[int]:
+    """The row count of every np.linalg.qr call from here on."""
+    rows, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": rows.append(len(a)) or qr(a, mode=mode))
+    return rows
+
+
+class TestBlockedQR:
+    """fit_var_ols and select_lag from the blocked QR of [X | Y] against one
+    QR of the whole buffer, at FIT_RTOL, with _QR_ROWS set small so that
+    short traces take several levels."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_traces_of_one_to_ten_blocks(self, seed, monkeypatch):
+        rng = np.random.default_rng(1000 + seed)
+        d, lag, max_lag = int(rng.integers(1, 6)), int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        monkeypatch.setattr(forecasting, "_QR_ROWS", int(rng.integers(1, 160)))
+        cols = 1 + max(lag, max_lag) * d + d
+        block = max(forecasting._QR_ROWS, 8 * cols)
+        n = needed_rows(d, max(lag, max_lag)) + d + int(rng.integers(0, 10 * block))
+        train = Trace.from_joints(random_var_values(rng, n, d), 20.0)
+        for ridge in (0.0, 0.1):
+            assert_same_fit(fit_var_ols(train, lag, ridge), single_qr(fit_var_ols, train, lag, ridge))
+        assert_same_selection(select_lag(train, max_lag), single_qr(select_lag, train, max_lag))
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_the_tree_factors_each_block_alone_over_several_levels(self, ridge, monkeypatch):
+        monkeypatch.setattr(forecasting, "_QR_ROWS", 1)
+        train = Trace.from_joints(random_var_values(np.random.default_rng(7), 3000, 1), 20.0)
+        old = single_qr(fit_var_ols, train, 1, ridge)
+        rows = record_qr_rows(monkeypatch)
+        new = fit_var_ols(train, 1, ridge)
+        # 3,000 rows of 3 columns in blocks of 24: 125, 16 and 2 blocks, then one
+        assert rows == qr_schedule(2999 + (ridge > 0), 3, 24)
+        assert len(rows) == 125 + 16 + 2 + 1
+        assert_same_fit(new, old)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_a_last_block_shorter_than_the_column_count(self, ridge, monkeypatch):
+        monkeypatch.setattr(forecasting, "_QR_ROWS", 1)
+        d, lag = 3, 2
+        cols = 1 + lag * d + d
+        n_penalty = lag * d if ridge else 0
+        n = lag + 3 * 8 * cols + cols // 2 - n_penalty
+        train = Trace.from_joints(random_var_values(np.random.default_rng(8), n, d), 20.0)
+        old = single_qr(fit_var_ols, train, lag, ridge)
+        rows = record_qr_rows(monkeypatch)
+        new = fit_var_ols(train, lag, ridge)
+        assert rows[:4] == [8 * cols] * 3 + [cols // 2]
+        assert_same_fit(new, old)
+
+    def test_one_block_is_one_qr_bit_for_bit(self):
+        values = random_var_values(np.random.default_rng(9), 900, 4)
+        for lag, ridge in ((3, 0.0), (3, 0.1), (8, 0.1)):
+            new, old = forecasting._ols_factors(values, lag, ridge), single_qr_factors(values, lag, ridge)
+            assert len(old[0]) + (lag * 4 if ridge else 0) <= forecasting._QR_ROWS
+            assert all(np.array_equal(a, b) for a, b in zip(new, old))
+
+    def test_protocol_fit_and_lag_search(self, pick_and_place_split):
+        train, _ = pick_and_place_split
+        assert len(train) == 6000
+        assert_same_fit(fit_var_ols(train, 20, 0.1), single_qr(fit_var_ols, train, 20, 0.1))
+        assert_same_selection(select_lag(train, 20), single_qr(select_lag, train, 20))
+
+    @pytest.mark.parametrize("joint", [0, 2])
+    def test_constant_joint_across_block_boundaries_is_rank_deficient_at_the_same_column(self, joint, monkeypatch):
+        monkeypatch.setattr(forecasting, "_QR_ROWS", 1)
+        values = np.random.default_rng(joint).normal(size=(700, 3))
+        values[:, joint] = 0.3
+        train = Trace.from_joints(values, 20.0)
+        for lag in (1, 3):
+            assert_same_error(outcome(fit_var_ols, train, lag, 0.0), single_qr(fit_var_ols, train, lag, 0.0),
+                              RankDeficient)
+        assert_same_error(outcome(select_lag, train, 4), single_qr(select_lag, train, 4), RankDeficient)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.1])
+    def test_a_design_wider_than_a_block(self, ridge, monkeypatch):
+        monkeypatch.setattr(forecasting, "_QR_ROWS", 16)
+        d, lag = 6, 6
+        cols = 1 + lag * d + d
+        train = Trace.from_joints(random_var_values(np.random.default_rng(10), 2500, d), 20.0)
+        old = single_qr(fit_var_ols, train, lag, ridge)
+        rows = record_qr_rows(monkeypatch)
+        new = fit_var_ols(train, lag, ridge)
+        assert cols > forecasting._QR_ROWS and max(rows) == 8 * cols and len(rows) > 2
+        assert_same_fit(new, old)
+        assert_same_selection(select_lag(train, lag), single_qr(select_lag, train, lag))
 
 
 class TestCommandsView:

@@ -7,8 +7,10 @@ delivered delays are plain float reprs (`0.2558`, not `np.float64(0.2558)`).
 A refactor that keeps these digests keeps every output byte of the
 gen-trace, train, simulate and sweep pipeline. The six digests of the
 outputs that read the fitted model were re-pinned when the fit moved from an
-explicit Q to the R factor of [design | targets], which moves their last
-bits; tests/test_equivalence.py checks that fit against the explicit-Q one.
+explicit Q to the R factor of [design | targets], and again when that R
+moved from one QR to a blocked tall-skinny QR; each move changes only last
+bits. tests/test_equivalence.py checks the fit against an explicit-Q oracle
+and against a single-QR oracle.
 """
 
 import hashlib
@@ -18,14 +20,14 @@ from foreco.cli import main
 
 GOLDEN = {
     "trace.csv": "9f1b2463abf8cb0facd1558ae966414d52653556c6010c44c650de4b6eaddd24",
-    "model.json": "901780b5b49c55c587caaee33282fa194e2529f0b032570c7ac48848daf072e9",
-    "model.json.aic.json": "f05c0a1dafdff577f2c29483e6296e0d120d97b56faa4fc1daf433d0931d6992",
+    "model.json": "e4cfa72959faa40fbedcf12f2f71ab388cf060b3ac4da215448d1be8ffbcc0b9",
+    "model.json.aic.json": "d360ad093385a68347f5a5667084927362a89e9ffe2e79b2e9c13f145ca63269",
     "run/outcomes.csv": "257ccdccfd1887c4a2878535eb9af5b454d92a2bc149b873889acca130672cd5",
-    "run/executed.csv": "ef7797fde0ddd13cc84b63561337d331bd024e7c578b1b122dd78adfa53dbff3",
+    "run/executed.csv": "0c400fb07e875133df1953db96c684a22e50235c33be80c7d6e4db8ae17ab1fc",
     "run/stats.json": "302f3a51168ee8c9aae6efd8a0c1a8b53992676eab296a7e5256a15b624a0eb4",
-    "run/summary.json": "31d4e73e76cbeaa6062486115ec0966b264f07923fe0cf59f368895d95d2f342",
-    "sweep/sweep_result.json": "76eabeea520284c4b5608f0172453b9ee8a9623513ede1d60df9840567c1b7a2",
-    "sweep/rmse_forecast_5.csv": "479a9590e1928ac847ead96a790c06451b62363b02519b243b0bb0c2154b5daf",
+    "run/summary.json": "71590c11867b2b913558a8f549ccc7a82836c3a2f8ef83aa68013441f1ee2801",
+    "sweep/sweep_result.json": "8dc3fa7bc8259de4df295e04cf48eea202b4f1562f536db53ede8407792f9b86",
+    "sweep/rmse_forecast_5.csv": "7bb0fcd703f802d50d51b046d3f0b18f112a725c7ddb58ab647d833c17dd994a",
     "sweep/rmse_repeat-last_5.csv": "f2873a8e9253fe5793e0d507c54563ac1b75a49f2cb23984013ddc3bac1990a6",
 }
 
