@@ -23,8 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Trace, checked_fields, checked_numbers, ms_to_us, read_json
+from .core import MAX_TIMESTAMP_MS, Trace, checked_fields, checked_numbers, ms_to_us, read_json
 from .errors import AlwaysLost, ConfigError, OutOfRange
+
+
+# The largest attempt budget per frame. 802.11 caps its retry limits at 255
+# (dot11ShortRetryLimit ranges over 1..255); the model allows larger
+# budgets for study, up to 2**16 attempts, so that each per-attempt table
+# (max_rtx + 1 floats) stays below 1 MB.
+_MAX_ATTEMPTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,8 @@ class MacParams:
             raise ConfigError(f"initial backoff window must be >= 2, got {self.w0}")
         if self.max_window_exp < 0:
             raise ConfigError("backoff cap exponent must be >= 0")
-        if self.max_rtx < 1:
-            raise ConfigError(f"attempt budget must be >= 1, got {self.max_rtx}")
+        if not 1 <= self.max_rtx <= _MAX_ATTEMPTS:
+            raise ConfigError(f"max_rtx: attempt budget must lie in [1, {_MAX_ATTEMPTS}], got {self.max_rtx}")
         self.server_times()  # ConfigError unless the delays are finite
 
     def window(self, k: int) -> int:
@@ -58,19 +65,20 @@ class MacParams:
         """Mean server time of a frame delivered after j = 0..max_rtx-1 failed
         attempts, then that of a frame failing all of them, computed on each
         call from one cumulative sum over the backoff stages; ConfigError
-        unless all are finite."""
+        unless all are finite and below 2**62 us, the timestamp range."""
         attempts = np.arange(self.max_rtx)
-        capped = np.minimum(attempts, self.max_window_exp)
+        capped = np.minimum(attempts, min(self.max_window_exp, self.max_rtx))
         try:
             stages = np.array([(self.window(k) - 1) / 2.0 for k in range(capped[-1] + 1)])[capped]
         except OverflowError:
             stages = np.full(self.max_rtx, math.inf)
         with np.errstate(over="ignore"):
             backoff = self.slot_ms * np.cumsum(stages)
-            delivered = self.t_s_ms + attempts * self.t_col_ms + backoff
-            times = np.append(delivered, self.max_rtx * self.t_col_ms + backoff[-1])
-        if not np.all(np.isfinite(times)):
-            raise ConfigError(f"MAC delays are not finite floats with max_rtx={self.max_rtx}, "
+            t_col_ms = float(self.t_col_ms)
+            delivered = self.t_s_ms + attempts * t_col_ms + backoff
+            times = np.append(delivered, self.max_rtx * t_col_ms + backoff[-1])
+        if not np.all(times < MAX_TIMESTAMP_MS):
+            raise ConfigError(f"MAC delays are not finite floats below 2**62 us with max_rtx={self.max_rtx}, "
                               f"max_window_exp={self.max_window_exp} and these times and windows")
         return times
 
@@ -114,10 +122,10 @@ class ChannelConfig:
     def __post_init__(self):
         if self.queue_cap < 1:
             raise ConfigError(f"queue capacity must be >= 1, got {self.queue_cap}")
-        if self.period_ms <= 0:
-            raise ConfigError("command period must be positive")
-        if self.transport_bound_ms < 0:
-            raise ConfigError("transport delay bound must be >= 0")
+        if not 0 < self.period_ms < MAX_TIMESTAMP_MS:
+            raise ConfigError(f"period_ms must be positive and below 2**62 us, got {self.period_ms}")
+        if not 0 <= self.transport_bound_ms < MAX_TIMESTAMP_MS:
+            raise ConfigError(f"transport_bound_ms must lie in [0, 2**62 us), got {self.transport_bound_ms}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.rtx_probs is not None:

@@ -293,6 +293,12 @@ def cmd_simulate(args) -> int:
 # Keys of a sweep spec besides the fields of SweepGrid and RecoveryConfig.
 _SPEC_KEYS = ("channel", "policies", "model", "step_limit_margin")
 
+# sweep_result.json holds repetitions x cells x policies RMSE values. Each is
+# a Python float in memory (32 bytes with its list slot) and about 36 bytes
+# of indented JSON text, which json.dumps builds whole before writing. At
+# 2**27 values the two pass 8 GiB, so a spec asking for more cannot fit.
+_MAX_RESULT_VALUES = 1 << 27
+
 
 def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
     """The spec, its grid, its channel template and its RecoveryConfig
@@ -313,6 +319,12 @@ def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
         if "step_limit_margin" in spec:
             checked_number(spec["step_limit_margin"], "step_limit_margin")
         grid = SweepGrid(**grid)
+        values = grid.repetitions * len(grid.cells()) * len(policies)
+        if values > _MAX_RESULT_VALUES:
+            raise ConfigError(
+                f"repetitions: {grid.repetitions} x {len(grid.cells())} cells x {len(policies)} policies "
+                f"is {values} result values, more than the {_MAX_RESULT_VALUES} a sweep result can hold"
+            )
         try:
             template = channel_config_from_dict(spec["channel"])
         except ConfigError as exc:

@@ -250,6 +250,8 @@ def split_dataset(trace: Trace, alpha: float) -> tuple[Trace, Trace]:
 # Timestamps below this many microseconds in magnitude, so that the schedule
 # check's int64 differences cannot wrap.
 MAX_TIMESTAMP_US = 2**62
+# The same bound for a period or a delay in milliseconds.
+MAX_TIMESTAMP_MS = MAX_TIMESTAMP_US / US_PER_MS
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:

@@ -280,7 +280,7 @@ def _run_cells(
     )
     errors = {}
     for policy in policies:
-        joints, codes, _ = run_recoveries(trace, on_time_mask(runs, trace.period_ms, policy.cfg), policy)
+        joints, codes = run_recoveries(trace, on_time_mask(runs, trace.period_ms, policy.cfg), policy)
         errors[policy.label] = _run_errors(trace, joints, codes).tolist()
     return [
         {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Collection, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,8 @@ class ExecutedCommands:
 
     An iterable view over the trace, the run's (H, d) joints and its
     provenance codes: on-time slots are the trace's own Command objects,
-    dropped slots None. len() reads the codes only. It has no indexing and
-    no equality; read slots from the stream's joints_matrix() and codes().
+    dropped slots None. It has no length, indexing or equality; read slots
+    from the stream's joints and codes.
     """
 
     __slots__ = ("_trace", "_joints", "_codes", "_built")
@@ -126,73 +126,40 @@ class ExecutedCommands:
             self._built = tuple(slots)
         return self._built
 
-    def __len__(self) -> int:
-        return len(self._codes)
-
     def __iter__(self):
         return iter(self._commands())
 
 
 @dataclass(frozen=True, eq=False)
 class ExecutedStream:
-    """One entry per command slot; None marks a slot left empty (drop mode).
-
-    run_recovery hands over its commands as an ExecutedCommands view and
-    caches the arrays it filled, the (H, d) joints, the (H,) provenance
-    codes and the seq of slot 0, in the non-init fields that joints_matrix,
-    codes and seq0 return; any other stream builds them from commands on
-    first use. dataclasses.replace starts the copy without them. Streams
-    compare by identity; compare their joints_matrix() and codes() instead.
+    """One recovered run: its commands, one entry per slot with None for an
+    empty slot, its stats, the (H, d) joints per slot (an empty slot holds
+    the last executed row, leading empty slots the first), the (H,) int8
+    provenance codes (0 original, 1 forecast, 2 repeat-last, 3 empty) and
+    the seq of slot 0. The arrays are read-only views. Streams compare by
+    identity; compare their joints and codes instead.
     """
 
-    commands: Collection[Command | None]
+    commands: Iterable[Command | None]
     stats: RecoveryStats
-    _joints: np.ndarray | None = field(default=None, init=False, repr=False)
-    _codes: np.ndarray | None = field(default=None, init=False, repr=False)
-    _seq0: int | None = field(default=None, init=False, repr=False)
+    joints: np.ndarray
+    codes: np.ndarray
+    seq0: int
+
+    def __post_init__(self):
+        for name in ("joints", "codes"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
-        return len(self.commands)
+        return len(self.codes)
 
     def joints_matrix(self) -> np.ndarray:
-        """Joints per slot as a read-only (H, d) float array. An empty slot
-        holds the last executed command; leading empty slots hold the first."""
-        if self._joints is None:
-            self._cache(joints=self._joints_from_commands())
-        return self._joints
-
-    def codes(self) -> np.ndarray:
-        """Provenance per slot as a read-only (H,) int8 array: 0 original,
-        1 forecast, 2 repeat-last, 3 empty."""
-        if self._codes is None:
-            codes = [_DROPPED if c is None else _PROVENANCE.index(c.provenance) for c in self.commands]
-            self._cache(codes=np.array(codes, dtype=np.int8))
-        return self._codes
-
-    @property
-    def seq0(self) -> int:
-        """The seq of slot 0 (0 for a stream with no executed command)."""
-        if self._seq0 is None:
-            self._cache(seq0=next((c.seq - i for i, c in enumerate(self.commands) if c is not None), 0))
-        return self._seq0
-
-    def _cache(self, **values) -> None:
-        for name, value in values.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, "_" + name, value)
-
-    def _joints_from_commands(self) -> np.ndarray:
-        executed = [c.joints for c in self.commands if c is not None]
-        if not executed:
+        """The joints; ConfigError for a run with no executed slot."""
+        if np.all(self.codes == _DROPPED):
             raise ConfigError("stream has no executed commands")
-        rows = []
-        last = executed[0]
-        for c in self.commands:
-            if c is not None:
-                last = c.joints
-            rows.append(last)
-        return np.array(rows, dtype=float)
+        return self.joints
 
 
 def replay_deadline(outcome: ChannelOutcome, period_ms: float, cfg: RecoveryConfig) -> bool:
@@ -254,11 +221,11 @@ def _forecast_levels(forecast: np.ndarray, record_len: int) -> tuple[np.ndarray,
 
 def run_recoveries(
     trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The executed runs of a trace for an (R, H) mask of the slots whose
     command met the replay deadline in each of R runs (see on_time_mask):
-    the (R, H, d) joints, the (R, H) int8 provenance codes (0 original,
-    1 forecast, 2 repeat-last, 3 empty) and the (R, 4) slot counts per code.
+    the (R, H, d) joints and the (R, H) int8 provenance codes (0 original,
+    1 forecast, 2 repeat-last, 3 empty).
 
     An on-time slot holds the original command unchanged. Otherwise the
     policy fills the slot. Forecasting needs enough executed history for the
@@ -276,7 +243,6 @@ def run_recoveries(
     on_time = np.asarray(on_time, dtype=bool)
     if on_time.ndim != 2 or on_time.shape[1] != n_slots:
         raise ConfigError(f"on-time mask of shape {on_time.shape} for {n_slots} commands")
-    n_runs = len(on_time)
     cfg = policy.cfg
     model = policy.model
     limits = policy.max_step_per_joint
@@ -338,8 +304,7 @@ def run_recoveries(
             rows_of[flat[lo:hi]] = rows
             lo = hi
 
-    counts = np.bincount((codes + 4 * np.arange(n_runs)[:, None]).ravel(), minlength=4 * n_runs)
-    return joints, codes, counts.reshape(n_runs, 4)
+    return joints, codes
 
 
 def run_recovery(
@@ -351,20 +316,17 @@ def run_recovery(
     if len(columns) != len(trace):
         raise ConfigError(f"{len(columns)} outcomes for {len(trace)} commands")
     on_time = on_time_mask(columns, trace.period_ms, policy.cfg)
-    joints, codes, counts = run_recoveries(trace, on_time[None], policy)
-    stream = ExecutedStream(ExecutedCommands(trace, joints[0], codes[0]), RecoveryStats(*counts[0].tolist()))
-    stream._cache(codes=codes[0], seq0=trace.seq0)
-    if on_time.any():
-        stream._cache(joints=joints[0])
-    return stream
+    [joints], [codes] = run_recoveries(trace, on_time[None], policy)
+    stats = RecoveryStats(*np.bincount(codes, minlength=4).tolist())
+    return ExecutedStream(ExecutedCommands(trace, joints, codes), stats, joints, codes, trace.seq0)
 
 
 def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:
     """Dump emitted commands as `seq,provenance,j1..jd`, joints in repr;
     empty slots are omitted."""
-    codes = stream.codes()
+    codes = stream.codes
     emitted = np.flatnonzero(codes != _DROPPED)
-    rows = stream.joints_matrix()[emitted].tolist() if emitted.size else []
+    rows = stream.joints[emitted].tolist()
     dim = len(rows[0]) if rows else 0
     names = [p.value for p in _PROVENANCE]
     line = "%d,%s" + ",%r" * dim + "\r\n"

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import MAX_TIMESTAMP_US, Trace, ms_to_us, us_to_ms
+from .core import MAX_TIMESTAMP_MS, MAX_TIMESTAMP_US, Trace, ms_to_us, us_to_ms
 from .errors import ConfigError
 
 PROFILES = ("pick-and-place", "sine-mix", "constant")
@@ -83,9 +83,10 @@ def synthetic_trace(
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose one of {PROFILES}")
-    if not (0 < duration_s < math.inf and 0 < period_ms < math.inf):
+    if not (0 < duration_s < math.inf and 0 < period_ms < MAX_TIMESTAMP_MS):
         raise ConfigError(
-            f"duration and period must be finite and positive, got {duration_s} s and {period_ms} ms"
+            f"duration and period must be finite and positive, the period below 2**62 us, "
+            f"got {duration_s} s and {period_ms} ms"
         )
     if dim < 1 or seed < 0:
         raise ConfigError(f"dim must be >= 1 and seed >= 0, got dim={dim}, seed={seed}")
@@ -98,6 +99,8 @@ def synthetic_trace(
         raise ConfigError("duration shorter than one command period")
     if n * ms_to_us(period_ms) >= MAX_TIMESTAMP_US:
         raise ConfigError(f"duration {duration_s} s is too long: timestamps must stay below 2**62 us")
+    if n * dim > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"dim {dim} at {n} rows is more float64 values than one array can hold")
     rng = np.random.default_rng(seed)
 
     if profile == "constant":

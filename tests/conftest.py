@@ -62,9 +62,16 @@ def lag_dominant_trace(d: int, k: int, n: int, seed: int, noise: float = 0.1) ->
     if radius > 0.95:
         s = 0.9 / radius
         mats = {i: a * s ** i for i, a in mats.items()}
+    shocks = rng.normal(0.0, noise, (n - k, d))
     y = np.zeros((n, d))
-    for t in range(k, n):
-        y[t] = sum(a @ y[t - i] for i, a in mats.items()) + rng.normal(0.0, noise, d)
+    if k == 1:
+        a1 = mats[1]
+        for t in range(1, n):
+            y[t] = a1 @ y[t - 1] + shocks[t - 1]
+    else:
+        a1, ak = mats[1], mats[k]
+        for t in range(k, n):
+            y[t] = a1 @ y[t - 1] + ak @ y[t - k] + shocks[t - k]
     return Trace.from_joints(y, 20.0)
 
 

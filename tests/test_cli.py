@@ -8,7 +8,8 @@ import warnings
 
 import pytest
 
-from foreco import cli
+from foreco import cli, evaluation
+from foreco.channel import ChannelConfig, InterferenceParams, channel_config_to_dict
 from foreco.cli import main
 from foreco.core import read_trace_csv, write_trace_csv
 from foreco.forecasting import fit_var_ols, load_model
@@ -242,6 +243,7 @@ class TestMalformedConfig:
         ("sweep", {k: v for k, v in SPEC.items() if k != "probs"}, "probs: missing key"),
         ("sweep", dict(SPEC, probs=[0.5, 0.5], repetitions=2), "probs"),
         ("simulate", {"mac": {"max_rtx": 1100, "max_window_exp": 1100}}, "max_rtx=1100"),
+        ("sweep", dict(SPEC, channel={"period_ms": 1e308}), "channel: period_ms"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -326,6 +328,8 @@ class TestOutOfRangeFlags:
         ("gen-trace", ["--period-ms", "0.0004"], "rounds to less than the 1 us"),
         ("gen-trace", ["--period-ms", "0.0006"], "not a whole number of microseconds"),
         ("gen-trace", ["--period-ms", "20.0004"], "not a whole number of microseconds"),
+        ("gen-trace", ["--period-ms", "1e308"], "period below 2**62 us"),
+        ("gen-trace", ["--dim", "9223372036854775808"], "dim 9223372036854775808"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, flags, word):
         out = tmp_path / "out"
@@ -345,6 +349,53 @@ class TestOutOfRangeFlags:
         assert error["kind"] == "config"
         assert word in error["message"]
         assert not out.exists()
+
+
+def channel_leaves(doc, path=()):
+    """The (path, value) of every number in a channel JSON document."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from channel_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+CHANNEL = channel_config_to_dict(
+    ChannelConfig(interference=InterferenceParams(p_if=0.5, t_if_slots=4.0, n_stations=5), seed=7)
+)
+EXTREMES = (1e308, 1e-320, 10**30, 2**62, 2**63)
+
+
+class TestChannelExtremes:
+    """Every number of the channel JSON at each extreme magnitude (floats
+    only where the field is a float): simulate exits 0, 2 or 3, never with
+    an internal error."""
+
+    @pytest.fixture(scope="class")
+    def short_trace(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("extremes") / "trace.csv"
+        assert main(["gen-trace", "--profile", "pick-and-place", "--duration-s", "1",
+                     "--seed", "0", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(path, value, id=f"{'.'.join(path)}={value!r}")
+        for path, default in channel_leaves(CHANNEL)
+        for value in EXTREMES
+        if isinstance(default, float) or isinstance(value, int)
+    ])
+    def test_never_an_internal_error(self, short_trace, tmp_path, capsys, path, value):
+        doc = json.loads(json.dumps(CHANNEL))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        channel = tmp_path / "ch.json"
+        channel.write_text(json.dumps(doc))
+        rc = main(["simulate", "--trace", str(short_trace), "--channel", str(channel),
+                   "--policy", "repeat-last", "--out-dir", str(tmp_path / "run")])
+        assert rc in (0, 2, 3)
+        assert '"kind": "internal"' not in capsys.readouterr().err
 
 
 class TestOutOfMemory:
@@ -522,6 +573,22 @@ class TestSweepCli:
         assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
                      "--out-dir", str(tmp_path / "sw")]) == 0
         assert [(p.label, p.cfg.record_len) for p in seen] == [("forecast", 25), ("repeat-last", 25)]
+
+    def test_repetitions_beyond_the_result_bound_fail_before_a_seed(self, trace_csv, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a seed was drawn")
+
+        monkeypatch.setattr(evaluation, "_task_seed", refuse)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [2.0], "robot_counts": [5],
+                                    "repetitions": 10**10, "channel": {}, "policies": ["repeat-last"]}))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "repetitions: 10000000000 x 1 cells x 1 policies" in error["message"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2), (["--jobs", "1000"], 3)])
     def test_jobs_default_to_and_stop_at_the_usable_cpus(self, trace_csv, tmp_path, monkeypatch, flags, jobs):

@@ -20,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -419,9 +420,41 @@ class TestBatchChannel:
 # ---------------------------------------------------------------------------
 # Bulk recovery against the per-slot loop
 
-def per_slot_recovery(trace: Trace, outcomes, policy: RecoveryPolicy) -> ExecutedStream:
+class SlotRun(NamedTuple):
+    """A run of the per-slot loop: its commands and stats, and the joints
+    and codes derived from the commands."""
+
+    commands: tuple[Command | None, ...]
+    stats: RecoveryStats
+    joints: np.ndarray
+    codes: np.ndarray
+
+
+def codes_from_commands(commands) -> np.ndarray:
+    """Each slot's provenance code: 3 for an empty slot, else the index of
+    its provenance in (original, forecast, repeat-last)."""
+    order = [Provenance.ORIGINAL, Provenance.FORECAST, Provenance.REPEAT_LAST]
+    return np.array([3 if c is None else order.index(c.provenance) for c in commands], dtype=np.int8)
+
+
+def joints_from_commands(commands, fallback) -> np.ndarray:
+    """Each slot's joints: an empty slot holds the last executed command
+    and leading empty slots the first; with no executed command every slot
+    holds fallback."""
+    executed = [c.joints for c in commands if c is not None]
+    last = executed[0] if executed else fallback
+    rows = []
+    for c in commands:
+        if c is not None:
+            last = c.joints
+        rows.append(last)
+    return np.array(rows, dtype=float)
+
+
+def per_slot_recovery(trace: Trace, outcomes, policy: RecoveryPolicy) -> SlotRun:
     """The per-slot recovery loop that run_recovery replaced, kept as the
-    reference: one deadline test, history deque and policy branch per slot."""
+    reference: one deadline test, history deque and policy branch per slot.
+    A run with no executed command holds the trace's last row."""
     cfg = policy.cfg
     model = policy.model
     period_ms = trace.period_ms
@@ -459,7 +492,10 @@ def per_slot_recovery(trace: Trace, outcomes, policy: RecoveryPolicy) -> Execute
         slots.append(executed)
         if executed is not None:
             history.append(executed)
-    return ExecutedStream(tuple(slots), RecoveryStats(on_time, forecast, repeated, dropped))
+    return SlotRun(
+        tuple(slots), RecoveryStats(on_time, forecast, repeated, dropped),
+        joints_from_commands(slots, tuple(trace.joints[-1])), codes_from_commands(slots),
+    )
 
 
 def random_outcomes(rng: np.random.Generator, trace: Trace, deadline_ms: float) -> list[ChannelOutcome]:
@@ -499,12 +535,11 @@ def smooth_trace(rng: np.random.Generator, n: int, d: int) -> Trace:
     return full.slice(int(rng.integers(0, 30)), n)
 
 
-def assert_same_stream(fast: ExecutedStream, slow: ExecutedStream) -> None:
+def assert_same_stream(fast: ExecutedStream, slow: SlotRun) -> None:
     assert fast.stats == slow.stats
     assert tuple(fast.commands) == tuple(slow.commands)
-    np.testing.assert_array_equal(fast.codes(), slow.codes())
-    if slow.stats.dropped < len(slow):
-        np.testing.assert_array_equal(fast.joints_matrix(), slow.joints_matrix())
+    np.testing.assert_array_equal(fast.codes, slow.codes)
+    np.testing.assert_array_equal(fast.joints, slow.joints)
 
 
 class WholeRecordMean:
@@ -587,16 +622,12 @@ def on_time_masks(trace: Trace, runs, cfg: RecoveryConfig) -> np.ndarray:
     return np.array([on_time_mask(ChannelOutcomes.from_outcomes(o), trace.period_ms, cfg) for o in runs])
 
 
-def assert_same_run(trace: Trace, joints, codes, counts, slow: ExecutedStream) -> None:
-    """One run of run_recoveries' arrays against an oracle stream: the
-    same stats, codes and, where a slot executed, joints; a run with no
-    executed slot holds the trace's last row."""
-    assert RecoveryStats(*counts.tolist()) == slow.stats
-    np.testing.assert_array_equal(codes, slow.codes())
-    if slow.stats.dropped < len(slow):
-        np.testing.assert_array_equal(joints, slow.joints_matrix())
-    else:
-        np.testing.assert_array_equal(joints, np.broadcast_to(trace.joints[-1], joints.shape))
+def assert_same_run(joints, codes, slow: SlotRun | ExecutedStream) -> None:
+    """One run of run_recoveries' arrays against an oracle run: the same
+    codes, joints and stats counted from the codes."""
+    assert RecoveryStats(*np.bincount(codes, minlength=4).tolist()) == slow.stats
+    np.testing.assert_array_equal(codes, slow.codes)
+    np.testing.assert_array_equal(joints, slow.joints)
 
 
 class TestBatchedRecovery:
@@ -631,12 +662,11 @@ class TestBatchedRecovery:
                 RecoveryPolicy(PolicyMode.DROP, cfg),
             ]
             for policy in policies:
-                joints, codes, counts = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+                joints, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
                 assert joints.shape == (len(runs), len(trace), trace.dim)
                 assert codes.shape == (len(runs), len(trace)) and codes.dtype == np.int8
-                assert counts.shape == (len(runs), 4)
-                for outcomes, *arrays in zip(runs, joints, codes, counts):
-                    assert_same_run(trace, *arrays, per_slot_recovery(trace, outcomes, policy))
+                for outcomes, *arrays in zip(runs, joints, codes):
+                    assert_same_run(*arrays, per_slot_recovery(trace, outcomes, policy))
         assert all(count >= 3 for count in kinds.values()), kinds
 
     @pytest.mark.parametrize("extra", [0, 1])
@@ -655,10 +685,10 @@ class TestBatchedRecovery:
         ]
         for model in (fit_var_ols(train, record_len), WindowMean(3, record_len), WholeRecordMean()):
             policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model)
-            joints, codes, counts = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
-            for outcomes, *arrays in zip(runs, joints, codes, counts):
-                assert_same_run(trace, *arrays, per_slot_recovery(trace, outcomes, policy))
-            assert counts[0, 1] == 7
+            joints, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+            for outcomes, *arrays in zip(runs, joints, codes):
+                assert_same_run(*arrays, per_slot_recovery(trace, outcomes, policy))
+            assert np.count_nonzero(codes[0] == 1) == 7
 
     def test_single_run_is_the_batch_of_one(self):
         rng = np.random.default_rng(13)
@@ -668,7 +698,7 @@ class TestBatchedRecovery:
         policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model)
         batch = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
         for outcomes, *arrays in zip(runs, *batch):
-            assert_same_run(trace, *arrays, run_recovery(trace, outcomes, policy))
+            assert_same_run(*arrays, run_recovery(trace, outcomes, policy))
             alone = run_recoveries(trace, on_time_masks(trace, [outcomes], policy.cfg), policy)
             for a, b in zip(arrays, alone):
                 np.testing.assert_array_equal(a, b[0])
@@ -708,7 +738,7 @@ class TestBatchScoring:
             ]
             for policy in policies:
                 # each policy's own mask: the tolerances differ
-                joints, codes, _ = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
+                joints, codes = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
                 executed = ~(codes != 0).all(axis=1)
                 streams = [run_recovery(trace, outcomes, policy) for outcomes in runs]
                 expected = [rmse(stream, trace) for stream, ok in zip(streams, executed) if ok]
@@ -1126,7 +1156,7 @@ class TestCommandsView:
     def test_len_builds_no_commands(self):
         trace, outcomes, policy, stream = self.recovered()
         assert isinstance(stream.commands, ExecutedCommands)
-        assert len(stream) == len(stream.commands) == len(trace)
+        assert len(stream) == len(trace)
         stream.joints_matrix()
         assert stream.commands._built is None
         assert next(iter(stream.commands)) is None
@@ -1143,20 +1173,17 @@ class TestCommandsView:
         assert stream.stats.forecast >= 20
 
     def test_replace_keeps_working(self):
+        # replacing the commands or the stats keeps the arrays as they were
         trace, outcomes, policy, stream = self.recovered()
-        joints = stream.joints_matrix()
         restated = replace(stream, stats=RecoveryStats())
         assert restated.commands is stream.commands
-        assert restated._joints is None
-        np.testing.assert_array_equal(restated.joints_matrix(), joints)
         copied = replace(stream, commands=tuple(stream.commands))
-        assert copied._joints is None
-        np.testing.assert_array_equal(copied.joints_matrix(), joints)
-        moved = list(stream.commands)
-        moved[120] = replace(moved[120], joints=(9.0, 9.0, 9.0))
-        altered = replace(stream, commands=tuple(moved))
-        assert altered.joints_matrix()[120].tolist() == [9.0, 9.0, 9.0]
-        assert np.array_equal(np.delete(altered.joints_matrix(), 120, 0), np.delete(joints, 120, 0))
+        assert copied.stats == stream.stats
+        for other in (restated, copied):
+            np.testing.assert_array_equal(other.joints_matrix(), stream.joints)
+            np.testing.assert_array_equal(other.codes, stream.codes)
+            assert other.seq0 == stream.seq0 == trace.seq0
+            assert not other.joints.flags.writeable and not other.codes.flags.writeable
 
 
 class TestForecastStep:
@@ -1251,8 +1278,7 @@ class TestCachedJoints:
     @pytest.mark.parametrize("mode", [PolicyMode.DROP, PolicyMode.REPEAT_LAST])
     def test_equals_the_rebuild_from_commands(self, mode):
         stream = self.stream(mode)
-        assert stream._joints is not None
-        np.testing.assert_array_equal(stream.joints_matrix(), stream._joints_from_commands())
+        np.testing.assert_array_equal(stream.joints_matrix(), joints_from_commands(stream.commands, None))
 
     def test_read_only(self):
         joints = self.stream().joints_matrix()
@@ -1260,32 +1286,12 @@ class TestCachedJoints:
         with pytest.raises(ValueError):
             joints[0, 0] = 1.0
 
-    def test_replace_recomputes_from_commands(self):
-        stream = self.stream(PolicyMode.REPEAT_LAST)
-        same = replace(stream, commands=stream.commands)
-        assert same._joints is None
-        np.testing.assert_array_equal(same.joints_matrix(), stream.joints_matrix())
-        shifted = replace(stream, commands=(None,) + tuple(stream.commands)[:-1])
-        np.testing.assert_array_equal(
-            shifted.joints_matrix(),
-            np.vstack([stream.joints_matrix()[1:2], stream.joints_matrix()[:-1]]),
-        )
-        assert not shifted.joints_matrix().flags.writeable
-
-    def test_rebuilt_array_is_cached(self):
-        stream = replace(self.stream(), stats=RecoveryStats())
-        assert stream.joints_matrix() is stream.joints_matrix()
-        assert stream.codes() is stream.codes()
-
     @pytest.mark.parametrize("mode", list(PolicyMode))
     def test_codes_equal_the_rebuild_from_commands(self, mode):
         stream = self.stream(mode)
-        assert stream._codes is not None and not stream.codes().flags.writeable
-        rebuilt = replace(stream, commands=stream.commands)
-        assert rebuilt._codes is None
-        np.testing.assert_array_equal(rebuilt.codes(), stream.codes())
-        assert not rebuilt.codes().flags.writeable
-        assert rebuilt.seq0 == stream.seq0 == tuple(stream.commands)[1].seq - 1
+        assert not stream.codes.flags.writeable
+        np.testing.assert_array_equal(stream.codes, codes_from_commands(stream.commands))
+        assert stream.seq0 == tuple(stream.commands)[1].seq - 1
 
 
 class TestDeadlineMask:
@@ -1566,8 +1572,9 @@ class TestExecutedCsvWriter:
             ):
                 for outcomes in runs:
                     self.assert_same_file(tmp_path, run_recovery(trace, outcomes, policy))
-                    # and the same stream built by hand from its Commands
-                    self.assert_same_file(tmp_path, per_slot_recovery(trace, outcomes, policy))
+                    # and a stream built by hand from the per-slot loop's run
+                    self.assert_same_file(tmp_path, ExecutedStream(*per_slot_recovery(trace, outcomes, policy),
+                                                                   trace.seq0))
         assert all(count >= 3 for count in kinds.values()), kinds
 
     def test_hand_built_stream(self, tmp_path):
@@ -1579,9 +1586,8 @@ class TestExecutedCsvWriter:
             replace(third, joints=second.joints, provenance=Provenance.REPEAT_LAST),
             fourth,
         )
-        stream = ExecutedStream(commands, RecoveryStats(1, 1, 1, 1))
-        assert stream.codes().tolist() == [3, 1, 2, 0]
-        assert stream.seq0 == 7
+        joints = np.array([second.joints, second.joints, second.joints, fourth.joints])
+        stream = ExecutedStream(commands, RecoveryStats(1, 1, 1, 1), joints, np.array([3, 1, 2, 0], np.int8), 7)
         self.assert_same_file(tmp_path, stream)
         path = tmp_path / "fast.csv"
         assert path.read_text().splitlines() == [
@@ -1590,6 +1596,6 @@ class TestExecutedCsvWriter:
             "9,repeat-last,1e-300,2.5",
             "10,original,5.0,6.0",
         ]
-        empty = ExecutedStream((None, None), RecoveryStats(dropped=2))
+        empty = ExecutedStream((None, None), RecoveryStats(dropped=2), joints[:2], np.array([3, 3], np.int8), 7)
         self.assert_same_file(tmp_path, empty)
         assert path.read_bytes() == b"seq,provenance\r\n"

@@ -20,7 +20,7 @@ from foreco.recovery import (
 )
 import foreco
 
-# ExecutedStream.codes() of a forecast, a repeated and an empty slot.
+# ExecutedStream.codes of a forecast, a repeated and an empty slot.
 FORECAST, REPEATED, DROPPED = 1, 2, 3
 
 
@@ -143,7 +143,7 @@ class TestRunRecovery:
         outcomes[100] = lost(100)
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.REPEAT_LAST))
         assert stream.joints_matrix()[100].tolist() == list(tr.samples[99].joints)
-        assert stream.codes()[100] == REPEATED
+        assert stream.codes[100] == REPEATED
         assert stream.seq0 + 100 == 100
 
     def test_drop_mode_leaves_gaps(self):
@@ -151,7 +151,7 @@ class TestRunRecovery:
         outcomes = all_on_time(tr)
         outcomes[7] = lost(7)
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.DROP))
-        assert stream.codes()[7] == DROPPED
+        assert stream.codes[7] == DROPPED
         assert stream.stats.dropped == 1
 
     def test_bootstrap_losses_fall_back_to_repeat(self):
@@ -163,7 +163,7 @@ class TestRunRecovery:
         outcomes[2] = lost(2)   # only 1 executed command, model needs 3: repeated
         outcomes[50] = lost(50) # plenty of history: forecast
         stream = run_recovery(tr, outcomes, RecoveryPolicy(PolicyMode.FORECAST, cfg, model))
-        assert stream.codes()[[0, 2, 50]].tolist() == [DROPPED, REPEATED, FORECAST]
+        assert stream.codes[[0, 2, 50]].tolist() == [DROPPED, REPEATED, FORECAST]
         assert stream.stats.to_dict()["dropped"] == 1
 
     def test_deterministic(self):
@@ -177,7 +177,7 @@ class TestRunRecovery:
         s1 = run_recovery(tr, outcomes, policy)
         s2 = run_recovery(tr, outcomes, policy)
         assert np.array_equal(s1.joints_matrix(), s2.joints_matrix())
-        assert np.array_equal(s1.codes(), s2.codes())
+        assert np.array_equal(s1.codes, s2.codes)
         assert s1.stats == s2.stats
 
     def test_length_mismatch_rejected(self):
