@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MAX_TIMESTAMP_MS, Trace, checked_fields, checked_numbers, ms_to_us, read_json
+from .core import MAX_TIMESTAMP_MS, Trace, checked_fields, checked_numbers, ms_to_us, read_json, section, write_json
 from .errors import AlwaysLost, ConfigError, OutOfRange
 
 
@@ -47,12 +46,13 @@ class MacParams:
     max_rtx: int = 7
 
     def __post_init__(self):
-        if min(self.t_s_ms, self.t_col_ms, self.slot_ms) <= 0:
-            raise ConfigError("all MAC times must be positive")
+        for name in ("t_s_ms", "t_col_ms", "slot_ms"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name}: MAC times must be positive, got {getattr(self, name)}")
         if self.w0 < 2:
-            raise ConfigError(f"initial backoff window must be >= 2, got {self.w0}")
+            raise ConfigError(f"w0: initial backoff window must be >= 2, got {self.w0}")
         if self.max_window_exp < 0:
-            raise ConfigError("backoff cap exponent must be >= 0")
+            raise ConfigError(f"max_window_exp: backoff cap exponent must be >= 0, got {self.max_window_exp}")
         if not 1 <= self.max_rtx <= _MAX_ATTEMPTS:
             raise ConfigError(f"max_rtx: attempt budget must lie in [1, {_MAX_ATTEMPTS}], got {self.max_rtx}")
         self.server_times()  # ConfigError unless the delays are finite
@@ -98,13 +98,21 @@ class InterferenceParams:
 
     def __post_init__(self):
         if not 0.0 <= self.p_if <= 1.0:
-            raise ConfigError(f"p_if must lie in [0, 1], got {self.p_if}")
+            raise ConfigError(f"p_if: must lie in [0, 1], got {self.p_if}")
         if self.t_if_slots < 0:
-            raise ConfigError("interferer duration must be >= 0 slots")
-        if self.n_stations < 1:
-            raise ConfigError("station count must be >= 1")
+            raise ConfigError(f"t_if_slots: interferer duration must be >= 0 slots, got {self.t_if_slots}")
         if not 0.0 <= self.attempt_prob < 1.0:
-            raise ConfigError("per-slot attempt probability must lie in [0, 1)")
+            raise ConfigError(f"attempt_prob: per-slot attempt probability must lie in [0, 1), got {self.attempt_prob}")
+        if not 1 <= self.n_stations or self.collision_prob == 1.0:
+            raise ConfigError(f"n_stations: station count must be >= 1 and leave the collision probability "
+                              f"below 1 at attempt probability {self.attempt_prob}, got {self.n_stations}")
+
+    @property
+    def collision_prob(self) -> float:
+        """Probability that one of the other n - 1 stations transmits in a slot.
+        (1 - q)**k is 0.0 past k = 2**64 for any 1 - q < 1: the cap only keeps
+        a count beyond the float range from overflowing."""
+        return 1.0 - (1.0 - self.attempt_prob) ** min(self.n_stations - 1, 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -121,25 +129,23 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.queue_cap < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {self.queue_cap}")
+            raise ConfigError(f"queue_cap: queue capacity must be >= 1, got {self.queue_cap}")
         if not 0 < self.period_ms < MAX_TIMESTAMP_MS:
-            raise ConfigError(f"period_ms must be positive and below 2**62 us, got {self.period_ms}")
+            raise ConfigError(f"period_ms: must be positive and below 2**62 us, got {self.period_ms}")
         if not 0 <= self.transport_bound_ms < MAX_TIMESTAMP_MS:
-            raise ConfigError(f"transport_bound_ms must lie in [0, 2**62 us), got {self.transport_bound_ms}")
+            raise ConfigError(f"transport_bound_ms: must lie in [0, 2**62 us), got {self.transport_bound_ms}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.rtx_probs is not None:
             probs = tuple(float(p) for p in self.rtx_probs)
             object.__setattr__(self, "rtx_probs", probs)
             if len(probs) != self.mac.max_rtx + 1:
-                raise ConfigError(
-                    f"explicit probability vector needs {self.mac.max_rtx + 1} entries, "
-                    f"got {len(probs)}"
-                )
+                raise ConfigError(f"a_j: explicit probability vector needs {self.mac.max_rtx + 1} entries, "
+                                  f"got {len(probs)}")
             if not all(map(math.isfinite, probs)):
-                raise ConfigError(f"explicit probability vector must be finite, got {list(probs)}")
+                raise ConfigError(f"a_j: explicit probability vector must be finite, got {list(probs)}")
             if min(probs) < 0 or abs(sum(probs) - 1.0) > 1e-9:
-                raise ConfigError("explicit probability vector must be a distribution")
+                raise ConfigError("a_j: explicit probability vector must be a distribution")
 
 
 class LossCause(enum.Enum):
@@ -266,7 +272,7 @@ def attempt_failure_prob(cfg: ChannelConfig) -> float:
     the active window).
     """
     inter = cfg.interference
-    p_col = 1.0 - (1.0 - inter.attempt_prob) ** (inter.n_stations - 1)
+    p_col = inter.collision_prob
     tx_slots = cfg.mac.t_s_ms / cfg.mac.slot_ms
     if inter.t_if_slots > 0:
         duty = inter.t_if_slots / (inter.t_if_slots + tx_slots)
@@ -500,33 +506,32 @@ def verify_causality_prob(cfg: ChannelConfig, n_samples: int) -> tuple[float, fl
 def channel_config_to_dict(cfg: ChannelConfig) -> dict:
     doc = asdict(cfg)
     rtx_probs = doc.pop("rtx_probs")
-    if rtx_probs is not None:
-        doc["a_j"] = list(rtx_probs)
-    return doc
+    return doc if rtx_probs is None else dict(doc, a_j=list(rtx_probs))
 
 
 def channel_config_from_dict(doc: dict) -> ChannelConfig:
-    """The config a JSON document describes; an unknown key or a value of the
-    wrong type raises ConfigError naming the field. Absent fields keep the
-    dataclasses' defaults."""
-    [given] = checked_fields(doc, "", ChannelConfig, extra=("mac", "interference", "a_j"))
+    """The config a JSON document describes; an unknown key, a value of the
+    wrong type or out of range, or an interference that fails every attempt
+    raises ConfigError naming the field. Absent fields keep the defaults."""
+    [given] = checked_fields(doc, ChannelConfig, extra=("mac", "interference", "a_j"))
     for key, cls in (("mac", MacParams), ("interference", InterferenceParams)):
         if key in doc:
-            given[key] = cls(**checked_fields(doc[key], key, cls)[0])
+            with section(key):
+                given[key] = cls(**checked_fields(doc[key], cls)[0])
     if doc.get("a_j") is not None:
         given["rtx_probs"] = checked_numbers(doc["a_j"], "a_j")
-    return ChannelConfig(**given)
+    cfg = ChannelConfig(**given)
+    with section("interference"):
+        channel_rtx_probs(cfg)
+    return cfg
 
 
 def load_channel_config(path: str | Path) -> ChannelConfig:
-    try:
-        return channel_config_from_dict(read_json(path))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return read_json(path, channel_config_from_dict)
 
 
 def save_channel_config(cfg: ChannelConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(channel_config_to_dict(cfg), indent=2) + "\n")
+    write_json(path, channel_config_to_dict(cfg))
 
 
 def write_outcomes_csv(outcomes: ChannelOutcomes | Sequence[ChannelOutcome], path: str | Path) -> None:

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,11 +25,22 @@ from . import __version__
 from .channel import (
     ChannelConfig,
     channel_config_from_dict,
+    channel_rtx_probs,
     load_channel_config,
     simulate_channel,
     write_outcomes_csv,
 )
-from .core import RecoveryConfig, checked_fields, checked_number, read_json, read_trace_csv, write_trace_csv
+from .core import (
+    RecoveryConfig,
+    checked_fields,
+    checked_number,
+    checked_text,
+    read_json,
+    read_trace_csv,
+    section,
+    write_json,
+    write_trace_csv,
+)
 from .errors import ConfigError, ForecoError
 from .evaluation import MATERIAL_ERROR_FLOOR, SweepGrid, rmse, run_sweep
 from .forecasting import (
@@ -49,7 +60,6 @@ from .recovery import (
     run_recovery,
     step_limit_from_trace,
     write_executed_csv,
-    write_stats_json,
 )
 from .traces import PROFILES, synthetic_trace
 
@@ -78,14 +88,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file and aborted runs leave nothing behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 class Manifest:
     """Record of one CLI run: inputs with digests, seeds, outputs, timing."""
 
@@ -112,7 +114,7 @@ class Manifest:
 
     def write(self, path: Path) -> None:
         self.doc["elapsed_s"] = round(time.monotonic() - self._t0, 3)
-        atomic_write_text(path, json.dumps(self.doc, indent=2) + "\n")
+        write_json(path, self.doc)
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -207,7 +209,7 @@ def cmd_train(args) -> int:
     out_model.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out_model, trained_at=_timestamp())
     report_path = Path(args.report) if args.report else out_model.with_suffix(out_model.suffix + ".aic.json")
-    atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")
+    write_json(report_path, report)
 
     manifest.add_output(out_model)
     manifest.add_output(report_path)
@@ -266,7 +268,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_outcomes_csv(outcomes, out_dir / "outcomes.csv")
     write_executed_csv(stream, out_dir / "executed.csv")
-    write_stats_json(stream, out_dir / "stats.json")
+    write_json(out_dir / "stats.json", stream.stats.to_dict())
     summary = {"policy": policy.label, "rmse": error}
     if error is None:
         summary["rmse_note"] = "no command was executed: every slot missed its deadline and was dropped"
@@ -277,7 +279,7 @@ def cmd_simulate(args) -> int:
         tolerance_ms=policy.cfg.tolerance_ms,
         record_len=policy.cfg.record_len,
     )
-    atomic_write_text(out_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
+    write_json(out_dir / "summary.json", summary)
 
     for name in ("outcomes.csv", "executed.csv", "stats.json", "summary.json"):
         manifest.add_output(out_dir / name)
@@ -300,44 +302,53 @@ _SPEC_KEYS = ("channel", "policies", "model", "step_limit_margin")
 _MAX_RESULT_VALUES = 1 << 27
 
 
-def _load_sweep_spec(path: Path) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
-    """The spec, its grid, its channel template and its RecoveryConfig
-    fields. An unknown or missing key, a grid axis that is not a non-empty
-    list of numbers (integers for robot counts) or a value of the wrong type
-    raises ConfigError naming file and field."""
-    spec = read_json(path)
-    try:
-        grid, recovery = checked_fields(spec, "", SweepGrid, RecoveryConfig, extra=_SPEC_KEYS)
-        if "channel" not in spec:
-            raise ConfigError("channel: missing key")
-        policies = spec.setdefault("policies", ["forecast", "repeat-last"])
-        names = [mode.value for mode in PolicyMode]
-        if not isinstance(policies, list) or not all(name in names for name in policies):
-            raise ConfigError(f"policies: expected a list of names from {names}, got {policies!r}")
-        if spec.get("model") is not None and not isinstance(spec["model"], str):
-            raise ConfigError(f"model: expected a path, got {spec['model']!r}")
-        if "step_limit_margin" in spec:
-            checked_number(spec["step_limit_margin"], "step_limit_margin")
-        grid = SweepGrid(**grid)
-        values = grid.repetitions * len(grid.cells()) * len(policies)
-        if values > _MAX_RESULT_VALUES:
-            raise ConfigError(
-                f"repetitions: {grid.repetitions} x {len(grid.cells())} cells x {len(policies)} policies "
-                f"is {values} result values, more than the {_MAX_RESULT_VALUES} a sweep result can hold"
-            )
-        try:
-            template = channel_config_from_dict(spec["channel"])
-        except ConfigError as exc:
-            raise ConfigError(f"channel: {exc}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+# Each grid axis sets one InterferenceParams field of every cell.
+_AXES = (("robot_counts", "n_stations"), ("probs", "p_if"), ("durations", "t_if_slots"))
+
+
+def _sweep_spec(spec) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
+    """The spec, its grid, its channel template and its RecoveryConfig fields,
+    checked before any model is read: a key that is unknown, missing, of the
+    wrong type or out of range raises ConfigError naming the field."""
+    grid, recovery = checked_fields(spec, SweepGrid, RecoveryConfig, extra=_SPEC_KEYS)
+    if "channel" not in spec:
+        raise ConfigError("channel: missing key")
+    policies = spec.setdefault("policies", ["forecast", "repeat-last"])
+    names = [mode.value for mode in PolicyMode]
+    known = isinstance(policies, list) and all(name in names for name in policies)
+    if not known or len(set(policies)) < len(policies):
+        raise ConfigError(f"policies: expected a list of distinct names from {names}, got {policies!r}")
+    if not checked_text(spec.get("model"), "model", none=True) and "forecast" in policies:
+        raise ConfigError("model: the forecast policy needs a model path")
+    if "step_limit_margin" in spec and not checked_number(spec["step_limit_margin"], "step_limit_margin") > 0:
+        raise ConfigError(f"step_limit_margin: must be > 0, got {spec['step_limit_margin']}")
+    RecoveryConfig(**recovery)
+    grid = SweepGrid(**grid)
+    values = grid.repetitions * len(grid.cells()) * len(policies)
+    if values > _MAX_RESULT_VALUES:
+        raise ConfigError(
+            f"repetitions: {grid.repetitions} x {len(grid.cells())} cells x {len(policies)} policies "
+            f"is {values} result values, more than the {_MAX_RESULT_VALUES} a sweep result can hold"
+        )
+    with section("channel"):
+        template = channel_config_from_dict(spec["channel"])
+    # Each entry is checked in a cell of one station and no interferer, but for the largest
+    # entries of the axes before it. Failure grows along every axis, so the last axis's
+    # largest entry checks the worst cell, and no check fails for a value the grid lacks.
+    cell = {"n_stations": 1, "p_if": 0.0, "t_if_slots": 0.0}
+    for axis, name in _AXES:
+        for k, value in enumerate(getattr(grid, axis)):
+            with section(f"{axis}[{k}]"):
+                interference = replace(template.interference, **{**cell, name: value})
+                channel_rtx_probs(replace(template, interference=interference))
+        cell[name] = max(getattr(grid, axis))
     return spec, grid, template, recovery
 
 
 def cmd_sweep(args) -> int:
     trace = read_trace_csv(args.trace)
     spec_path = Path(args.spec)
-    spec, grid, template, recovery = _load_sweep_spec(spec_path)
+    spec, grid, template, recovery = read_json(spec_path, _sweep_spec)
 
     manifest = Manifest(args.argv)
     manifest.add_input(args.trace)
@@ -346,8 +357,6 @@ def cmd_sweep(args) -> int:
     model = None
     policy_names = spec["policies"]
     if "forecast" in policy_names:
-        if not spec.get("model"):
-            raise ConfigError("sweep spec includes the forecast policy but no 'model' path")
         model_path = spec_path.parent / spec["model"]  # an absolute path replaces the parent
         model = load_model(model_path)
         manifest.add_input(model_path)
@@ -361,7 +370,7 @@ def cmd_sweep(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "sweep_result.json", json.dumps(result.to_dict(), indent=2) + "\n")
+    write_json(out_dir / "sweep_result.json", result.to_dict())
     matrix_paths = result.write_matrices(out_dir)
     manifest.add_output(out_dir / "sweep_result.json")
     for path in matrix_paths:

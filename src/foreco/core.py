@@ -11,10 +11,12 @@ import csv
 import enum
 import io
 import json
-import math
+import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable
 
@@ -153,78 +155,113 @@ class RecoveryConfig:
 
     def __post_init__(self):
         if not self.tolerance_ms >= 0:
-            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance_ms}")
+            raise ConfigError(f"tolerance_ms: tolerance must be >= 0, got {self.tolerance_ms}")
         if self.record_len < 1:
-            raise ConfigError(f"record length must be >= 1, got {self.record_len}")
+            raise ConfigError(f"record_len: record length must be >= 1, got {self.record_len}")
 
 
-def read_json(path: str | Path):
-    """The JSON document in a file; FormatError naming the file unless it is
-    UTF-8 text holding one JSON value."""
+def read_json(path: str | Path, parse):
+    """parse applied to the JSON document in a file. FormatError naming the
+    file unless it is UTF-8 text holding one JSON value; a ConfigError from
+    parse gets the file's path in front: `<file>: <section>.<field>: ...`."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    try:
+        return parse(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write doc as indented JSON via a sibling temp file and a rename, so
+    readers never see a partial file and a failed write keeps the old one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=2) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def section(name: str):
+    """Put name in front of any ConfigError raised inside: `name.field: ...`
+    when its message starts with a field (`field: ...`), else `name: ...`."""
+    try:
+        yield
+    except ConfigError as exc:
+        head, sep, _ = str(exc).partition(": ")
+        raise ConfigError(f"{name}{'.' if sep and ' ' not in head else ': '}{exc}") from None
 
 
 def checked_number(value, name: str, integer: bool = False):
-    """value itself if it is a finite JSON number (an integer when integer
-    is set); otherwise a ConfigError naming the field."""
+    """value itself if it is a JSON number within the float range (any
+    integer when integer is set); otherwise a ConfigError naming the field."""
     if integer:
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     if not ok:
         raise ConfigError(f"{name}: expected {'an integer' if integer else 'a finite number'}, got {value!r}")
     return value
 
 
-def checked_numbers(value, name: str, integer: bool = False) -> tuple:
-    """value as a tuple if it is a non-empty JSON list of checked_number
-    values; otherwise a ConfigError naming the field or the entry."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name}: expected a non-empty list of numbers, got {value!r}")
+def checked_numbers(value, name: str, integer: bool = False, empty: bool = False) -> tuple:
+    """value as a tuple if it is a JSON list of checked_number values, non-empty
+    unless empty is set; otherwise a ConfigError naming the field or entry."""
+    if not isinstance(value, list) or not (value or empty):
+        raise ConfigError(f"{name}: expected a {'' if empty else 'non-empty '}list of numbers, got {value!r}")
     return tuple(checked_number(x, f"{name}[{k}]", integer) for k, x in enumerate(value))
 
 
-# The dataclass field annotations a JSON document can set, each with the
-# checker of its JSON form and whether the numbers must be integers.
+def checked_text(value, name: str, none: bool = False):
+    """value itself if it is a JSON string (or null when none is set);
+    otherwise a ConfigError naming the field."""
+    if not (isinstance(value, str) or none and value is None):
+        raise ConfigError(f"{name}: expected a string{' or null' if none else ''}, got {value!r}")
+    return value
+
+
+# The checker of each dataclass field annotation a JSON document can set;
+# np.ndarray takes a list of numbers that may be empty (a lag-0 model).
 _JSON_FIELDS = {
-    "int": (checked_number, True),
-    "float": (checked_number, False),
-    "tuple[int, ...]": (checked_numbers, True),
-    "tuple[float, ...]": (checked_numbers, False),
+    "int": partial(checked_number, integer=True),
+    "float": checked_number,
+    "tuple[int, ...]": partial(checked_numbers, integer=True),
+    "tuple[float, ...]": checked_numbers,
+    "np.ndarray": partial(checked_numbers, empty=True),
+    "str": checked_text,
+    "str | None": partial(checked_text, none=True),
 }
 
 
-def checked_fields(doc, section: str, *classes, extra: tuple[str, ...] = ()) -> list[dict]:
+def checked_fields(doc, *classes, extra: tuple[str, ...] = ()) -> list[dict]:
     """For each dataclass in classes, the keys of doc that name its fields,
     with their checked values, ready to pass to its constructor.
 
-    doc must be an object whose every key is one of extra or names a field
-    of one of the classes annotated int, float, tuple[int, ...] or
-    tuple[float, ...], and that holds every such field without a default.
-    int takes an integer, float a finite number, and the tuples a non-empty
-    list of those, returned as a tuple. Any other input raises ConfigError
-    naming the field, under section when one is given.
+    doc must be an object whose every key is one of extra or names an init
+    field of one of the classes with an annotation _JSON_FIELDS checks, and
+    that holds every such field without a default; lists are returned as
+    tuples. Any other input raises ConfigError naming the field.
     """
     if not isinstance(doc, dict):
-        raise ConfigError(f"{section + ': ' if section else ''}expected an object, got {doc!r}")
-    prefix = f"{section}." if section else ""
-    known = {f.name: (cls, f) for cls in classes for f in fields(cls) if f.type in _JSON_FIELDS}
+        raise ConfigError(f"expected an object, got {doc!r}")
+    known = {f.name: (cls, f) for cls in classes for f in fields(cls) if f.init and f.type in _JSON_FIELDS}
     found: dict = {cls: {} for cls in classes}
     for key, value in doc.items():
         if key in known:
             cls, f = known[key]
-            check, integer = _JSON_FIELDS[f.type]
-            found[cls][key] = check(value, prefix + key, integer)
+            found[cls][key] = _JSON_FIELDS[f.type](value, key)
         elif key not in extra:
-            raise ConfigError(f"{prefix}{key}: unknown key")
+            raise ConfigError(f"{key}: unknown key")
     for key, (_, f) in known.items():
         if key not in doc and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{prefix}{key}: missing key")
+            raise ConfigError(f"{key}: missing key")
     return list(found.values())
 
 

@@ -8,7 +8,6 @@ of one-step residuals.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,7 +16,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Command, Provenance, Trace, checked_number, ms_to_us, read_json
+from .core import Command, Provenance, Trace, checked_fields, ms_to_us, read_json, write_json
 from .errors import (
     ConfigError,
     DegenerateCovariance,
@@ -449,63 +448,30 @@ def _checked_cholesky(cov: np.ndarray, data_scale: float) -> np.ndarray:
 # serialized with Python repr, which is shortest-round-trip).
 
 def model_to_dict(model: VarModel) -> dict:
-    return {
-        "dim": model.dim,
-        "lag": model.lag,
-        "bias": [float(b) for b in model.bias],
-        "coeffs": [float(c) for c in model.coeffs.ravel()],
-        "residual_cov": [float(c) for c in model.residual_cov.ravel()],
-        "trainer": model.trainer,
-        "trained_at": model.trained_at,
-    }
+    weights = {key: getattr(model, key).ravel().tolist() for key in ("bias", "coeffs", "residual_cov")}
+    return {"dim": model.dim, "lag": model.lag, **weights, "trainer": model.trainer, "trained_at": model.trained_at}
 
 
 def model_from_dict(doc: dict) -> VarModel:
     """The model a JSON document describes; a missing or unknown key, a value
     of the wrong type or a weight list of the wrong length raises ConfigError
     naming the field."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"expected an object, got {doc!r}")
-    required = ("dim", "lag", "bias", "coeffs", "residual_cov")
-    for key in doc:
-        if key not in required + ("trainer", "trained_at"):
-            raise ConfigError(f"{key}: unknown key")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"{key}: missing key")
-    dim = checked_number(doc["dim"], "dim", integer=True)
-    lag = checked_number(doc["lag"], "lag", integer=True)
+    [given] = checked_fields(doc, VarModel)
+    dim, lag = given["dim"], given["lag"]
     if dim < 1 or lag < 0:
         raise ConfigError(f"dim must be >= 1 and lag >= 0, got dim={dim}, lag={lag}")
-    weights = {}
     for key, size in (("bias", dim), ("coeffs", lag * dim * dim), ("residual_cov", dim * dim)):
-        values = doc[key]
-        if not isinstance(values, list) or len(values) != size:
-            raise ConfigError(f"{key}: expected a list of {size} numbers, got {values!r}")
-        weights[key] = np.array([checked_number(v, f"{key}[{k}]") for k, v in enumerate(values)])
-    optional = {key: doc[key] for key in ("trainer", "trained_at") if key in doc}
-    if not isinstance(optional.get("trainer", ""), str):
-        raise ConfigError(f"trainer: expected a string, got {optional['trainer']!r}")
-    if not isinstance(optional.get("trained_at"), (str, type(None))):
-        raise ConfigError(f"trained_at: expected a string or null, got {optional['trained_at']!r}")
-    return VarModel(
-        dim=dim,
-        lag=lag,
-        bias=weights["bias"],
-        coeffs=weights["coeffs"].reshape(lag, dim, dim),
-        residual_cov=weights["residual_cov"].reshape(dim, dim),
-        **optional,
-    )
+        if len(given[key]) != size:
+            raise ConfigError(f"{key}: expected a list of {size} numbers, got {doc[key]!r}")
+    given["residual_cov"] = np.reshape(given["residual_cov"], (dim, dim))
+    return VarModel(**given)
 
 
 def save_model(model: VarModel, path: str | Path, trained_at: str | None = None) -> None:
     if trained_at is not None:
         model = replace(model, trained_at=trained_at)
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path: str | Path) -> VarModel:
-    try:
-        return model_from_dict(read_json(path))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return read_json(path, model_from_dict)

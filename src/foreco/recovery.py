@@ -9,7 +9,6 @@ repeat the previous executed command, or leave the slot empty.
 from __future__ import annotations
 
 import enum
-import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -336,7 +335,3 @@ def write_executed_csv(stream: ExecutedStream, path: str | Path) -> None:
             line % (stream.seq0 + i, names[code], *row)
             for i, code, row in zip(emitted.tolist(), codes[emitted].tolist(), rows)
         )
-
-
-def write_stats_json(stream: ExecutedStream, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stream.stats.to_dict(), indent=2) + "\n")

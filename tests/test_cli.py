@@ -230,7 +230,7 @@ class TestMalformedConfig:
         ("sweep", dict(SPEC, repetitions="2"), "repetitions"),
         ("sweep", dict(SPEC, master_seed=-1), "master seed"),
         ("sweep", dict(SPEC, policies="repeat-last"), "policies"),
-        ("sweep", dict(SPEC, channel={"mac": {"bogus": 1}}), "channel: mac.bogus"),
+        ("sweep", dict(SPEC, channel={"mac": {"bogus": 1}}), "channel.mac.bogus"),
         ("model", {"dim": 6, "lag": 2}, "bias"),
         ("model", dict(MODEL, coeffs=[0.0] * 35), "coeffs"),
         ("model", [MODEL], "expected an object"),
@@ -243,7 +243,28 @@ class TestMalformedConfig:
         ("sweep", {k: v for k, v in SPEC.items() if k != "probs"}, "probs: missing key"),
         ("sweep", dict(SPEC, probs=[0.5, 0.5], repetitions=2), "probs"),
         ("simulate", {"mac": {"max_rtx": 1100, "max_window_exp": 1100}}, "max_rtx=1100"),
-        ("sweep", dict(SPEC, channel={"period_ms": 1e308}), "channel: period_ms"),
+        ("sweep", dict(SPEC, channel={"period_ms": 1e308}), "channel.period_ms"),
+        ("sweep", dict(SPEC, tolerance_ms=-1), "tolerance_ms"),
+        ("sweep", dict(SPEC, record_len=0), "record_len"),
+        ("sweep", dict(SPEC, step_limit_margin=0), "step_limit_margin"),
+        ("sweep", dict(SPEC, step_limit_margin=-1), "step_limit_margin"),
+        ("sweep", dict(SPEC, robot_counts=[0]), "robot_counts[0]"),
+        ("sweep", dict(SPEC, probs=[-1]), "probs[0]"),
+        ("sweep", dict(SPEC, probs=[1e308]), "probs[0]"),
+        ("sweep", dict(SPEC, durations=[-1]), "durations[0]"),
+        ("sweep", dict(SPEC, model=None, policies=["forecast"]), "model"),
+        ("simulate", {"mac": {"w0": 1}}, "mac.w0"),
+        ("simulate", {"mac": {"t_s_ms": -1}}, "mac.t_s_ms"),
+        ("simulate", {"interference": {"n_stations": 1000}}, "interference.n_stations"),
+        ("simulate", {"interference": {"n_stations": 10**30}}, "interference.n_stations"),
+        ("sweep", dict(SPEC, robot_counts=[5, 1000]), "robot_counts[1]"),
+        ("simulate", {"interference": {"n_stations": 10**400}}, "interference.n_stations"),
+        ("simulate", {"mac": {"t_s_ms": 10**400}}, "mac.t_s_ms"),
+        ("simulate", {"interference": {"p_if": 1.0, "t_if_slots": 1e300}}, "interference: "),
+        ("sweep", dict(SPEC, probs=[0.5, 1.0], durations=[2.0, 1e300]), "durations[1]"),
+        ("sweep", dict(SPEC, channel={"interference": {"n_stations": 0}}), "channel.interference.n_stations"),
+        ("model", dict(MODEL, stacked=[0.0] * 36), "stacked: unknown key"),
+        ("sweep", dict(SPEC, policies=["drop", "drop"]), "policies"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -494,6 +515,17 @@ class TestSimulate:
         doc = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert doc["error"]["kind"] == "config"
 
+    def test_lag_zero_model_forecasts(self, trace_csv, tmp_path):
+        # a lag-0 model predicts its bias; its coeffs list is empty
+        ch, model_path = tmp_path / "ch.json", tmp_path / "m.json"
+        write_channel(ch, p_if=0.8, t_if=16.0, n_stations=15, seed=21)
+        assert main(["train", "--trace", str(trace_csv), "--lag", "0", "--out", str(model_path)]) == 0
+        assert json.loads(model_path.read_text())["coeffs"] == []
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--trace", str(trace_csv), "--channel", str(ch),
+                     "--model", str(model_path), "--policy", "forecast", "--out-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "stats.json").read_text())["forecast"] > 0
+
     def test_manifest_lists_outputs_with_correct_digests(self, trace_csv, tmp_path):
         ch = tmp_path / "ch.json"
         write_channel(ch)
@@ -588,6 +620,31 @@ class TestSweepCli:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert error["kind"] == "config"
         assert "repetitions: 10000000000 x 1 cells x 1 policies" in error["message"]
+        assert not out_dir.exists()
+
+    def test_grid_check_ignores_the_template_interference(self, trace_csv, tmp_path):
+        # the cells replace the template's p_if, t_if_slots and n_stations, so a template that
+        # would fail every attempt at 82 stations does not fail the grid check
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [2.0], "robot_counts": [82], "repetitions": 1,
+                                    "channel": {"interference": {"p_if": 1.0, "t_if_slots": 1e16}},
+                                    "policies": ["repeat-last"]}))
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(tmp_path / "sw")]) == 0
+
+    def test_spec_checked_before_the_model_is_read(self, trace_csv, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(cli, "load_model", refuse)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [2.0], "robot_counts": [5], "record_len": 0,
+                                    "channel": {}, "model": "missing.json"}))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["message"] == f"{spec}: record_len: record length must be >= 1, got 0"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2), (["--jobs", "1000"], 3)])

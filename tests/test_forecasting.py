@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -396,6 +397,21 @@ class TestModelPersistence:
         assert np.array_equal(back.coeffs, model.coeffs)
         keys = set(json.loads(path.read_text()))
         assert keys == {"dim", "lag", "bias", "coeffs", "residual_cov", "trainer", "trained_at"}
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        tr, _ = var_trace(2, 1, 300, seed=7, noise=0.05)
+        path = tmp_path / "model.json"
+        save_model(fit_var_ols(tr, 1), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_model(fit_var_ols(tr, 2), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestVarModelInvariants:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import WindowMean, rotation_trace
 from foreco.channel import ChannelOutcome, LossCause
-from foreco.core import Command, Provenance, RecoveryConfig, Trace
+from foreco.core import Command, Provenance, RecoveryConfig, Trace, write_json
 from foreco.errors import ConfigError
 from foreco.evaluation import controlled_loss_outcomes, rmse
 from foreco.forecasting import fit_var_ols
@@ -16,7 +16,6 @@ from foreco.recovery import (
     run_recovery,
     step_limit_from_trace,
     write_executed_csv,
-    write_stats_json,
 )
 import foreco
 
@@ -332,9 +331,10 @@ class TestOutputs:
         tr = smooth_trace(n=30)
         stream = run_recovery(tr, all_on_time(tr), RecoveryPolicy(PolicyMode.REPEAT_LAST))
         path = tmp_path / "stats.json"
-        write_stats_json(stream, path)
+        write_json(path, stream.stats.to_dict())
         import json
 
+        assert path.read_text() == json.dumps(stream.stats.to_dict(), indent=2) + "\n"
         doc = json.loads(path.read_text())
         assert doc == {"on_time": 30, "forecast": 0, "repeated": 0, "dropped": 0, "total": 30}
 
