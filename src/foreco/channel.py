@@ -436,6 +436,12 @@ def _queue_starts(arrivals: np.ndarray, service: np.ndarray, queue_cap: int):
     return starts, overflow
 
 
+def check_period(trace: Trace, cfg: ChannelConfig) -> None:
+    """ConfigError naming period_ms unless the channel's period is the trace's."""
+    if trace.period_us != ms_to_us(cfg.period_ms):
+        raise ConfigError(f"period_ms: trace period {trace.period_ms} ms does not match channel period {cfg.period_ms} ms")
+
+
 def simulate_channels(trace: Trace, template: ChannelConfig, interferences: Sequence[InterferenceParams],
                       seeds: Sequence[Sequence[int]]) -> ChannelRuns:
     """Runs of a channel over one trace, as (R, H) arrays: for each cell k a
@@ -455,10 +461,7 @@ def simulate_channels(trace: Trace, template: ChannelConfig, interferences: Sequ
     holds the server for the full failed-attempt airtime and is then dropped.
     Delivered delay = wait + service + a uniform (0, D] transport delay.
     """
-    if trace.period_us != ms_to_us(template.period_ms):
-        raise ConfigError(
-            f"trace period {trace.period_ms} ms does not match channel period {template.period_ms} ms"
-        )
+    check_period(trace, template)
     arrivals = (trace.start_us + np.arange(len(trace)) * trace.period_us) / 1000.0
     branches, service, transport = _frame_draws(trace, template, interferences, seeds)
     starts, overflow = _queue_starts(arrivals, service, template.queue_cap)

@@ -26,6 +26,7 @@ from .channel import (
     ChannelConfig,
     channel_config_from_dict,
     channel_rtx_probs,
+    check_period,
     load_channel_config,
     simulate_channel,
     write_outcomes_csv,
@@ -35,6 +36,7 @@ from .core import (
     checked_fields,
     checked_number,
     checked_text,
+    in_file,
     read_json,
     read_trace_csv,
     section,
@@ -147,7 +149,12 @@ def _add_field_flags(parser: argparse.ArgumentParser, cls, **choices) -> None:
     """One flag per field of the dataclass cls, typed like its default. An
     unset flag reads None, so the dataclass keeps its own default."""
     for f in fields(cls):
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), choices=choices.get(f.name))
+        parser.add_argument(_flag(f.name), type=type(f.default), choices=choices.get(f.name))
+
+
+def _flag(name: str) -> str:
+    """The command-line flag that sets a field."""
+    return "--" + name.replace("_", "-")
 
 
 def _given_fields(args, cls) -> dict:
@@ -221,25 +228,34 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _build_policies(names, recovery: dict, model, trace, margin) -> list[RecoveryPolicy]:
+def _build_policies(names, recovery: dict, model, trace, margin, name=str) -> list[RecoveryPolicy]:
     """The named policies over one RecoveryConfig of the given fields.
 
     Without a record_len the record keeps RecoveryConfig's length, raised to
     the model's history when a model is given. A margin caps forecast steps
-    at that multiple of the trace's largest per-period move.
+    at that multiple of the trace's largest per-period move. A record too
+    short for the model, or a margin that leaves a step limit that is not
+    positive, raises ConfigError naming name(field) for record_len or
+    step_limit_margin.
     """
     if model is not None:
         recovery = {"record_len": max(RecoveryConfig.record_len, model.min_history), **recovery}
     cfg = RecoveryConfig(**recovery)
-    max_step = None if margin is None else step_limit_from_trace(trace, margin=margin)
     policies = []
     for mode in map(PolicyMode, names):
         if mode is not PolicyMode.FORECAST:
             policies.append(RecoveryPolicy(mode, cfg))
-        elif model is None:
+            continue
+        if model is None:
             raise ConfigError("policy 'forecast' requires --model")
-        else:
-            policies.append(RecoveryPolicy(mode, cfg, model, max_step_per_joint=max_step))
+        if model.min_history > cfg.record_len:
+            raise ConfigError(f"{name('record_len')}: model needs {model.min_history} past commands "
+                              f"but the record keeps {cfg.record_len}")
+        max_step = None if margin is None else step_limit_from_trace(trace, margin=margin)
+        if max_step is not None and not all(limit > 0 for limit in max_step):
+            raise ConfigError(f"{name('step_limit_margin')}: step limits must be positive, "
+                              f"got {list(max_step)} at margin {margin}")
+        policies.append(RecoveryPolicy(mode, cfg, model, max_step_per_joint=max_step))
     return policies
 
 
@@ -255,8 +271,10 @@ def cmd_simulate(args) -> int:
         manifest.add_input(args.model)
     manifest.add_seed("channel", channel.seed)
 
+    with in_file(args.channel):
+        check_period(trace, channel)
     [policy] = _build_policies(
-        [args.policy], _given_fields(args, RecoveryConfig), model, trace, args.step_limit_margin
+        [args.policy], _given_fields(args, RecoveryConfig), model, trace, args.step_limit_margin, _flag
     )
 
     outcomes = simulate_channel(trace, channel)
@@ -349,6 +367,8 @@ def cmd_sweep(args) -> int:
     trace = read_trace_csv(args.trace)
     spec_path = Path(args.spec)
     spec, grid, template, recovery = read_json(spec_path, _sweep_spec)
+    with in_file(spec_path), section("channel"):
+        check_period(trace, template)
 
     manifest = Manifest(args.argv)
     manifest.add_input(args.trace)
@@ -360,7 +380,8 @@ def cmd_sweep(args) -> int:
         model_path = spec_path.parent / spec["model"]  # an absolute path replaces the parent
         model = load_model(model_path)
         manifest.add_input(model_path)
-    policies = _build_policies(policy_names, recovery, model, trace, spec.get("step_limit_margin"))
+    with in_file(spec_path):
+        policies = _build_policies(policy_names, recovery, model, trace, spec.get("step_limit_margin"))
 
     # Results do not depend on jobs; more workers than usable CPUs only cost.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

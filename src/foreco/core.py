@@ -170,8 +170,16 @@ def read_json(path: str | Path, parse):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    try:
+    with in_file(path):
         return parse(doc)
+
+
+@contextmanager
+def in_file(path: str | Path):
+    """Put the path of the file a value came from in front of any
+    ConfigError raised inside: `<file>: ...`."""
+    try:
+        yield
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

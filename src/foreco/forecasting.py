@@ -30,9 +30,11 @@ from .errors import (
 # collinear with the preceding ones.
 RANK_TOL = 1e-10
 
-# Row-block height of the tall-skinny QR in _ols_factors. A design wider
-# than _QR_ROWS / 8 columns is cut into blocks of 8 rows per column instead,
-# so each level of the reduction leaves at most a quarter of its rows.
+# Row-block height of [X | Y] in _row_blocks, which every fit fills, factors
+# (the tall-skinny QR of _ols_factors) and multiplies one block at a time. A
+# design wider than _QR_ROWS / 8 columns is cut into blocks of 8 rows per
+# column instead, so each level of the reduction leaves at most an eighth of
+# its rows.
 _QR_ROWS = 1024
 
 BIAS_CORRECTIONS = ("fixed", "per-step")
@@ -164,50 +166,115 @@ def lagged_design(values: np.ndarray, lag: int):
     n = n_total - lag
     if n < 1:
         raise InsufficientData(f"no targets left: {n_total} samples, lag={lag}")
-    return _fill_design(np.empty((n, 1 + dim * lag)), values, lag), values[lag:]
+    return _fill_rows(np.empty((n, 1 + dim * lag)), values, lag, 0), values[lag:]
 
 
-def _fill_design(x: np.ndarray, values: np.ndarray, lag: int) -> np.ndarray:
-    """x, filled with the rows of lagged_design's X."""
-    n_total, dim = values.shape
-    x[:, 0] = 1.0
+def _fill_rows(out: np.ndarray, values: np.ndarray, lag: int, lo: int) -> np.ndarray:
+    """out, filled with the rows lo .. lo + len(out) of lagged_design's X,
+    followed by those of its Y when out is d columns wider than X."""
+    m, dim = len(out), values.shape[1]
+    k = 1 + lag * dim
+    out[:, 0] = 1.0
     for i in range(1, lag + 1):
-        x[:, 1 + (i - 1) * dim : 1 + i * dim] = values[lag - i : n_total - i]
-    return x
+        out[:, 1 + (i - 1) * dim : 1 + i * dim] = values[lo + lag - i : lo + lag - i + m]
+    if out.shape[1] > k:
+        out[:, k:] = values[lo + lag : lo + lag + m]
+    return out
 
 
-def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lagged_design's X and Y, and the R of a QR of [X | Y] built in one
-    column-major buffer, under which ridge > 0 adds a row sqrt(ridge) e_j per
-    non-intercept column j. R[:k, :k] is X's R, R[:k, k:] is Q^T Y, and with
-    R_e = R[k:, k:], R_e^T R_e = E^T E (Bjorck 1996, 1.3): Q is never formed.
+def _block_rows(cols: int) -> int:
+    """The row-block height for a matrix of cols columns (see _QR_ROWS)."""
+    return max(_QR_ROWS, 8 * cols)
 
-    R comes from a tall-skinny QR (Demmel et al. 2012): the buffer is cut
-    into blocks of _QR_ROWS rows (8 per column for a wide design), the R of
-    each block is taken, and the stacked Rs are reduced the same way until
-    one block is left. Each block is factored in cache, and R differs from
-    one QR's only in row signs and rounding, which none of its readers see;
-    a buffer of at most one block is factored exactly as by one QR."""
+
+def _row_blocks(values: np.ndarray, lag: int, rows: int, ridge: float = 0.0, order: str = "F", full: bool = False):
+    """The rows of [X | Y], lagged_design's X and Y, with a row sqrt(ridge)
+    e_j under them per non-intercept column j when ridge > 0, as (first row,
+    block) pairs of the given number of rows, the last block shorter. With
+    full, the last block has as many rows as the others (all rows, if fewer)
+    and ends at the last row, overlapping the one before it. Every block is filled
+    from values into one reused array, so no more than one block of [X | Y]
+    exists at a time."""
     n_total, dim = values.shape
     n, k = n_total - lag, 1 + lag * dim
-    n_penalty = k - 1 if ridge > 0.0 else 0
-    a = np.zeros((n + n_penalty, k + dim), order="F")
-    _fill_design(a[:n, :k], values, lag)
-    a[:n, k:] = values[lag:]
-    a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
-    x, y = a[:n, :k], a[:n, k:]
-    rows = max(_QR_ROWS, 8 * a.shape[1])
-    while len(a) > rows:
-        a = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
-    return x, y, np.linalg.qr(a, mode="r")
+    total = n + (k - 1 if ridge > 0.0 else 0)
+    scratch = np.empty((min(rows, total), k + dim), order=order)
+    for lo in range(0, total, rows):
+        if full:
+            lo = min(lo, total - len(scratch))
+        block = scratch[: min(rows, total - lo)]
+        m = min(len(block), max(n - lo, 0))
+        _fill_rows(block[:m], values, lag, lo)
+        if m < len(block):
+            penalty = np.arange(m, len(block))
+            block[m:] = 0.0
+            block[penalty, 1 + lo - n + penalty] = math.sqrt(ridge)
+        yield lo, block
 
 
-def _ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, lag: int) -> VarModel:
-    """The OLS VarModel of _ols_factors' output, pivots checked: R[:k, :k] W = R[:k, k:]."""
-    k = x.shape[1]
-    _check_pivots(np.abs(np.diag(r))[:k], y.shape[1])
+def _residuals(values: np.ndarray, lag: int, order: str, predict) -> np.ndarray:
+    """Y - predict(X) for lagged_design's X and Y, as an (n, d) array formed
+    block by block over _row_blocks' full blocks in the given memory order.
+
+    The layout and the block height pick the BLAS kernel, and kernels round
+    differently: a short block takes another one, and numpy sends a one-row
+    product to gemv. With every block at full height, each row for d >= 2
+    is bit-equal to that row of one product over the whole X in the same
+    order; for d = 1 the product is a gemv, whose rounding of a row can
+    depend on where its block starts. Fits run column-major and aic
+    row-major, the layouts their values were first computed in.
+
+    The blocks are four times as tall as the QR's: a product needs no
+    cache-sized block, and the larger scratch array keeps glibc's malloc
+    from mapping and faulting in fresh pages for every block of every later
+    fit (it serves from its heap the blocks no larger than the largest one
+    it has unmapped, and trims that heap at twice that size)."""
+    n, dim = len(values) - lag, values.shape[1]
+    k = 1 + lag * dim
+    residuals = np.empty((n, dim))
+    for lo, block in _row_blocks(values, lag, 4 * _block_rows(k + dim), order=order, full=True):
+        np.subtract(block[:, k:], predict(block[:, :k]), out=residuals[lo : lo + len(block)])
+    return residuals
+
+
+def _ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> np.ndarray:
+    """The R of a QR of [X | Y] (_row_blocks' rows, ridge rows included).
+    R[:k, :k] is X's R, R[:k, k:] is Q^T Y, and with R_e = R[k:, k:],
+    R_e^T R_e = E^T E (Bjorck 1996, 1.3): Q is never formed.
+
+    R comes from a tall-skinny QR (Demmel et al. 2012): the R of each row
+    block is taken as the block is filled, the first-level Rs are stacked
+    into one array, and the stack is reduced the same way until one block
+    is left. Each block is factored in cache, and R differs from one QR's
+    only in row signs and rounding, which none of its readers see; a matrix
+    of at most one block is factored exactly as by one QR."""
+    n_total, dim = values.shape
+    k = 1 + lag * dim
+    total = n_total - lag + (k - 1 if ridge > 0.0 else 0)
+    rows = _block_rows(k + dim)
+    r = np.empty((-(-total // rows) * (k + dim), k + dim))
+    top = 0
+    for _, block in _row_blocks(values, lag, rows, ridge):
+        block_r = np.linalg.qr(block, mode="r")
+        r[top : top + len(block_r)] = block_r
+        top += len(block_r)
+    if total <= rows:
+        return block_r
+    r = r[:top]
+    while len(r) > rows:
+        r = np.concatenate([np.linalg.qr(r[i : i + rows], mode="r") for i in range(0, len(r), rows)])
+    return np.linalg.qr(r, mode="r")
+
+
+def _ols_model(values: np.ndarray, r: np.ndarray, lag: int) -> VarModel:
+    """The OLS VarModel from _ols_factors' R, pivots checked: R[:k, :k] W =
+    R[:k, k:]. The residuals Y - X W are formed block by block."""
+    dim = values.shape[1]
+    k = 1 + lag * dim
+    _check_pivots(np.abs(np.diag(r))[:k], dim)
     weights = np.linalg.solve(r[:k, :k], r[:k, k:])
-    return _weights_to_model(weights, y - x @ weights, y.shape[1], lag, "ols")
+    residuals = _residuals(values, lag, "F", lambda x: x @ weights)
+    return _weights_to_model(weights, residuals, dim, lag, "ols")
 
 
 def _check_pivots(pivots: np.ndarray, dim: int) -> None:
@@ -254,7 +321,8 @@ def fit_var_ols(train: Trace, lag: int, ridge: float = 0.0) -> VarModel:
     """
     if not 0 <= ridge < math.inf:
         raise ConfigError(f"ridge must be finite and >= 0, got {ridge}")
-    return _ols_model(*_ols_factors(_check_fit_inputs(train, lag), lag, ridge), lag)
+    values = _check_fit_inputs(train, lag)
+    return _ols_model(values, _ols_factors(values, lag, ridge), lag)
 
 
 def fit_var_adam(train: Trace, lag: int, cfg: AdamConfig) -> VarModel:
@@ -328,8 +396,7 @@ def aic(model: VarModel, data: Trace) -> float:
     if len(data) <= model.lag:
         raise InsufficientData(f"trace length {len(data)} must exceed lag {model.lag}")
     values = data.joints_matrix()
-    x, y = lagged_design(values, model.lag)
-    resid = y - (model.bias + x[:, 1:] @ model.stacked.T)
+    resid = _residuals(values, model.lag, "C", lambda x: model.bias + x[:, 1:] @ model.stacked.T)
     n, d = resid.shape
     chol = _checked_cholesky(model.residual_cov, _data_scale(values))
     # Solve L z = e^T once for the whole block; quad form = sum z^2.
@@ -363,19 +430,19 @@ class LagSelection(tuple):
     """What select_lag returns: the 2-tuple (best, curve), plus fit(ridge),
     the OLS model at the best lag."""
 
-    def __new__(cls, best: int, curve: list[float], train: Trace, max_lag_model):
+    def __new__(cls, best: int, curve: list[float], train: Trace, r: np.ndarray):
         selection = super().__new__(cls, (best, curve))
         selection._train = train
-        selection._max_lag_model = max_lag_model
+        selection._r = r
         return selection
 
     def fit(self, ridge: float = 0.0) -> VarModel:
         """fit_var_ols(train, best, ridge); at the max lag with no ridge, bit for
         bit that fit, solved from the lag search's R of [X | Y] (the same
-        blocked reduction of the same buffer) instead of a second one."""
+        blocked reduction of the same rows) instead of a second one."""
         best = self[0]
         if ridge == 0.0 and best == len(self[1]):
-            return self._max_lag_model()
+            return _ols_model(self._train.joints_matrix(), self._r, best)
         return fit_var_ols(self._train, best, ridge)
 
 
@@ -402,9 +469,9 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
             f"need at least {needed}"
         )
     values = train.joints_matrix()
-    x, y, r = _ols_factors(values, max_lag)
-    n, d = y.shape
-    k_max = x.shape[1]
+    r = _ols_factors(values, max_lag)
+    n, d = len(values) - max_lag, train.dim
+    k_max = 1 + max_lag * d
     c, ete = r[:k_max, k_max:], r[k_max:, k_max:].T @ r[k_max:, k_max:]
     pivots = np.abs(np.diag(r))
     data_scale = _data_scale(values)
@@ -417,7 +484,7 @@ def select_lag(train: Trace, max_lag: int) -> LagSelection:
         logdet = 2.0 * float(np.sum(np.log(np.diag(_checked_cholesky(cov, data_scale)))))
         curve.append(2.0 * d * d * lag - (loglik_const - 0.5 * n * logdet))
     best = 1 + int(np.argmin(curve))
-    return LagSelection(best, curve, train, lambda: _ols_model(x, y, r, max_lag))
+    return LagSelection(best, curve, train, r)
 
 
 def _data_scale(values: np.ndarray) -> float:

@@ -205,6 +205,17 @@ class TestMalformedTrace:
         assert str(trace) in doc["error"]["message"]
 
 
+def constant_trace_and_model(tmp_path, lag=1):
+    """A constant 6-joint trace, whose step limits are 1e-9 times the margin,
+    and a zero lag-lag model of its dimension."""
+    trace = tmp_path / "constant.csv"
+    assert main(["gen-trace", "--profile", "constant", "--duration-s", "2", "--seed", "0", "--out", str(trace)]) == 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"dim": 6, "lag": lag, "bias": [0.0] * 6, "coeffs": [0.0] * (36 * lag),
+                                 "residual_cov": [float(i == j) for i in range(6) for j in range(6)]}))
+    return trace, model
+
+
 class TestMalformedConfig:
     """Channel JSON, sweep spec and model JSON inputs that must fail as typed
     config errors (exit 3) naming the file and the field, never as internal
@@ -265,6 +276,8 @@ class TestMalformedConfig:
         ("sweep", dict(SPEC, channel={"interference": {"n_stations": 0}}), "channel.interference.n_stations"),
         ("model", dict(MODEL, stacked=[0.0] * 36), "stacked: unknown key"),
         ("sweep", dict(SPEC, policies=["drop", "drop"]), "policies"),
+        ("simulate", {"period_ms": 10}, "period_ms: trace period 20.0 ms does not match channel period 10 ms"),
+        ("sweep", dict(SPEC, channel={"period_ms": 10}), "channel.period_ms: trace period 20.0 ms"),
     ])
     def test_exits_3_with_config_error(self, trace_csv, tmp_path, capsys, command, doc, field):
         path = tmp_path / "input.json"
@@ -526,6 +539,22 @@ class TestSimulate:
                      "--model", str(model_path), "--policy", "forecast", "--out-dir", str(out_dir)]) == 0
         assert json.loads((out_dir / "stats.json").read_text())["forecast"] > 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--step-limit-margin", "1e-320"], "--step-limit-margin: step limits must be positive, got [0.0"),
+        (["--record-len", "1"], "--record-len: model needs 2 past commands but the record keeps 1"),
+    ])
+    def test_flags_the_model_cannot_run_with_are_named(self, tmp_path, capsys, flags, message):
+        trace, model = constant_trace_and_model(tmp_path, lag=2)
+        channel = tmp_path / "ch.json"
+        write_channel(channel)
+        out_dir = tmp_path / "run"
+        assert main(["simulate", "--trace", str(trace), "--channel", str(channel), "--model", str(model),
+                     *flags, "--out-dir", str(out_dir)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith(message)
+        assert not out_dir.exists()
+
     def test_manifest_lists_outputs_with_correct_digests(self, trace_csv, tmp_path):
         ch = tmp_path / "ch.json"
         write_channel(ch)
@@ -645,6 +674,33 @@ class TestSweepCli:
                      "--out-dir", str(out_dir)]) == 3
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert error["message"] == f"{spec}: record_len: record length must be >= 1, got 0"
+        assert not out_dir.exists()
+
+    def test_record_shorter_than_the_model_names_the_spec(self, trace_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["train", "--trace", str(trace_csv), "--lag", "6", "--out", str(model)]) == 0
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [2.0], "robot_counts": [5], "record_len": 1,
+                                    "channel": {}, "model": "model.json"}))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert error["message"] == f"{spec}: record_len: model needs 6 past commands but the record keeps 1"
+        assert not out_dir.exists()
+
+    def test_step_limits_that_underflow_name_the_spec(self, tmp_path, capsys):
+        trace, model = constant_trace_and_model(tmp_path)
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"probs": [0.5], "durations": [2.0], "robot_counts": [5], "channel": {},
+                                    "model": model.name, "step_limit_margin": 1e-320}))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace), "--spec", str(spec), "--jobs", "1",
+                     "--out-dir", str(out_dir)]) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith(f"{spec}: step_limit_margin: step limits must be positive, got [0.0")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flags, jobs", [([], 3), (["--jobs", "2"], 2), (["--jobs", "1000"], 3)])

@@ -12,7 +12,9 @@ The VAR fits, which read Q^T y and the residual Gram from the R of a QR
 of [X | Y], are checked against the explicit-Q factorisation, and the
 blocked tall-skinny QR that takes that R against one QR of the whole
 buffer, at a relative tolerance of 1e-10 (FIT_RTOL), with equal best lags
-and equal typed errors.
+and equal typed errors. The fits and aic, which fill [X | Y] block by block
+from the trace, are checked against the same reduction over [X | Y] built
+whole, bit for bit (FIT_RTOL for the residuals of one-joint traces).
 """
 
 import csv
@@ -60,7 +62,7 @@ from foreco.errors import (
     RankDeficient,
 )
 from foreco.evaluation import SweepGrid, rmse, run_sweep
-from foreco.forecasting import VarModel, fit_var_ols, lagged_design, predict, select_lag
+from foreco.forecasting import VarModel, aic, fit_var_ols, lagged_design, predict, select_lag
 from foreco.recovery import (
     ExecutedCommands,
     ExecutedStream,
@@ -1020,17 +1022,16 @@ class TestRFactorFit:
 # The blocked tall-skinny QR of [X | Y] against one QR of the whole buffer
 
 
-def single_qr_factors(values: np.ndarray, lag: int, ridge: float = 0.0):
-    """_ols_factors as it was before the blocked reduction: one QR of the
-    whole [X | Y] buffer, ridge rows included."""
-    n_total, dim = values.shape
-    n, k = n_total - lag, 1 + lag * dim
+def single_qr_factors(values: np.ndarray, lag: int, ridge: float = 0.0) -> np.ndarray:
+    """_ols_factors as it was before the blocked reduction: the R of one QR
+    of the whole [X | Y] buffer, ridge rows included."""
+    x, y = lagged_design(values, lag)
+    n, k = x.shape
     n_penalty = k - 1 if ridge > 0.0 else 0
-    a = np.zeros((n + n_penalty, k + dim), order="F")
-    forecasting._fill_design(a[:n, :k], values, lag)
-    a[:n, k:] = values[lag:]
+    a = np.zeros((n + n_penalty, k + y.shape[1]), order="F")
+    a[:n, :k], a[:n, k:] = x, y
     a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
-    return a[:n, :k], a[:n, k:], np.linalg.qr(a, mode="r")
+    return np.linalg.qr(a, mode="r")
 
 
 def single_qr(fn, *args):
@@ -1101,12 +1102,16 @@ class TestBlockedQR:
         assert rows[:4] == [8 * cols] * 3 + [cols // 2]
         assert_same_fit(new, old)
 
-    def test_one_block_is_one_qr_bit_for_bit(self):
+    def test_one_block_is_one_qr_bit_for_bit(self, monkeypatch):
         values = random_var_values(np.random.default_rng(9), 900, 4)
         for lag, ridge in ((3, 0.0), (3, 0.1), (8, 0.1)):
-            new, old = forecasting._ols_factors(values, lag, ridge), single_qr_factors(values, lag, ridge)
-            assert len(old[0]) + (lag * 4 if ridge else 0) <= forecasting._QR_ROWS
-            assert all(np.array_equal(a, b) for a, b in zip(new, old))
+            old = single_qr_factors(values, lag, ridge)
+            rows = record_qr_rows(monkeypatch)
+            new = forecasting._ols_factors(values, lag, ridge)
+            monkeypatch.undo()
+            assert rows == [len(values) - lag + (lag * 4 if ridge else 0)]
+            assert rows[0] <= forecasting._QR_ROWS
+            assert np.array_equal(new, old)
 
     def test_protocol_fit_and_lag_search(self, pick_and_place_split):
         train, _ = pick_and_place_split
@@ -1137,6 +1142,134 @@ class TestBlockedQR:
         assert cols > forecasting._QR_ROWS and max(rows) == 8 * cols and len(rows) > 2
         assert_same_fit(new, old)
         assert_same_selection(select_lag(train, lag), single_qr(select_lag, train, lag))
+
+
+# ---------------------------------------------------------------------------
+# Row blocks filled from the trace against [X | Y] built whole in one buffer
+
+
+def buffered_ols_factors(values: np.ndarray, lag: int, ridge: float = 0.0):
+    """_ols_factors as it was before it filled its row blocks from the
+    trace: X, Y and the R of the same blocked reduction, over [X | Y] built
+    whole in one column-major buffer."""
+    n_total, dim = values.shape
+    n, k = n_total - lag, 1 + lag * dim
+    n_penalty = k - 1 if ridge > 0.0 else 0
+    a = np.zeros((n + n_penalty, k + dim), order="F")
+    a[:n, 0] = 1.0
+    for i in range(1, lag + 1):
+        a[:n, 1 + (i - 1) * dim : 1 + i * dim] = values[lag - i : n_total - i]
+    a[:n, k:] = values[lag:]
+    a[n + np.arange(n_penalty), 1 + np.arange(n_penalty)] = math.sqrt(ridge)
+    x, y = a[:n, :k], a[:n, k:]
+    rows = max(forecasting._QR_ROWS, 8 * a.shape[1])
+    while len(a) > rows:
+        a = np.concatenate([np.linalg.qr(a[i : i + rows], mode="r") for i in range(0, len(a), rows)])
+    return x, y, np.linalg.qr(a, mode="r")
+
+
+def buffered_ols_model(x: np.ndarray, y: np.ndarray, r: np.ndarray, lag: int) -> VarModel:
+    """_ols_model as it was: the residuals from one product over the whole X."""
+    k = x.shape[1]
+    forecasting._check_pivots(np.abs(np.diag(r))[:k], y.shape[1])
+    weights = np.linalg.solve(r[:k, :k], r[:k, k:])
+    return forecasting._weights_to_model(weights, y - x @ weights, y.shape[1], lag, "ols")
+
+
+def buffered_fit(train: Trace, lag: int, ridge: float) -> VarModel:
+    return buffered_ols_model(*buffered_ols_factors(train.joints_matrix(), lag, ridge), lag)
+
+
+def buffered_select(train: Trace, max_lag: int):
+    """select_lag with the buffered R."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forecasting, "_ols_factors", lambda values, lag, ridge=0.0: buffered_ols_factors(values, lag, ridge)[2])
+        return select_lag(train, max_lag)
+
+
+def whole_residuals(values: np.ndarray, lag: int, order: str, predict) -> np.ndarray:
+    """forecasting._residuals from one product over the whole X, laid out
+    in the given order, as aic formed them before."""
+    x, y = lagged_design(values, lag)
+    return y - predict(np.asarray(x, order=order))
+
+
+def assert_bit_equal_fit(new: VarModel, old: VarModel, exact_cov: bool = True) -> None:
+    assert np.array_equal(new.bias, old.bias)
+    assert np.array_equal(new.coeffs, old.coeffs)
+    if exact_cov:
+        assert np.array_equal(new.residual_cov, old.residual_cov)
+    else:
+        assert_rel_close(new.residual_cov, old.residual_cov)
+
+
+class TestRowBlocksAgainstTheBuffer:
+    """_ols_factors fills each row block of [X | Y] from the trace, and
+    _ols_model and aic form their residuals block by block. The functions
+    they replaced, which built [X | Y] or X whole, are kept above. R, the
+    weights, the lag-search curve and, for d >= 2, the residual covariance
+    and the criterion are bit-equal to theirs. For d = 1 numpy sends the
+    product X W to gemv, whose rounding of a row depends on where its block
+    starts, so there the covariance and criterion are compared at FIT_RTOL."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_traces_with_small_blocks(self, seed, monkeypatch):
+        rng = np.random.default_rng(3000 + seed)
+        d, lag, max_lag = int(rng.integers(1, 8)), int(rng.integers(0, 9)), int(rng.integers(1, 9))
+        monkeypatch.setattr(forecasting, "_QR_ROWS", int(rng.integers(1, 160)))
+        block = max(forecasting._QR_ROWS, 8 * (1 + max(lag, max_lag) * d + d))
+        n = needed_rows(d, max(lag, max_lag)) + d + int(rng.integers(0, 6 * block))
+        train = Trace.from_joints(random_var_values(rng, n, d), 20.0)
+        values = train.joints_matrix()
+        for ridge in (0.0, 0.1):
+            assert np.array_equal(forecasting._ols_factors(values, lag, ridge),
+                                  buffered_ols_factors(values, lag, ridge)[2])
+            assert_bit_equal_fit(fit_var_ols(train, lag, ridge), buffered_fit(train, lag, ridge), d > 1)
+        new, old = select_lag(train, max_lag), buffered_select(train, max_lag)
+        assert new[0] == old[0] and np.array_equal(new[1], old[1])
+        assert_bit_equal_fit(new.fit(), old.fit(), d > 1)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_aic_at_the_default_blocks(self, seed, monkeypatch):
+        rng = np.random.default_rng(4000 + seed)
+        d, lag = int(rng.integers(1, 8)), int(rng.integers(0, 9))
+        n = needed_rows(d, lag) + d + int(rng.integers(0, 5000))
+        train = Trace.from_joints(random_var_values(rng, n, d), 20.0)
+        model = fit_var_ols(train, lag, 0.1)
+        new = aic(model, train)
+        monkeypatch.setattr(forecasting, "_residuals", whole_residuals)
+        old = aic(model, train)
+        if d > 1:
+            assert new == old
+        else:
+            assert abs(new - old) <= FIT_RTOL * abs(old)
+
+    @pytest.mark.parametrize("d, lag, extra", [(3, 2, 1), (6, 6, 1), (6, 6, 100), (2, 1, 3)])
+    def test_a_short_last_block(self, d, lag, extra, monkeypatch):
+        # n = 1024 + extra targets: a last block of extra rows, which BLAS
+        # (numpy's gemv for one row) would round differently from a full one
+        rng = np.random.default_rng(d * 100 + extra)
+        train = Trace.from_joints(random_var_values(rng, lag + forecasting._QR_ROWS + extra, d), 20.0)
+        for ridge in (0.0, 0.1):
+            model = fit_var_ols(train, lag, ridge)
+            assert_bit_equal_fit(model, buffered_fit(train, lag, ridge))
+        criterion = aic(model, train)
+        monkeypatch.setattr(forecasting, "_residuals", whole_residuals)
+        assert criterion == aic(model, train)
+
+    def test_protocol_fit_lag_search_and_criterion(self, pick_and_place_split, monkeypatch):
+        train, test = pick_and_place_split
+        assert len(train) == 6000
+        values = train.joints_matrix()
+        assert np.array_equal(forecasting._ols_factors(values, 20, 0.1), buffered_ols_factors(values, 20, 0.1)[2])
+        model = fit_var_ols(train, 20, 0.1)
+        assert_bit_equal_fit(model, buffered_fit(train, 20, 0.1))
+        new, old = select_lag(train, 20), buffered_select(train, 20)
+        assert new[0] == old[0] and np.array_equal(new[1], old[1])
+        assert_bit_equal_fit(new.fit(), old.fit())
+        criterion = aic(model, test)
+        monkeypatch.setattr(forecasting, "_residuals", whole_residuals)
+        assert criterion == aic(model, test)
 
 
 class TestCommandsView:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,35 @@ class TestSelectLag:
         tr = Trace.from_joints(np.random.default_rng(4).normal(size=(100, 6)), 20.0)
         with pytest.raises(InsufficientData, match="need at least 287"):
             select_lag(tr, max_lag=40)
+
+
+def traced(fn, *args):
+    """fn(*args), the peak of the memory traced while it ran and the memory
+    still traced when it returned (what its result keeps)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, kept
+
+
+class TestFitMemory:
+    """No fit or lag search holds its whole design matrix [X | Y]: on a
+    20,000-row trace at lag 20 and d = 6 each peaks below a third of the
+    n x (k + d) doubles of that matrix, and a lag selection keeps only its R."""
+
+    def test_fit_and_lag_search_peak_below_a_third_of_the_design(self):
+        d, lag, rows = 6, 20, 20_000
+        train = Trace.from_joints(np.random.default_rng(0).normal(size=(rows, d)), 20.0)
+        design = (rows - lag) * (1 + lag * d + d) * 8
+        _, fit_peak, _ = traced(fit_var_ols, train, lag, 0.1)
+        selection, search_peak, kept = traced(select_lag, train, lag)
+        assert fit_peak < design / 3
+        assert search_peak < design / 3
+        assert kept < 1_000_000
+        assert len(selection[1]) == lag
 
 
 class TestModelPersistence:
