@@ -259,33 +259,42 @@ def _run_cells(
     template: ChannelConfig,
     policies: Sequence[RecoveryPolicy],
     grid: SweepGrid,
-    indices: Sequence[int],
+    batches: Sequence[Sequence[int]],
 ) -> list[dict[str, list[float]]]:
-    """Every repetition of the cells at `indices`: per cell, the error of
-    each policy in repetition order, on one channel run seeded per
-    repetition.
+    """Every repetition of the cells of each batch of cell indices, batch
+    by batch: per cell, the error of each policy in repetition order, on one
+    channel run seeded per repetition.
 
-    The batch is one pipeline of (run, slot) arrays: simulate_channels
+    A batch is one pipeline of (run, slot) arrays: simulate_channels
     draws every run from its own seed and returns the runs' outcomes
     together; then, per policy, on_time_mask, run_recoveries and
     _run_errors each take the whole batch. Each run's recovery and error
-    are its own, so a cell's values do not depend on the batch it is in."""
+    are its own, so a cell's values do not depend on the batch it is in.
+    The executed joints of every batch and policy are written into one
+    (run, slot, joint) array sized for the largest batch, so a call
+    allocates that array once instead of once per batch and policy."""
     keys = grid.cells()
     reps = grid.repetitions
-    runs = simulate_channels(
-        trace,
-        template,
-        [_cell_interference(template, keys[index]) for index in indices],
-        [[_task_seed(grid.master_seed, index, rep) for rep in range(reps)] for index in indices],
-    )
-    errors = {}
-    for policy in policies:
-        joints, codes = run_recoveries(trace, on_time_mask(runs, trace.period_ms, policy.cfg), policy)
-        errors[policy.label] = _run_errors(trace, joints, codes).tolist()
-    return [
-        {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}
-        for k in range(len(indices))
-    ]
+    out = np.empty((max(map(len, batches)) * reps * len(trace), trace.dim))
+    cells = []
+    for indices in batches:
+        runs = simulate_channels(
+            trace,
+            template,
+            [_cell_interference(template, keys[index]) for index in indices],
+            [[_task_seed(grid.master_seed, index, rep) for rep in range(reps)] for index in indices],
+        )
+        errors = {}
+        for policy in policies:
+            on_time = on_time_mask(runs, trace.period_ms, policy.cfg)
+            joints = out[: on_time.size].reshape(*on_time.shape, trace.dim)
+            _, codes = run_recoveries(trace, on_time, policy, joints)
+            errors[policy.label] = _run_errors(trace, joints, codes).tolist()
+        cells += [
+            {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}
+            for k in range(len(indices))
+        ]
+    return cells
 
 
 def _batches(n_cells: int, cell_slots: int, jobs: int) -> list[range]:
@@ -308,7 +317,7 @@ def _init_worker(*ctx):
 
 
 def _worker_task(indices: range) -> list[dict[str, list[float]]]:
-    return _run_cells(*_WORKER_CTX, indices)
+    return _run_cells(*_WORKER_CTX, [indices])
 
 
 def run_sweep(
@@ -346,5 +355,5 @@ def run_sweep(
         ) as pool:
             results = list(pool.map(_worker_task, batches))
     else:
-        results = [_run_cells(*ctx, indices) for indices in batches]
+        results = [_run_cells(*ctx, batches)]
     return SweepResult(grid, tuple(labels), dict(zip(cells, itertools.chain.from_iterable(results))))

@@ -224,15 +224,17 @@ def _residuals(values: np.ndarray, lag: int, order: str, predict) -> np.ndarray:
     depend on where its block starts. Fits run column-major and aic
     row-major, the layouts their values were first computed in.
 
-    The blocks are four times as tall as the QR's: a product needs no
+    The blocks are twice as tall as the QR's. A product needs no
     cache-sized block, and the larger scratch array keeps glibc's malloc
-    from mapping and faulting in fresh pages for every block of every later
-    fit (it serves from its heap the blocks no larger than the largest one
-    it has unmapped, and trims that heap at twice that size)."""
+    from mapping fresh pages for the QR blocks of later fits: malloc serves
+    from its heap only requests smaller than the largest block it has
+    unmapped, and trims the heap once twice that size is free. np.linalg.qr
+    copies each QR block twice, so with every scratch array one QR block
+    tall those copies were mapped and faulted in afresh for every block."""
     n, dim = len(values) - lag, values.shape[1]
     k = 1 + lag * dim
     residuals = np.empty((n, dim))
-    for lo, block in _row_blocks(values, lag, 4 * _block_rows(k + dim), order=order, full=True):
+    for lo, block in _row_blocks(values, lag, 2 * _block_rows(k + dim), order=order, full=True):
         np.subtract(block[:, k:], predict(block[:, :k]), out=residuals[lo : lo + len(block)])
     return residuals
 

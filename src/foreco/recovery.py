@@ -219,12 +219,12 @@ def _forecast_levels(forecast: np.ndarray, record_len: int) -> tuple[np.ndarray,
 
 
 def run_recoveries(
-    trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy
+    trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The executed runs of a trace for an (R, H) mask of the slots whose
     command met the replay deadline in each of R runs (see on_time_mask):
-    the (R, H, d) joints and the (R, H) int8 provenance codes (0 original,
-    1 forecast, 2 repeat-last, 3 empty).
+    the (R, H, d) joints, written into out when it is given, and the (R, H)
+    int8 provenance codes (0 original, 1 forecast, 2 repeat-last, 3 empty).
 
     An on-time slot holds the original command unchanged. Otherwise the
     policy fills the slot. Forecasting needs enough executed history for the
@@ -275,7 +275,10 @@ def run_recoveries(
     # An empty or repeated slot holds the last on-time row; the leading ones
     # hold the first executed row.
     held = np.maximum.accumulate(np.where(on_time, slot, -1), axis=1)
-    joints = np.take(trace.joints, np.minimum(np.maximum(held, first[:, None]), n_slots - 1), axis=0)
+    # Every index is in range. Under "clip" take writes into out directly;
+    # under the default "raise" it fills a temporary and copies it over.
+    index = np.minimum(np.maximum(held, first[:, None]), n_slots - 1)
+    joints = np.take(trace.joints, index, axis=0, out=out, mode="clip")
 
     forecast = codes == _FORECAST
     if forecast.any():

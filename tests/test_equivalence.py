@@ -705,6 +705,23 @@ class TestBatchedRecovery:
             for a, b in zip(arrays, alone):
                 np.testing.assert_array_equal(a, b[0])
 
+    def test_out_receives_the_joints(self):
+        """Written into a given array that holds stale values, the joints
+        are those of a fresh array, and the array is what is returned."""
+        rng = np.random.default_rng(17)
+        trace = smooth_trace(rng, 300, 3)
+        model = fit_var_ols(smooth_trace(rng, 600, 3), 6)
+        runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(4)]
+        for policy in (RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model),
+                       RecoveryPolicy(PolicyMode.REPEAT_LAST), RecoveryPolicy(PolicyMode.DROP)):
+            mask = on_time_masks(trace, runs, policy.cfg)
+            out = np.full((len(runs), len(trace), trace.dim), np.nan)
+            joints, codes = run_recoveries(trace, mask, policy, out)
+            fresh_joints, fresh_codes = run_recoveries(trace, mask, policy)
+            assert joints is out
+            np.testing.assert_array_equal(joints, fresh_joints)
+            np.testing.assert_array_equal(codes, fresh_codes)
+
     def test_mask_of_the_wrong_shape_is_rejected(self):
         rng = np.random.default_rng(16)
         trace = smooth_trace(rng, 50, 3)
