@@ -349,41 +349,38 @@ class ChannelRuns(NamedTuple):
 
 
 def _frame_draws(trace: Trace, template: ChannelConfig, interferences: Sequence[InterferenceParams],
-                 seeds: Sequence[Sequence[int]]):
+                 seeds: Sequence[int]):
     """Attempt counts, server times and transport delays (None when the
-    bound is 0) of every frame of every run, as (R, H) arrays: a run for
-    each seed of seeds[k] under interferences[k], drawn in a fixed order from
-    its own generator.
+    bound is 0) of every frame of every run, as (R, H) arrays: run r under
+    interferences[r], drawn in a fixed order from its own generator seeded
+    seeds[r].
 
     The attempt counts are Generator.choice(max_rtx + 1, p=probs)'s draws,
     made as it makes them (one uniform per frame, searched in the normalised
     cumulative probabilities) without its per-call checks of probs, which
     ChannelConfig has already made; probs and its cumulative sum are
-    computed once per cell. A deliverable attempt count j takes an
-    exponential server time with mean mean_delay_given_rtx(j); a frame
-    exhausting its attempts (j == max_rtx) holds the server for the full
-    failed-attempt airtime.
+    computed once per distinct interference. A deliverable attempt count j
+    takes an exponential server time with mean mean_delay_given_rtx(j); a
+    frame exhausting its attempts (j == max_rtx) holds the server for the
+    full failed-attempt airtime.
     """
     n = len(trace)
-    n_runs = sum(map(len, seeds))
     bound = template.transport_bound_ms
-    uniform = np.empty((n_runs, n))
-    exponential = np.empty((n_runs, n))
-    transport = np.empty((n_runs, n)) if bound > 0 else None
-    branches = np.empty((n_runs, n), dtype=np.intp)
-    r = 0
-    for interference, cell_seeds in zip(interferences, seeds):
-        cdf = channel_rtx_probs(replace(template, interference=interference)).cumsum()
-        cdf /= cdf[-1]
-        lo = r
-        for seed in cell_seeds:
-            rng = np.random.default_rng(seed)
-            uniform[r] = rng.random(n)
-            exponential[r] = rng.exponential(1.0, size=n)
-            if transport is not None:
-                transport[r] = rng.random(n)
-            r += 1
-        branches[lo:r] = cdf.searchsorted(uniform[lo:r], side="right")
+    uniform = np.empty(n)
+    exponential = np.empty((len(seeds), n))
+    transport = np.empty((len(seeds), n)) if bound > 0 else None
+    branches = np.empty((len(seeds), n), dtype=np.intp)
+    cdfs: dict[InterferenceParams, np.ndarray] = {}
+    for r, (interference, seed) in enumerate(zip(interferences, seeds, strict=True)):
+        if interference not in cdfs:
+            cdf = channel_rtx_probs(replace(template, interference=interference)).cumsum()
+            cdfs[interference] = cdf / cdf[-1]
+        rng = np.random.default_rng(seed)
+        rng.random(out=uniform)
+        exponential[r] = rng.exponential(1.0, size=n)
+        if transport is not None:
+            transport[r] = rng.random(n)
+        branches[r] = cdfs[interference].searchsorted(uniform, side="right")
     times = template.mac.server_times()
     service = exponential
     service *= times[branches]
@@ -443,16 +440,15 @@ def check_period(trace: Trace, cfg: ChannelConfig) -> None:
 
 
 def simulate_channels(trace: Trace, template: ChannelConfig, interferences: Sequence[InterferenceParams],
-                      seeds: Sequence[Sequence[int]]) -> ChannelRuns:
-    """Runs of a channel over one trace, as (R, H) arrays: for each cell k a
-    run per seed of seeds[k], under interference interferences[k], in that
-    order. The cells share the template's MAC, waiting room, transport bound
-    and period.
+                      seeds: Sequence[int]) -> ChannelRuns:
+    """Runs of a channel over one trace, as (R, H) arrays: run r under
+    interference interferences[r], seeded seeds[r]. The runs share the
+    template's MAC, waiting room, transport bound and period.
 
-    Each run is the run of replace(template, interference=interferences[k],
-    seed=seed), bit for bit: its frames are drawn from its own generator and
-    its queue is walked alone, while the server times, causes, waits and
-    delays of all runs are formed together.
+    Run r is the run of replace(template, interference=interferences[r],
+    seed=seeds[r]), bit for bit: its frames are drawn from its own generator
+    and its queue is walked alone, while the server times, causes, waits
+    and delays of all runs are formed together.
 
     Arrivals follow the trace schedule; the waiting room holds queue_cap
     frames (an arrival finding it full is dropped). Each frame entering
@@ -483,7 +479,7 @@ def simulate_channels(trace: Trace, template: ChannelConfig, interferences: Sequ
 def simulate_channel(trace: Trace, cfg: ChannelConfig) -> ChannelOutcomes:
     """Push a command trace through the access-point queue: simulate_channels
     for the one run of cfg, reproducible from the config seed."""
-    runs = simulate_channels(trace, cfg, [cfg.interference], [[cfg.seed]])
+    runs = simulate_channels(trace, cfg, [cfg.interference], [cfg.seed])
     return ChannelOutcomes(np.arange(trace.seq0, trace.seq0 + len(trace)), *(column[0] for column in runs))
 
 

@@ -44,9 +44,8 @@ from .core import (
     write_trace_csv,
 )
 from .errors import ConfigError, ForecoError
-from .evaluation import MATERIAL_ERROR_FLOOR, SweepGrid, rmse, run_sweep
+from .evaluation import GRID_AXES, MATERIAL_ERROR_FLOOR, SweepGrid, check_result_size, rmse, run_sweep
 from .forecasting import (
-    BIAS_CORRECTIONS,
     AdamConfig,
     aic,
     fit_var_adam,
@@ -145,11 +144,11 @@ def _lag_order(text: str) -> int | str:
         raise argparse.ArgumentTypeError(f"must be an integer or 'auto', got {text}") from None
 
 
-def _add_field_flags(parser: argparse.ArgumentParser, cls, **choices) -> None:
+def _add_field_flags(parser: argparse.ArgumentParser, cls) -> None:
     """One flag per field of the dataclass cls, typed like its default. An
     unset flag reads None, so the dataclass keeps its own default."""
     for f in fields(cls):
-        parser.add_argument(_flag(f.name), type=type(f.default), choices=choices.get(f.name))
+        parser.add_argument(_flag(f.name), type=type(f.default))
 
 
 def _flag(name: str) -> str:
@@ -313,17 +312,6 @@ def cmd_simulate(args) -> int:
 # Keys of a sweep spec besides the fields of SweepGrid and RecoveryConfig.
 _SPEC_KEYS = ("channel", "policies", "model", "step_limit_margin")
 
-# sweep_result.json holds repetitions x cells x policies RMSE values. Each is
-# a Python float in memory (32 bytes with its list slot) and about 36 bytes
-# of indented JSON text, which json.dumps builds whole before writing. At
-# 2**27 values the two pass 8 GiB, so a spec asking for more cannot fit.
-_MAX_RESULT_VALUES = 1 << 27
-
-
-# Each grid axis sets one InterferenceParams field of every cell.
-_AXES = (("robot_counts", "n_stations"), ("probs", "p_if"), ("durations", "t_if_slots"))
-
-
 def _sweep_spec(spec) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
     """The spec, its grid, its channel template and its RecoveryConfig fields,
     checked before any model is read: a key that is unknown, missing, of the
@@ -342,19 +330,14 @@ def _sweep_spec(spec) -> tuple[dict, SweepGrid, ChannelConfig, dict]:
         raise ConfigError(f"step_limit_margin: must be > 0, got {spec['step_limit_margin']}")
     RecoveryConfig(**recovery)
     grid = SweepGrid(**grid)
-    values = grid.repetitions * len(grid.cells()) * len(policies)
-    if values > _MAX_RESULT_VALUES:
-        raise ConfigError(
-            f"repetitions: {grid.repetitions} x {len(grid.cells())} cells x {len(policies)} policies "
-            f"is {values} result values, more than the {_MAX_RESULT_VALUES} a sweep result can hold"
-        )
+    check_result_size(grid, len(policies))
     with section("channel"):
         template = channel_config_from_dict(spec["channel"])
     # Each entry is checked in a cell of one station and no interferer, but for the largest
     # entries of the axes before it. Failure grows along every axis, so the last axis's
     # largest entry checks the worst cell, and no check fails for a value the grid lacks.
     cell = {"n_stations": 1, "p_if": 0.0, "t_if_slots": 0.0}
-    for axis, name in _AXES:
+    for axis, name in GRID_AXES:
         for k, value in enumerate(getattr(grid, axis)):
             with section(f"{axis}[{k}]"):
                 interference = replace(template.interference, **{**cell, name: value})
@@ -445,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-lag", type=int, default=20, help="largest lag scanned with --lag auto")
     p.add_argument("--trainer", choices=("ols", "adam"), default="ols")
     p.add_argument("--ridge", type=float, default=0.0, help="ridge penalty for collinear designs (ols)")
-    _add_field_flags(p, AdamConfig, bias_correction=BIAS_CORRECTIONS)
+    _add_field_flags(p, AdamConfig)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--report", help="criterion report path (default: <out>.aic.json)")
     p.set_defaults(func=cmd_train)

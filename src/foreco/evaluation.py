@@ -104,6 +104,10 @@ def controlled_loss_outcomes(
 # ---------------------------------------------------------------------------
 # Interference sweep
 
+# The InterferenceParams field each grid axis sets, in a cell key's order.
+GRID_AXES = (("robot_counts", "n_stations"), ("probs", "p_if"), ("durations", "t_if_slots"))
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     probs: tuple[float, ...]
@@ -124,7 +128,7 @@ class SweepGrid:
             raise ConfigError(f"master seed must be >= 0, got {self.master_seed}")
 
     def cells(self) -> list[CellKey]:
-        return list(itertools.product(self.robot_counts, self.probs, self.durations))
+        return list(itertools.product(*(getattr(self, axis) for axis, _ in GRID_AXES)))
 
 
 def default_grid(
@@ -147,32 +151,43 @@ MATERIAL_ERROR_FLOOR = 1e-3
 
 @dataclass
 class SweepResult:
+    """Each cell's error per policy, one value per repetition in repetition
+    order; NaN marks a repetition that executed no command."""
+
     grid: SweepGrid
     policies: tuple[str, ...]
     cells: dict[CellKey, dict[str, list[float]]]
 
     def mean(self, key: CellKey, policy: str) -> float:
-        return float(np.mean(self.cells[key][policy]))
+        """Mean over the cell's repetitions that executed a command; NaN
+        when none did."""
+        values = [v for v in self.cells[key][policy] if not math.isnan(v)]
+        return float(np.mean(values)) if values else math.nan
 
     def worst_cell_ratio(self, numerator: str, denominator: str, min_denominator: float = 0.0) -> float | None:
         """Largest per-cell mean-error ratio, or None when no cell qualifies.
 
         Cells where the denominator policy's mean error is at or below
         min_denominator are skipped: with no material losses both policies
-        sit at the noise floor and their quotient is a 0/0 artifact.
+        sit at the noise floor and their quotient is a 0/0 artifact. Cells
+        where either policy has no mean are skipped too.
         """
         ratios = [
-            self.mean(key, numerator) / den
+            num / den
             for key in self.cells
             if (den := self.mean(key, denominator)) > min_denominator
+            and not math.isnan(num := self.mean(key, numerator))
         ]
         return max(ratios, default=None)
 
     def peak_ratio(self, numerator: str, denominator: str) -> float:
         """Ratio of the two policies' worst cells (each policy's own maximum
-        mean error), the headline figure for heatmap comparisons."""
-        peak_num = max(self.mean(key, numerator) for key in self.cells)
-        peak_den = max(self.mean(key, denominator) for key in self.cells)
+        mean error), the headline figure for heatmap comparisons. Cells with
+        no mean are skipped; NaN when a policy has no mean in any cell."""
+        peak_num, peak_den = (
+            max((m for key in self.cells if not math.isnan(m := self.mean(key, policy))), default=math.nan)
+            for policy in (numerator, denominator)
+        )
         if peak_den == 0:
             raise ConfigError("denominator policy has zero error everywhere")
         return peak_num / peak_den
@@ -191,7 +206,10 @@ class SweepResult:
                     "prob": key[1],
                     "duration": key[2],
                     "rmse": {
-                        policy: {"mean": float(np.mean(vals)), "values": vals}
+                        policy: {
+                            "mean": None if math.isnan(mean := self.mean(key, policy)) else mean,
+                            "values": [None if math.isnan(v) else v for v in vals],
+                        }
                         for policy, vals in self.cells[key].items()
                     },
                 }
@@ -225,87 +243,91 @@ def _task_seed(master_seed: int, cell_index: int, rep: int) -> int:
 
 
 def _cell_interference(template: ChannelConfig, key: CellKey) -> InterferenceParams:
-    """A cell's interference: the template's, with the cell's station count,
-    interferer probability and duration."""
-    robots, prob, duration = key
-    return replace(template.interference, p_if=prob, t_if_slots=duration, n_stations=robots)
+    """A cell's interference: the template's, with the field of each grid
+    axis set to the cell's value on it."""
+    return replace(template.interference, **{name: value for (_, name), value in zip(GRID_AXES, key)})
 
 
-# A batch of cells holds at most this many (run, slot) rows, about one
-# 40-repetition cell of a 1,500-command trace; a larger cell is a batch alone.
+# sweep_result.json holds repetitions x cells x policies RMSE values. Each is
+# a Python float in memory (32 bytes with its list slot) and about 36 bytes
+# of indented JSON text, which json.dumps builds whole before writing. At
+# 2**27 values the two pass 8 GiB, so a sweep asking for more cannot fit.
+_MAX_RESULT_VALUES = 1 << 27
+
+
+def check_result_size(grid: SweepGrid, n_policies: int) -> None:
+    """ConfigError naming repetitions unless the grid's values for
+    n_policies policies fit in a sweep result; builds no cell."""
+    n_cells = math.prod(len(getattr(grid, axis)) for axis, _ in GRID_AXES)
+    values = grid.repetitions * n_cells * n_policies
+    if values > _MAX_RESULT_VALUES:
+        raise ConfigError(
+            f"repetitions: {grid.repetitions} x {n_cells} cells x {n_policies} policies "
+            f"is {values} result values, more than the {_MAX_RESULT_VALUES} a sweep result can hold"
+        )
+
+
+# A batch holds at most this many (run, slot) rows, that is 43 runs of a
+# 1,500-command trace; a run longer than that is a batch alone.
 _BATCH_SLOTS = 1 << 16
 
 
 def _run_errors(trace: Trace, joints: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """rmse(stream, trace) for each of the R executed runs of
-    run_recoveries' (R, H, d) joints and (R, H) codes, bit for bit.
+    """rmse(stream, trace) for each of the R runs of run_recoveries' (R, H,
+    d) joints and (R, H) codes, bit for bit, and NaN for a run with no
+    on-time slot, which executes no command.
 
     An original slot (code 0) holds the trace row, so its squared error is
     exactly 0.0: only the other slots are squared and summed as rmse sums
     them, and the per-run mean and root are taken over all slots at once.
     """
     missed = codes != 0
-    if missed.all(axis=1).any():
-        raise ConfigError("stream has no executed commands")
     flat = np.flatnonzero(missed)
     diff = joints.reshape(-1, trace.dim)[flat] - trace.joints[flat % len(trace)]
     squared = np.zeros(codes.size)
     squared[flat] = np.sum(diff * diff, axis=1)
-    return np.sqrt(np.mean(squared.reshape(codes.shape), axis=1))
+    errors = np.sqrt(np.mean(squared.reshape(codes.shape), axis=1))
+    errors[missed.all(axis=1)] = math.nan
+    return errors
 
 
-def _run_cells(
+def _run_batches(
     trace: Trace,
     template: ChannelConfig,
     policies: Sequence[RecoveryPolicy],
     grid: SweepGrid,
-    batches: Sequence[Sequence[int]],
-) -> list[dict[str, list[float]]]:
-    """Every repetition of the cells of each batch of cell indices, batch
-    by batch: per cell, the error of each policy in repetition order, on one
-    channel run seeded per repetition.
+    batches: Sequence[range],
+) -> np.ndarray:
+    """The (policy, run) errors of the runs of each batch (numbered as in
+    run_sweep), in the order of the batches.
 
-    A batch is one pipeline of (run, slot) arrays: simulate_channels
-    draws every run from its own seed and returns the runs' outcomes
-    together; then, per policy, on_time_mask, run_recoveries and
-    _run_errors each take the whole batch. Each run's recovery and error
-    are its own, so a cell's values do not depend on the batch it is in.
-    The executed joints of every batch and policy are written into one
-    (run, slot, joint) array sized for the largest batch, so a call
-    allocates that array once instead of once per batch and policy."""
+    A batch is one pipeline of (run, slot) arrays: one simulate_channels
+    call, then per policy one on_time_mask, run_recoveries and _run_errors
+    call. Each run's draws, queue, recovery and error are its own, so its
+    values do not depend on the batch it is in. Every batch and policy
+    writes its executed joints into one (run, slot, joint) array sized for
+    the largest batch, allocated once per call."""
     keys = grid.cells()
     reps = grid.repetitions
-    out = np.empty((max(map(len, batches)) * reps * len(trace), trace.dim))
-    cells = []
-    for indices in batches:
-        runs = simulate_channels(
+    errors = np.empty((len(policies), sum(map(len, batches))))
+    out = np.empty((max(map(len, batches)) * len(trace), trace.dim))
+    done = 0
+    for runs in batches:
+        # one InterferenceParams per cell, shared by the cell's runs
+        interference = {c: _cell_interference(template, keys[c]) for c in {r // reps for r in runs}}
+        channel_runs = simulate_channels(
             trace,
             template,
-            [_cell_interference(template, keys[index]) for index in indices],
-            [[_task_seed(grid.master_seed, index, rep) for rep in range(reps)] for index in indices],
+            [interference[r // reps] for r in runs],
+            [_task_seed(grid.master_seed, *divmod(r, reps)) for r in runs],
         )
-        errors = {}
-        for policy in policies:
-            on_time = on_time_mask(runs, trace.period_ms, policy.cfg)
+        for k, policy in enumerate(policies):
+            on_time = on_time_mask(channel_runs, trace.period_ms, policy.cfg)
             joints = out[: on_time.size].reshape(*on_time.shape, trace.dim)
             _, codes = run_recoveries(trace, on_time, policy, joints)
-            errors[policy.label] = _run_errors(trace, joints, codes).tolist()
-        cells += [
-            {label: values[k * reps : (k + 1) * reps] for label, values in errors.items()}
-            for k in range(len(indices))
-        ]
-    return cells
-
-
-def _batches(n_cells: int, cell_slots: int, jobs: int) -> list[range]:
-    """Contiguous runs of cell indices, each as many whole cells as fit in
-    _BATCH_SLOTS rows (one when a cell alone is larger). With jobs > 1 a
-    batch holds at most n_cells // jobs cells, so that there are at least
-    min(jobs, n_cells) batches and no worker is left idle."""
-    size = max(1, _BATCH_SLOTS // cell_slots)
-    if jobs > 1:
-        size = max(1, min(size, n_cells // jobs))
-    return [range(lo, min(lo + size, n_cells)) for lo in range(0, n_cells, size)]
+            errors[k, done : done + len(runs)] = _run_errors(trace, joints, codes)
+        done += len(runs)
+    return errors
 
 
 _WORKER_CTX: tuple | None = None
@@ -316,8 +338,8 @@ def _init_worker(*ctx):
     _WORKER_CTX = ctx
 
 
-def _worker_task(indices: range) -> list[dict[str, list[float]]]:
-    return _run_cells(*_WORKER_CTX, [indices])
+def _worker_task(runs: range) -> np.ndarray:
+    return _run_batches(*_WORKER_CTX, [runs])
 
 
 def run_sweep(
@@ -327,22 +349,29 @@ def run_sweep(
     policies: Sequence[RecoveryPolicy],
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the full interference sweep, one task per batch of cells.
+    """Run the full interference sweep, one task per batch of runs.
 
-    A batch is a contiguous run of cells whose repetitions together hold
-    about _BATCH_SLOTS (run, slot) rows; with jobs > 1 the cells are split
-    into at least min(jobs, cells) batches. Every repetition of every cell
-    derives its own seed from (master seed, cell index, repetition) and is
-    drawn from it alone; a batch is then simulated, recovered and scored as
-    (run, slot) arrays (see _run_cells). Results are reproducible and
-    independent of batching and worker scheduling; all policies see
-    identical channel outcomes.
+    Run r is repetition r % repetitions of cell r // repetitions, in
+    grid.cells() order. A batch is a contiguous range of runs holding at
+    most _BATCH_SLOTS (run, slot) rows, or one run; with jobs > 1 it holds
+    at most runs // jobs runs, so that no worker is left idle. Each run is
+    drawn from its own seed, derived from (master seed, cell index,
+    repetition), and scores NaN when it has no on-time slot (see
+    _run_batches). Results are reproducible and independent of batching
+    and worker scheduling; all policies see identical channel outcomes.
+    Repeated policy labels, or a result too large to hold
+    (check_result_size), raise ConfigError before any run.
     """
     labels = [p.label for p in policies]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"policy labels must be unique, got {labels}")
+    check_result_size(grid, len(policies))
     cells = grid.cells()
-    batches = _batches(len(cells), grid.repetitions * len(trace), jobs)
+    n_runs = len(cells) * grid.repetitions
+    size = max(1, _BATCH_SLOTS // len(trace))
+    if jobs > 1:
+        size = max(1, min(size, n_runs // jobs))
+    batches = [range(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
     ctx = (trace, channel_template, policies, grid)
     if jobs > 1:
         # Imported here: multiprocessing is a sizeable share of `import
@@ -353,7 +382,8 @@ def run_sweep(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(batches)), initializer=_init_worker, initargs=ctx
         ) as pool:
-            results = list(pool.map(_worker_task, batches))
+            errors = np.hstack(list(pool.map(_worker_task, batches)))
     else:
-        results = [_run_cells(*ctx, batches)]
-    return SweepResult(grid, tuple(labels), dict(zip(cells, itertools.chain.from_iterable(results))))
+        errors = _run_batches(*ctx, batches)
+    per_cell = errors.reshape(len(labels), len(cells), grid.repetitions).transpose(1, 0, 2).tolist()
+    return SweepResult(grid, tuple(labels), {key: dict(zip(labels, values)) for key, values in zip(cells, per_cell)})

@@ -37,9 +37,6 @@ RANK_TOL = 1e-10
 # its rows.
 _QR_ROWS = 1024
 
-BIAS_CORRECTIONS = ("fixed", "per-step")
-
-
 class Forecaster(Protocol):
     """What run_recovery requires of a model.
 
@@ -137,9 +134,6 @@ class AdamConfig:
     epsilon: float = 1e-07
     batch_size: int = 32
     epochs: int = 100
-    # "fixed" keeps the bias-correction exponent at the training-set size for
-    # every step; "per-step" uses the conventional step-count exponent.
-    bias_correction: str = "fixed"
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -152,8 +146,6 @@ class AdamConfig:
             raise ConfigError("batch size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.bias_correction not in BIAS_CORRECTIONS:
-            raise ConfigError(f"unknown bias correction mode {self.bias_correction!r}")
 
 
 def lagged_design(values: np.ndarray, lag: int):
@@ -342,8 +334,10 @@ def fit_var_adam(train: Trace, lag: int, cfg: AdamConfig) -> VarModel:
     weights = np.zeros((x.shape[1], dim))
     m = np.zeros_like(weights)
     v = np.zeros_like(weights)
-    c1_fixed = 1.0 - cfg.beta1 ** n_train
-    c2_fixed = 1.0 - cfg.beta2 ** n_train
+    # The bias corrections keep their exponent at the training-set size for
+    # every step, where conventional Adam uses the step count.
+    c1 = 1.0 - cfg.beta1 ** n_train
+    c2 = 1.0 - cfg.beta2 ** n_train
 
     step = 0
     for _ in range(cfg.epochs):
@@ -359,11 +353,6 @@ def fit_var_adam(train: Trace, lag: int, cfg: AdamConfig) -> VarModel:
             grad = (2.0 / len(xb)) * (xb.T @ resid)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-            if cfg.bias_correction == "fixed":
-                c1, c2 = c1_fixed, c2_fixed
-            else:
-                c1 = 1.0 - cfg.beta1 ** step
-                c2 = 1.0 - cfg.beta2 ** step
             weights = weights - cfg.step_size * (m / c1) / (np.sqrt(v / c2) + cfg.epsilon)
 
     residuals = y - x @ weights

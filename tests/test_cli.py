@@ -757,6 +757,25 @@ class TestSweepCli:
         cells = json.loads((out_dir / "sweep_result.json").read_text())["cells"]
         assert len(cells) == 1 and cells[0]["rmse"]["repeat-last"]["mean"] <= 1e-3
 
+    def test_a_cell_that_executes_nothing_writes_null(self, sweep_inputs, tmp_path, capsys):
+        # 500 stations collide on nearly every attempt: no repetition has an
+        # on-time command, so no value and no mean exists
+        trace_csv, spec = sweep_inputs
+        doc = json.loads(spec.read_text())
+        doc.update(robot_counts=[500], probs=[0.5], durations=[2.0])
+        spec.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sw"
+        assert main(["sweep", "--trace", str(trace_csv), "--spec", str(spec),
+                     "--jobs", "1", "--out-dir", str(out_dir)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()[-1]
+        assert printed == "sweep done: no cell has a repeat-last mean RMSE above the 0.001 floor"
+        text = (out_dir / "sweep_result.json").read_text()
+        assert "NaN" not in text
+        [cell] = json.loads(text)["cells"]
+        assert cell["rmse"] == {policy: {"mean": None, "values": [None, None]}
+                                for policy in ("forecast", "repeat-last")}
+        assert (out_dir / "rmse_forecast_500.csv").read_text().splitlines() == ["prob,2.0", "0.5,nan"]
+
     def test_rerun_reproduces_results(self, sweep_inputs, tmp_path):
         trace_csv, spec = sweep_inputs
         digests = []

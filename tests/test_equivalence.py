@@ -151,7 +151,7 @@ def _simulate_loop(trace: Trace, cfg: ChannelConfig, arrivals, branches, service
 
 def one_run(cfg: ChannelConfig) -> tuple:
     """The arguments after the template that make a batch of cfg's one run."""
-    return [cfg.interference], [[cfg.seed]]
+    return [cfg.interference], [cfg.seed]
 
 
 def run_draws(trace: Trace, cfg: ChannelConfig):
@@ -253,15 +253,14 @@ def choice_frame_draws(trace: Trace, template: ChannelConfig, interferences, see
     bound = template.transport_bound_ms
     n = len(trace)
     runs = []
-    for interference, cell_seeds in zip(interferences, seeds):
+    for interference, seed in zip(interferences, seeds, strict=True):
         probs = channel.channel_rtx_probs(replace(template, interference=interference))
-        for seed in cell_seeds:
-            rng = np.random.default_rng(seed)
-            branches = rng.choice(max_rtx + 1, size=n, p=probs)
-            service = rng.exponential(1.0, size=n) * times[branches]
-            service[branches == max_rtx] = times[-1]
-            transport = bound * (1.0 - rng.random(n)) if bound > 0 else None
-            runs.append((branches, service, transport))
+        rng = np.random.default_rng(seed)
+        branches = rng.choice(max_rtx + 1, size=n, p=probs)
+        service = rng.exponential(1.0, size=n) * times[branches]
+        service[branches == max_rtx] = times[-1]
+        transport = bound * (1.0 - rng.random(n)) if bound > 0 else None
+        runs.append((branches, service, transport))
     branches, service, transport = zip(*runs)
     return np.array(branches), np.array(service), None if bound == 0 else np.array(transport)
 
@@ -355,8 +354,8 @@ class TestBatchChannel:
 
     def assert_rows_are_the_runs(self, trace, template, interferences, seeds) -> ChannelRuns:
         runs = simulate_channels(trace, template, interferences, seeds)
-        assert all(column.shape == (sum(map(len, seeds)), len(trace)) for column in runs)
-        configs = [replace(template, interference=i, seed=seed) for i, cell in zip(interferences, seeds) for seed in cell]
+        assert all(column.shape == (len(seeds), len(trace)) for column in runs)
+        configs = [replace(template, interference=i, seed=seed) for i, seed in zip(interferences, seeds, strict=True)]
         for r, cfg in enumerate(configs):
             alone, oracle = simulate_channel(trace, cfg), per_run_oracle(trace, cfg)
             assert alone == oracle
@@ -377,8 +376,13 @@ class TestBatchChannel:
                 template = replace(template, queue_cap=1)
             if case % 5 == 0:
                 template = replace(template, rtx_probs=random_rtx_probs(rng, template.mac.max_rtx))
-            interferences = [random_interference(rng) for _ in range(int(rng.integers(1, 5)))]
-            seeds = [rng.integers(0, 2**63, size=int(rng.integers(1, 4))).tolist() for _ in interferences]
+            # one to three runs under each interference, in shuffled order: the
+            # runs of an interference need not be adjacent
+            cells = [random_interference(rng) for _ in range(int(rng.integers(1, 5)))]
+            interferences = [cell for cell in cells for _ in range(int(rng.integers(1, 4)))]
+            order = rng.permutation(len(interferences))
+            interferences = [interferences[k] for k in order]
+            seeds = rng.integers(0, 2**63, size=len(interferences)).tolist()
             runs = self.assert_rows_are_the_runs(trace, template, interferences, seeds)
             seen["bound 0"] += template.transport_bound_ms == 0
             seen["bound > 0"] += template.transport_bound_ms > 0
@@ -391,8 +395,8 @@ class TestBatchChannel:
         trace = Trace.from_joints(np.zeros((300, 1)), 20.0).slice(20, 300)
         template = ChannelConfig(mac=MacParams(max_rtx=3), rtx_probs=(0.0, 0.0, 0.0, 1.0),
                                  transport_bound_ms=2.0, queue_cap=1)
-        interferences = [InterferenceParams(p_if=0.5, t_if_slots=8.0, n_stations=5), template.interference]
-        runs = self.assert_rows_are_the_runs(trace, template, interferences, [[1, 2], [3]])
+        cell = InterferenceParams(p_if=0.5, t_if_slots=8.0, n_stations=5)
+        runs = self.assert_rows_are_the_runs(trace, template, [cell, cell, template.interference], [1, 2, 3])
         assert not runs.delivered.any()
         assert np.isnan(runs.delay_ms).all() and np.isnan(runs.waited_ms).all()
         assert (runs.rtx == -1).all() and (runs.cause == RTX_EXCEEDED).all()
@@ -404,7 +408,7 @@ class TestBatchChannel:
         with pytest.raises(ConfigError, match=message):
             simulate_channel(trace, template)
         with pytest.raises(ConfigError, match=message):
-            simulate_channels(trace, template, [template.interference] * 2, [[1], [2, 3]])
+            simulate_channels(trace, template, [template.interference] * 3, [1, 2, 3])
 
     def test_bad_probability_is_rejected(self):
         # an always-on interferer whose window covers every transmission
@@ -415,7 +419,7 @@ class TestBatchChannel:
         with pytest.raises(ConfigError) as alone:
             simulate_channel(trace, replace(template, interference=bad, seed=4))
         with pytest.raises(ConfigError) as batch:
-            simulate_channels(trace, template, [template.interference, bad], [[1], [4]])
+            simulate_channels(trace, template, [template.interference, bad], [1, 4])
         assert str(batch.value) == str(alone.value) == "per-attempt failure probability must lie in [0, 1), got 1.0"
 
 
@@ -763,9 +767,12 @@ class TestBatchScoring:
                 expected = [rmse(stream, trace) for stream, ok in zip(streams, executed) if ok]
                 got = evaluation._run_errors(trace, joints[executed], codes[executed])
                 assert got.tolist() == expected
+                # in the whole batch, a run with no executed slot scores NaN,
+                # where rmse fails, and the other runs score as alone
+                whole = evaluation._run_errors(trace, joints, codes)
+                assert whole[executed].tolist() == expected
+                assert np.isnan(whole[~executed]).all()
                 if not executed.all():
-                    with pytest.raises(ConfigError, match="stream has no executed commands"):
-                        evaluation._run_errors(trace, joints, codes)
                     with pytest.raises(ConfigError, match="stream has no executed commands"):
                         rmse(streams[int(np.argmin(executed))], trace)
                 dropped = codes[executed] == 3
@@ -780,7 +787,7 @@ def per_run_sweep(trace: Trace, grid, template: ChannelConfig, policies) -> dict
     """run_sweep's cells composed one run at a time, as perfbench's sweep
     warm-up composes them: simulate_channel on the cell's config seeded
     from (master seed, cell index, repetition), then run_recovery and rmse
-    per policy."""
+    per policy, NaN for a run that executed no command."""
     cells = {}
     for index, (robots, prob, duration) in enumerate(grid.cells()):
         interference = replace(template.interference, p_if=prob, t_if_slots=duration, n_stations=robots)
@@ -790,7 +797,9 @@ def per_run_sweep(trace: Trace, grid, template: ChannelConfig, policies) -> dict
             seed = int(seq.generate_state(1, dtype=np.uint64)[0])
             outcomes = simulate_channel(trace, replace(template, interference=interference, seed=seed))
             for policy in policies:
-                values[policy.label].append(rmse(run_recovery(trace, outcomes, policy), trace))
+                stream = run_recovery(trace, outcomes, policy)
+                executed = stream.stats.dropped < len(stream)
+                values[policy.label].append(rmse(stream, trace) if executed else math.nan)
         cells[(robots, prob, duration)] = values
     return cells
 
@@ -826,7 +835,7 @@ class TestSweepPipeline:
                              master_seed=int(rng.integers(0, 1000)))
             template = ChannelConfig(transport_bound_ms=float(rng.choice([0.0, 6.0])),
                                      queue_cap=int(rng.choice([1, 50])))
-            # below one cell's rows, so that every cell is a batch alone
+            # below one cell's rows, so that cells are split across batches
             monkeypatch.setattr(evaluation, "_BATCH_SLOTS", int(rng.integers(1, grid.repetitions * n)))
             result = run_sweep(trace, grid, template, policies, jobs=jobs)
             assert result.cells == per_run_sweep(trace, grid, template, policies)
@@ -839,17 +848,22 @@ class TestSweepPipeline:
         result = run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0), policies)
         assert result.cells == per_run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0), policies)
 
-    def test_a_run_with_no_executed_slot_fails_as_the_composition_does(self, pick_and_place_split, policies):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runs_with_no_executed_slot_score_nan(self, pick_and_place_split, policies, jobs):
         _, test = pick_and_place_split
-        trace = test.slice(0, 50)
-        template = ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=(0.0, 0.0, 1.0))
-        grid = SweepGrid(probs=(0.0,), durations=(1.0,), robot_counts=(1,), repetitions=2)
-        for policy in policies:
-            with pytest.raises(ConfigError) as batched:
-                run_sweep(trace, grid, template, [policy])
-            with pytest.raises(ConfigError) as composed:
-                per_run_sweep(trace, grid, template, [policy])
-            assert str(batched.value) == str(composed.value) == "stream has no executed commands"
+        trace = test.slice(0, 3)
+        grid = SweepGrid(probs=(0.0, 0.5), durations=(1.0,), robot_counts=(1,), repetitions=12, master_seed=2)
+        nan_runs = []
+        for a_j in ((0.0, 0.0, 1.0), (0.5, 0.0, 0.5)):
+            template = ChannelConfig(mac=MacParams(max_rtx=2), rtx_probs=a_j)
+            result = run_sweep(trace, grid, template, policies, jobs=jobs)
+            # repr tells floats apart exactly and reads NaN as NaN
+            assert repr(result.cells) == repr(per_run_sweep(trace, grid, template, policies))
+            values = [v for cell in result.cells.values() for vs in cell.values() for v in vs]
+            nan_runs.append(sum(map(math.isnan, values)))
+        # every run of the first template is lost; some, not all, of the second
+        assert nan_runs[0] == 2 * 12 * len(policies)
+        assert 0 < nan_runs[1] < 2 * 12 * len(policies)
 
 
 class TestNextRows:

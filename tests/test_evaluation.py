@@ -1,5 +1,8 @@
 """Error metric, controlled loss bursts and the interference sweep."""
 
+import json
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from foreco.errors import ConfigError
 from foreco import evaluation
 from foreco.evaluation import (
     SweepGrid,
+    SweepResult,
     _cell_interference,
     _task_seed,
     controlled_loss_outcomes,
@@ -171,7 +175,7 @@ class TestRunSweep:
                     assert result.cells[key][policy.label][rep] == expected
             assert all(len(values) == grid.repetitions for values in result.cells[key].values())
 
-    def test_pool_starts_at_most_one_worker_per_cell(self, sweep_setup, monkeypatch):
+    def test_pool_starts_at_most_one_worker_per_run(self, sweep_setup, monkeypatch):
         import concurrent.futures
 
         asked = []
@@ -196,7 +200,8 @@ class TestRunSweep:
         grid = SweepGrid(probs=(0.0, 0.8), durations=(16.0,), robot_counts=(5,),
                          repetitions=2, master_seed=3)
         pooled = run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=8)
-        assert asked == [2]
+        # 2 cells x 2 repetitions: one run per batch, one worker per batch
+        assert asked == [4]
         assert pooled.cells == run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=1).cells
 
     def test_repeat_last_error_grows_with_interference(self, sweep_setup):
@@ -268,9 +273,30 @@ def recording_pool(monkeypatch):
     return record
 
 
+def recorded_batches(monkeypatch, grid, n_slots, jobs) -> list[range]:
+    """The run ranges run_sweep hands to _run_batches for a grid over a
+    trace of n_slots commands, the runs themselves not run."""
+    batches = []
+
+    def run_batches(trace, template, policies, grid, ranges):
+        batches.extend(ranges)
+        return np.zeros((len(policies), sum(map(len, ranges))))
+
+    monkeypatch.setattr(evaluation, "_run_batches", run_batches)
+    trace = Trace.from_joints(np.zeros((n_slots, 1)), 20.0)
+    run_sweep(trace, grid, ChannelConfig(), [RecoveryPolicy(PolicyMode.REPEAT_LAST)], jobs=jobs)
+    return batches
+
+
+def grid_of(n_cells: int, repetitions: int) -> SweepGrid:
+    return SweepGrid(probs=tuple(0.5 / n_cells * k for k in range(n_cells)), durations=(1.0,),
+                     robot_counts=(5,), repetitions=repetitions)
+
+
 class TestSweepBatches:
-    """run_sweep recovers the cells in batches (evaluation._batches); a
-    cell's values must not depend on the batch it is in."""
+    """run_sweep runs contiguous ranges of the flat run index (run r is
+    repetition r % repetitions of cell r // repetitions); a run's values
+    must not depend on the batch it is in."""
 
     def test_random_batchings_equal_the_per_cell_sweep(self, sweep_setup, monkeypatch, recording_pool):
         test, policies = sweep_setup
@@ -289,7 +315,7 @@ class TestSweepBatches:
                              master_seed=int(rng.integers(0, 1000)))
             template = ChannelConfig(transport_bound_ms=float(rng.choice([0.0, 5.0])))
             cell_slots = grid.repetitions * n
-            budget = int(rng.choice([1, cell_slots, 2 * cell_slots + 1, 5 * cell_slots, 1 << 16]))
+            budget = int(rng.choice([1, n, 2 * n + 1, cell_slots, 2 * cell_slots + 1, 5 * cell_slots, 1 << 16]))
             monkeypatch.setattr(evaluation, "_BATCH_SLOTS", budget)
             jobs = int(rng.choice([1, 2, 3, 7]))
             result = run_sweep(trace, grid, template, policies, jobs=jobs)
@@ -298,44 +324,83 @@ class TestSweepBatches:
             pooled += jobs > 1
         assert pooled >= 4 and len(recording_pool["tasks"]) == pooled
 
-    def test_batch_shapes(self, monkeypatch):
+    def test_batch_shapes(self, monkeypatch, recording_pool):
         rng = np.random.default_rng(7)
-        for _ in range(2000):
-            n_cells, cell_slots = int(rng.integers(1, 200)), int(rng.integers(1, 5000))
-            jobs, budget = int(rng.integers(1, 12)), int(rng.integers(1, 20000))
+        for _ in range(400):
+            grid = grid_of(int(rng.integers(1, 30)), int(rng.integers(1, 12)))
+            n_runs = len(grid.cells()) * grid.repetitions
+            n_slots, jobs, budget = int(rng.integers(1, 5000)), int(rng.integers(1, 12)), int(rng.integers(1, 20000))
             monkeypatch.setattr(evaluation, "_BATCH_SLOTS", budget)
-            batches = evaluation._batches(n_cells, cell_slots, jobs)
-            # every cell once, in order, in contiguous batches
-            assert [index for batch in batches for index in batch] == list(range(n_cells))
+            batches = recorded_batches(monkeypatch, grid, n_slots, jobs)
+            # every run once, in order, in contiguous batches
+            assert [r for batch in batches for r in batch] == list(range(n_runs))
             sizes = [len(batch) for batch in batches]
             assert min(sizes) >= 1
-            if cell_slots > budget:
-                assert sizes == [1] * n_cells
+            if n_slots > budget:
+                assert sizes == [1] * n_runs
             else:
-                assert max(sizes) * cell_slots <= budget
+                assert max(sizes) * n_slots <= budget
             if jobs > 1:
-                assert len(batches) >= min(jobs, n_cells)
-            elif cell_slots <= budget:
-                # as many whole cells as fit, the last batch holding the rest
-                assert sizes[:-1] == [budget // cell_slots] * (len(sizes) - 1)
+                assert len(batches) >= min(jobs, n_runs)
+                assert max(sizes) <= max(1, n_runs // jobs)
+            elif n_slots <= budget:
+                # as many runs as fit, the last batch holding the rest
+                assert sizes[:-1] == [budget // n_slots] * (len(sizes) - 1)
 
-    def test_default_sizes(self):
-        # the default grid at 1 repetition of 1,500 commands: 43 cells of
-        # 1,500 rows fit in 1 << 16; at acceptance 7's 40 repetitions a cell
-        # is a batch alone
+    def test_default_sizes(self, monkeypatch, recording_pool):
+        # 43 runs of 1,500 rows fit in 1 << 16, whatever cell they belong to
         assert evaluation._BATCH_SLOTS == 1 << 16
-        assert [len(b) for b in evaluation._batches(180, 1500, 1)] == [43, 43, 43, 43, 8]
-        assert [len(b) for b in evaluation._batches(180, 40 * 1500, 4)] == [1] * 180
-        assert [len(b) for b in evaluation._batches(18, 20 * 1500, 2)] == [2] * 9
+        sizes = [len(b) for b in recorded_batches(monkeypatch, grid_of(180, 1), 1500, 1)]
+        assert sizes == [43, 43, 43, 43, 8]
+        # the walkthrough sweep: 18 cells x 4 repetitions of 7,500 rows at jobs 2
+        sizes = [len(b) for b in recorded_batches(monkeypatch, grid_of(18, 4), 7500, 2)]
+        assert sizes == [8] * 9
+        # acceptance 7: 180 cells x 40 repetitions at jobs 4
+        sizes = [len(b) for b in recorded_batches(monkeypatch, grid_of(180, 40), 1500, 4)]
+        assert sizes == [43] * 167 + [19]
 
     def test_pool_maps_the_batches(self, sweep_setup, monkeypatch, recording_pool):
         test, policies = sweep_setup
         grid = SweepGrid(probs=(0.0, 0.5, 0.8), durations=(2.0, 16.0), robot_counts=(5,),
                          repetitions=2, master_seed=3)
-        monkeypatch.setattr(evaluation, "_BATCH_SLOTS", 2 * grid.repetitions * len(test))
-        run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=2)
-        assert recording_pool["tasks"] == [[range(0, 2), range(2, 4), range(4, 6)]]
+        # three runs a batch: the second cell's two runs fall in two batches
+        monkeypatch.setattr(evaluation, "_BATCH_SLOTS", 3 * len(test))
+        pooled = run_sweep(test, grid, ChannelConfig(seed=0), policies, jobs=2)
+        assert recording_pool["tasks"] == [[range(0, 3), range(3, 6), range(6, 9), range(9, 12)]]
         assert recording_pool["workers"] == [2]
+        assert pooled.cells == per_cell_sweep(test, grid, ChannelConfig(seed=0), policies)
+
+
+class TestSweepBounds:
+    def test_a_160_repetition_cell_is_run_in_batches(self, sweep_setup):
+        # a cell's runs share the batch budget like any others: a long cell
+        # no longer holds all its repetitions' arrays at once
+        test, policies = sweep_setup
+        grid = SweepGrid(probs=(0.9,), durations=(32.0,), robot_counts=(25,), repetitions=160, master_seed=4)
+        tracemalloc.start()
+        try:
+            result = run_sweep(test, grid, ChannelConfig(), policies)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(len(values) == 160 for values in result.cells[(25, 0.9, 32.0)].values())
+        assert peak < 16 * 2**20
+
+    def test_result_bound_is_checked_before_any_run(self, sweep_setup, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a seed was drawn")
+
+        monkeypatch.setattr(evaluation, "_task_seed", refuse)
+        test, policies = sweep_setup
+        grid = SweepGrid(probs=(0.5,), durations=(2.0,), robot_counts=(5,), repetitions=10**10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="repetitions: 10000000000 x 1 cells x 2 policies is 20000000000"):
+                run_sweep(test, grid, ChannelConfig(), policies)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSweepResultFiles:
@@ -356,6 +421,44 @@ class TestSweepResultFiles:
         assert 0.0 <= floored < 1.0
         assert result.worst_cell_ratio("forecast", "repeat-last", min_denominator=np.inf) is None
         assert 0.0 < result.peak_ratio("forecast", "repeat-last") < 1.0
+
+
+class TestRepetitionsWithoutAValue:
+    """A repetition that executed no command holds NaN: means skip it, the
+    ratios skip cells with no mean, and sweep_result.json writes null."""
+
+    def result(self) -> SweepResult:
+        nan = math.nan
+        grid = SweepGrid(probs=(0.1, 0.5, 0.9), durations=(2.0,), robot_counts=(5,), repetitions=3)
+        return SweepResult(grid, ("f", "r"), {
+            (5, 0.1, 2.0): {"f": [0.1, nan, 0.3], "r": [0.2, nan, 0.6]},
+            (5, 0.5, 2.0): {"f": [nan, nan, nan], "r": [0.5, 0.5, 0.5]},
+            (5, 0.9, 2.0): {"f": [nan, nan, nan], "r": [nan, nan, nan]},
+        })
+
+    def test_means_skip_nan(self):
+        result = self.result()
+        assert result.mean((5, 0.1, 2.0), "f") == float(np.mean([0.1, 0.3]))
+        assert result.mean((5, 0.5, 2.0), "r") == 0.5
+        assert math.isnan(result.mean((5, 0.5, 2.0), "f"))
+        assert math.isnan(result.mean((5, 0.9, 2.0), "r"))
+
+    def test_ratios_skip_cells_with_no_mean(self):
+        result = self.result()
+        assert result.worst_cell_ratio("f", "r") == float(np.mean([0.1, 0.3])) / float(np.mean([0.2, 0.6]))
+        assert result.worst_cell_ratio("f", "r", min_denominator=0.45) is None
+        assert result.peak_ratio("f", "r") == float(np.mean([0.1, 0.3])) / 0.5
+        nan_only = SweepResult(result.grid, ("f", "r"), {key: {"f": [math.nan] * 3, "r": [0.5] * 3}
+                                                         for key in result.grid.cells()})
+        assert math.isnan(nan_only.peak_ratio("f", "r"))
+        assert nan_only.worst_cell_ratio("f", "r") is None
+
+    def test_json_writes_null(self):
+        doc = self.result().to_dict()
+        json.dumps(doc, allow_nan=False)
+        first, _, last = doc["cells"]
+        assert first["rmse"]["f"] == {"mean": float(np.mean([0.1, 0.3])), "values": [0.1, None, 0.3]}
+        assert last["rmse"] == {p: {"mean": None, "values": [None, None, None]} for p in ("f", "r")}
 
 
 class TestDefaultGrid:

@@ -158,14 +158,6 @@ class TestFitVarAdam:
             fit_var_adam(tr, 1, huge)
         assert err.value.iteration >= 1
 
-    def test_per_step_bias_correction_also_converges(self):
-        tr = rotation_trace(400, 0.861, amp=0.01)
-        ols = fit_var_ols(tr, 1)
-        adam = fit_var_adam(
-            tr, 1, AdamConfig(batch_size=8, epochs=500, bias_correction="per-step")
-        )
-        assert np.max(np.abs(adam.coeffs - ols.coeffs)) <= 1e-2
-
 
 class TestPredict:
     def history(self, values, period_ms=20.0):
