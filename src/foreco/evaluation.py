@@ -29,9 +29,9 @@ from .channel import (  # noqa: F401
     simulate_channel,
     simulate_channels,
 )
-from .core import Trace
+from .core import RecoveryConfig, Trace
 from .errors import ConfigError
-from .recovery import ExecutedStream, RecoveryPolicy, on_time_mask, run_recoveries, run_recovery  # noqa: F401
+from .recovery import ExecutedStream, RecoveryPolicy, held_sources, on_time_mask, run_recoveries, run_recovery  # noqa: F401
 
 CellKey = tuple[int, float, float]  # (robot count, interferer prob, duration slots)
 
@@ -270,25 +270,84 @@ def check_result_size(grid: SweepGrid, n_policies: int) -> None:
 # A batch holds at most this many (run, slot) rows, that is 43 runs of a
 # 1,500-command trace; a run longer than that is a batch alone.
 _BATCH_SLOTS = 1 << 16
+# A recovery range holds at most this many (run, slot) rows of whole
+# batches, or one batch: 8 batches of 43 runs of a 1,500-command trace.
+_RANGE_SLOTS = 1 << 19
 
 
-def _run_errors(trace: Trace, joints: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """rmse(stream, trace) for each of the R runs of run_recoveries' (R, H,
-    d) joints and (R, H) codes, bit for bit, and NaN for a run with no
+def _run_errors(trace: Trace, table: np.ndarray, src: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """rmse(stream, trace) for each of the R runs of run_recoveries' table,
+    (R, H) sources and (R, H) codes, bit for bit, and NaN for a run with no
     on-time slot, which executes no command.
 
     An original slot (code 0) holds the trace row, so its squared error is
-    exactly 0.0: only the other slots are squared and summed as rmse sums
-    them, and the per-run mean and root are taken over all slots at once.
+    exactly 0.0: only the other slots are read from the table, squared and
+    summed as rmse sums them, and the per-run mean and root are taken over
+    all slots of a block of runs at once. A block holds at most
+    _BATCH_SLOTS (run, slot) rows, which bounds the arrays of its missed
+    slots.
     """
-    missed = codes != 0
-    flat = np.flatnonzero(missed)
-    diff = joints.reshape(-1, trace.dim)[flat] - trace.joints[flat % len(trace)]
-    squared = np.zeros(codes.size)
-    squared[flat] = np.sum(diff * diff, axis=1)
-    errors = np.sqrt(np.mean(squared.reshape(codes.shape), axis=1))
-    errors[missed.all(axis=1)] = math.nan
+    n_slots = codes.shape[1]
+    step = max(1, _BATCH_SLOTS // n_slots)
+    errors = np.empty(len(codes))
+    for lo in range(0, len(codes), step):
+        block = codes[lo : lo + step]
+        missed = block != 0
+        flat = np.flatnonzero(missed)
+        diff = np.take(table, np.take(src[lo : lo + step], flat), axis=0)
+        diff -= np.take(trace.joints, flat % n_slots, axis=0)
+        diff *= diff
+        squared = np.zeros(block.size)
+        squared[flat] = np.sum(diff, axis=1)
+        block_errors = errors[lo : lo + step]
+        block_errors[...] = np.sqrt(np.mean(squared.reshape(block.shape), axis=1))
+        block_errors[missed.all(axis=1)] = math.nan
     return errors
+
+
+def _recovery_ranges(batches: Sequence[range], n_slots: int) -> list[list[range]]:
+    """The batches cut in order into groups of at most _RANGE_SLOTS (run,
+    slot) rows, a batch larger than that being a group alone."""
+    groups: list[list[range]] = []
+    rows = 0
+    for runs in batches:
+        if not groups or rows + len(runs) * n_slots > _RANGE_SLOTS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(runs)
+        rows += len(runs) * n_slots
+    return groups
+
+
+def _range_masks(
+    trace: Trace,
+    template: ChannelConfig,
+    cfgs: Sequence[RecoveryConfig],
+    grid: SweepGrid,
+    batches: Sequence[range],
+) -> list[np.ndarray]:
+    """The (runs, slots) on-time mask of the runs of the batches under each
+    of cfgs, from one simulate_channels call per batch; each batch's
+    channel arrays are dropped once its masks are taken."""
+    keys = grid.cells()
+    reps = grid.repetitions
+    n_runs = sum(map(len, batches))
+    masks = [np.empty((n_runs, len(trace)), dtype=bool) for _ in cfgs]
+    row = 0
+    for runs in batches:
+        # one InterferenceParams per cell, shared by the cell's runs
+        interference = {c: _cell_interference(template, keys[c]) for c in {r // reps for r in runs}}
+        channel_runs = simulate_channels(
+            trace,
+            template,
+            [interference[r // reps] for r in runs],
+            [_task_seed(grid.master_seed, *divmod(r, reps)) for r in runs],
+        )
+        for mask, cfg in zip(masks, cfgs):
+            mask[row : row + len(runs)] = on_time_mask(channel_runs, trace.period_ms, cfg)
+        row += len(runs)
+        del channel_runs  # before the next batch is simulated
+    return masks
 
 
 def _run_batches(
@@ -301,32 +360,27 @@ def _run_batches(
     """The (policy, run) errors of the runs of each batch (numbered as in
     run_sweep), in the order of the batches.
 
-    A batch is one pipeline of (run, slot) arrays: one simulate_channels
-    call, then per policy one on_time_mask, run_recoveries and _run_errors
-    call. Each run's draws, queue, recovery and error are its own, so its
-    values do not depend on the batch it is in. Every batch and policy
-    writes its executed joints into one (run, slot, joint) array sized for
-    the largest batch, allocated once per call."""
-    keys = grid.cells()
-    reps = grid.repetitions
+    Consecutive batches form a recovery range (_recovery_ranges). A range
+    keeps only the on-time masks of its batches' channel runs, one per
+    distinct tolerance_ms (_range_masks). Per mask, one held_sources pass
+    serves every policy, and per policy one run_recoveries call, with one
+    forecast level loop, and one _run_errors call cover the whole range.
+    Each run's draws, queue, recovery and error are its own, so its values
+    do not depend on the batch or range it is in."""
+    # the policies of each distinct tolerance, which share its mask
+    sharing: dict[float, list[int]] = {}
+    for k, policy in enumerate(policies):
+        sharing.setdefault(policy.cfg.tolerance_ms, []).append(k)
     errors = np.empty((len(policies), sum(map(len, batches))))
-    out = np.empty((max(map(len, batches)) * len(trace), trace.dim))
     done = 0
-    for runs in batches:
-        # one InterferenceParams per cell, shared by the cell's runs
-        interference = {c: _cell_interference(template, keys[c]) for c in {r // reps for r in runs}}
-        channel_runs = simulate_channels(
-            trace,
-            template,
-            [interference[r // reps] for r in runs],
-            [_task_seed(grid.master_seed, *divmod(r, reps)) for r in runs],
-        )
-        for k, policy in enumerate(policies):
-            on_time = on_time_mask(channel_runs, trace.period_ms, policy.cfg)
-            joints = out[: on_time.size].reshape(*on_time.shape, trace.dim)
-            _, codes = run_recoveries(trace, on_time, policy, joints)
-            errors[k, done : done + len(runs)] = _run_errors(trace, joints, codes)
-        done += len(runs)
+    for group in _recovery_ranges(batches, len(trace)):
+        masks = _range_masks(trace, template, [policies[ks[0]].cfg for ks in sharing.values()], grid, group)
+        for mask, ks in zip(masks, sharing.values()):
+            held = held_sources(mask)
+            for k in ks:
+                table, src, codes = run_recoveries(trace, mask, policies[k], held)
+                errors[k, done : done + len(mask)] = _run_errors(trace, table, src, codes)
+        done += len(masks[0])
     return errors
 
 
@@ -349,12 +403,14 @@ def run_sweep(
     policies: Sequence[RecoveryPolicy],
     jobs: int = 1,
 ) -> SweepResult:
-    """Run the full interference sweep, one task per batch of runs.
+    """Run the full interference sweep in batches of runs.
 
     Run r is repetition r % repetitions of cell r // repetitions, in
     grid.cells() order. A batch is a contiguous range of runs holding at
-    most _BATCH_SLOTS (run, slot) rows, or one run; with jobs > 1 it holds
-    at most runs // jobs runs, so that no worker is left idle. Each run is
+    most _BATCH_SLOTS (run, slot) rows, or one run. With jobs > 1 it holds
+    at most runs // jobs runs, so that no worker is left idle, and each
+    pool task is one batch; a serial sweep recovers its batches in ranges
+    of up to _RANGE_SLOTS rows (see _run_batches). Each run is
     drawn from its own seed, derived from (master seed, cell index,
     repetition), and scores NaN when it has no on-time slot (see
     _run_batches). Results are reproducible and independent of batching

@@ -43,10 +43,10 @@ class Forecaster(Protocol):
     min_history (>= 1) is the number of past rows a forecast reads, and
     next_rows(records) the recovery step: for an (n, min_history, d) array
     of records, each of past rows oldest first, the (n, d) joint rows one
-    period after them. A model may instead have only predict_next(history,
-    period_ms), returning the Command one period after history[-1]
-    (Commands, oldest first); run_recovery then reaches it through predict.
-    VarModel has both.
+    period after them, as a new array, which recovery clamps in place. A
+    model may instead have only predict_next(history, period_ms), returning
+    the Command one period after history[-1] (Commands, oldest first);
+    run_recovery then reaches it through predict. VarModel has both.
     """
 
     dim: int
@@ -102,13 +102,17 @@ class VarModel:
         """The next joint row after each record of an (n, m, d) array, oldest
         row first, m >= lag.
 
-        Each row is bit-equal to bias + stacked @ x for its record alone. The
-        stacked matmul multiplies one record at a time (a gemm over the batch
-        would reassociate the sums), and the reshape lays x out as a single
-        record's would be: a contiguous copy for d > 1, and for d = 1 a
-        reversed view, which numpy multiplies without BLAS either way.
+        Each row is bit-equal to bias + stacked @ x for its record alone:
+        the stacked matmul multiplies one record at a time (a gemm over the
+        batch would reassociate the sums), and x is laid out as a single
+        record's would be. For d > 1 it is contiguous (a view of records
+        stored newest first, as recovery gathers them), which BLAS
+        multiplies; for d = 1 numpy multiplies a reversed view without
+        BLAS, so records stored newest first are copied to that layout.
         """
         x = records[:, ::-1][:, : self.lag].reshape(len(records), self.lag * self.dim)
+        if self.dim == 1 and x.strides[1] > 0:
+            x = np.ascontiguousarray(x[:, ::-1])[:, ::-1]
         return self.bias + (self.stacked @ x[:, :, None])[:, :, 0]
 
     def predict_next(self, history: Sequence[Command], period_ms: float) -> Command:
@@ -216,13 +220,9 @@ def _residuals(values: np.ndarray, lag: int, order: str, predict) -> np.ndarray:
     depend on where its block starts. Fits run column-major and aic
     row-major, the layouts their values were first computed in.
 
-    The blocks are twice as tall as the QR's. A product needs no
-    cache-sized block, and the larger scratch array keeps glibc's malloc
-    from mapping fresh pages for the QR blocks of later fits: malloc serves
-    from its heap only requests smaller than the largest block it has
-    unmapped, and trims the heap once twice that size is free. np.linalg.qr
-    copies each QR block twice, so with every scratch array one QR block
-    tall those copies were mapped and faulted in afresh for every block."""
+    The blocks are twice as tall as the QR's, so that the QR blocks of
+    later fits are served from glibc's heap instead of fresh mappings (see
+    README "Performance")."""
     n, dim = len(values) - lag, values.shape[1]
     k = 1 + lag * dim
     residuals = np.empty((n, dim))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelOutcome, ChannelOutcomes, ChannelRuns
 from .core import Command, Provenance, RecoveryConfig, Trace
@@ -90,6 +91,12 @@ class RecoveryStats:
 _ORIGINAL, _FORECAST, _REPEATED, _DROPPED = range(4)
 _PROVENANCE = (Provenance.ORIGINAL, Provenance.FORECAST, Provenance.REPEAT_LAST)
 
+# Row sources are int32, so a recovery indexes at most this many rows: the
+# trace's and one per slot of its runs.
+_MAX_ROWS = np.iinfo(np.int32).max
+# A forecast step gathers at most this many past rows: 3 MB of records at
+# d = 6, 3,276 forecasts at lag 20.
+_RECORD_ROWS = 1 << 16
 
 class ExecutedCommands:
     """The commands of a recovered run, built from its arrays on first
@@ -173,11 +180,12 @@ def on_time_mask(outcomes: ChannelOutcomes | ChannelRuns, period_ms: float, cfg:
     return outcomes.delivered & (outcomes.delay_ms <= period_ms + cfg.tolerance_ms)
 
 
-def _predict_step(model: Forecaster, trace: Trace, joints: np.ndarray, codes: np.ndarray,
+def _predict_step(model: Forecaster, trace: Trace, table: np.ndarray, src: np.ndarray, codes: np.ndarray,
                   first: np.ndarray, record_len: int):
     """The forecast step for a model with only predict_next: the rows after
     flat slots r * H + i, each through predict on the Commands of slots
-    max(first[r], i - record_len) .. i-1, provenance from the codes."""
+    max(first[r], i - record_len) .. i-1, joints from table[src],
+    provenance from the codes."""
     samples = trace.samples
     n_slots = len(trace)
 
@@ -186,7 +194,7 @@ def _predict_step(model: Forecaster, trace: Trace, joints: np.ndarray, codes: np
         code = int(codes[r, j])
         if code == _ORIGINAL:
             return sent
-        return Command(sent.seq, tuple(joints[r, j].tolist()), sent.gen_time_us, _PROVENANCE[code])
+        return Command(sent.seq, tuple(table[src[r, j]].tolist()), sent.gen_time_us, _PROVENANCE[code])
 
     def step(flat: np.ndarray) -> np.ndarray:
         rows = []
@@ -207,24 +215,44 @@ def _forecast_levels(forecast: np.ndarray, record_len: int) -> tuple[np.ndarray,
     cluster. A forecast reads only the record_len slots before it, so every
     slot it depends on sits at a lower level.
     """
-    rep, slot = np.nonzero(forecast)
+    # int32, as the row sources are (see _MAX_ROWS)
+    flat = np.flatnonzero(forecast).astype(np.int32)
+    rep, slot = np.divmod(flat, forecast.shape[1])
     n = len(slot)
     starts = np.ones(n, dtype=bool)
     starts[1:] = (np.diff(slot) > record_len) | (np.diff(rep) != 0)
-    position = np.arange(n)
+    position = np.arange(n, dtype=np.int32)
     level = position - np.maximum.accumulate(np.where(starts, position, 0))
-    order = np.argsort(level, kind="stable")
-    flat = rep[order] * forecast.shape[1] + slot[order]
-    return flat, np.cumsum(np.bincount(level))
+    return flat[np.argsort(level, kind="stable")], np.cumsum(np.bincount(level))
+
+
+def held_sources(on_time: np.ndarray) -> np.ndarray:
+    """The trace row each slot of an (R, H) on-time mask holds when it is
+    not forecast, as (R, H) int32: the last on-time slot at or before it,
+    the run's first on-time slot before that, and the trace's last row in a
+    run with no on-time slot. It depends on the mask alone, so policies
+    that share a mask share it."""
+    n_slots = on_time.shape[1]
+    if on_time.size + n_slots > _MAX_ROWS:
+        raise ConfigError(f"{on_time.shape[0]} runs of {n_slots} slots are more than a recovery can index")
+    first = np.where(on_time.any(axis=1), np.argmax(on_time, axis=1), n_slots - 1).astype(np.int32)
+    held = np.where(on_time, np.arange(n_slots, dtype=np.int32), np.int32(-1))
+    np.maximum.accumulate(held, axis=1, out=held)
+    return np.maximum(held, first[:, None], out=held)
 
 
 def run_recoveries(
-    trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    trace: Trace, on_time: np.ndarray, policy: RecoveryPolicy, held: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The executed runs of a trace for an (R, H) mask of the slots whose
-    command met the replay deadline in each of R runs (see on_time_mask):
-    the (R, H, d) joints, written into out when it is given, and the (R, H)
-    int8 provenance codes (0 original, 1 forecast, 2 repeat-last, 3 empty).
+    command met the replay deadline in each of R runs (see on_time_mask),
+    as row sources into one table: the (n, d) table, whose first H rows are
+    the trace's and the rest the forecasts in level order, the (R, H) int32
+    source of each slot's joints in it, and the (R, H) int8 provenance codes
+    (0 original, 1 forecast, 2 repeat-last, 3 empty). held is the mask's
+    held_sources, computed here when not given; a policy without forecasts
+    returns it as its sources and the trace's joints as its table, neither
+    copied, so callers must not write into them.
 
     An on-time slot holds the original command unchanged. Otherwise the
     policy fills the slot. Forecasting needs enough executed history for the
@@ -234,8 +262,8 @@ def run_recoveries(
     holds the last executed row; leading empty slots hold the first, and a
     run with no executed slot holds the trace's last row.
 
-    All runs are recovered at once: repeat-last and drop are one forward
-    fill over the (R, H) slots, and the forecasts run level by level (see
+    All runs are recovered at once: repeat-last and drop only point each
+    slot at the row it holds, and the forecasts run level by level (see
     _forecast_levels), each level over all runs as one next_rows step.
     """
     n_slots = len(trace)
@@ -254,6 +282,8 @@ def run_recoveries(
             raise ConfigError(
                 f"model needs {model.min_history} past commands but the record keeps {cfg.record_len}"
             )
+    if held is None:
+        held = held_sources(on_time)
 
     # The first on-time slot is the first executed one: a miss before it
     # finds no history and is dropped. From there on, forecast and
@@ -267,46 +297,57 @@ def run_recoveries(
     if policy.mode is PolicyMode.FORECAST:
         forecast_from = first + model.min_history
     slot = np.arange(n_slots)
-    codes = np.where(
-        slot < drop_until[:, None], _DROPPED, np.where(slot >= forecast_from[:, None], _FORECAST, _REPEATED)
-    ).astype(np.int8)
-    codes[on_time] = _ORIGINAL
+    # _DROPPED and _FORECAST are _REPEATED plus and minus one
+    codes = (slot < drop_until[:, None]).view(np.int8) + np.int8(_REPEATED)
+    codes -= slot >= forecast_from[:, None]
+    np.copyto(codes, _ORIGINAL, where=on_time)
 
-    # An empty or repeated slot holds the last on-time row; the leading ones
-    # hold the first executed row.
-    held = np.maximum.accumulate(np.where(on_time, slot, -1), axis=1)
-    # Every index is in range. Under "clip" take writes into out directly;
-    # under the default "raise" it fills a temporary and copies it over.
-    index = np.minimum(np.maximum(held, first[:, None]), n_slots - 1)
-    joints = np.take(trace.joints, index, axis=0, out=out, mode="clip")
-
-    forecast = codes == _FORECAST
-    if forecast.any():
-        flat, ends = _forecast_levels(forecast, cfg.record_len)
-        rows_of = joints.reshape(-1, trace.dim)
-        if hasattr(model, "next_rows"):
-            window = flat[:, None] + np.arange(-model.min_history, 0)
-
-            def step(lo: int, hi: int) -> np.ndarray:
-                return model.next_rows(np.take(rows_of, window[lo:hi], axis=0))
-        else:
-            by_predict = _predict_step(model, trace, joints, codes, first, cfg.record_len)
-
-            def step(lo: int, hi: int) -> np.ndarray:
-                return by_predict(flat[lo:hi])
-        if limits is not None:
-            lim = np.array(limits)
-            neg_lim = -lim
-        lo = 0
-        for hi in ends.tolist():
-            rows = step(lo, hi)
-            if limits is not None:
-                prev = rows_of[flat[lo:hi] - 1]
-                rows = prev + np.minimum(np.maximum(rows - prev, neg_lim), lim)
-            rows_of[flat[lo:hi]] = rows
-            lo = hi
-
-    return joints, codes
+    if policy.mode is not PolicyMode.FORECAST:
+        return trace.joints, held, codes
+    flat, ends = _forecast_levels(codes == _FORECAST, cfg.record_len)
+    if not len(flat):
+        return trace.joints, held, codes
+    # A forecast's row is the table's next free one, so that each level
+    # writes one contiguous block; the sources of every forecast slot are
+    # known before any forecast is made.
+    table = np.empty((n_slots + len(flat), trace.dim))
+    table[:n_slots] = trace.joints
+    src = held.copy()
+    src_of = src.reshape(-1)
+    src_of[flat] = np.arange(n_slots, len(table), dtype=np.int32)
+    by_predict = None
+    if not hasattr(model, "next_rows"):
+        by_predict = _predict_step(model, trace, table, src, codes, first, cfg.record_len)
+    if limits is not None:
+        lim = np.array(limits)
+        neg_lim = -lim
+    # Row j of `window` holds the sources of flat slots j .. j + m - 1, so
+    # the record of forecast slot f is row f - m, read newest first: the
+    # previous slot's row, the clamp's anchor, is then the record's first,
+    # and VarModel.next_rows reads it reversed back without a copy.
+    m = model.min_history
+    window = sliding_window_view(src_of, m)
+    record_at = flat - m
+    # a level of more than `step` slots is forecast in parts, which bounds
+    # the records gathered at once
+    step = max(1, _RECORD_ROWS // m)
+    start = 0
+    for end in ends.tolist():
+        for lo in range(start, end, step):
+            hi = min(lo + step, end)
+            records = table.take(window[record_at[lo:hi], ::-1], axis=0)
+            rows = model.next_rows(records[:, ::-1]) if by_predict is None else by_predict(flat[lo:hi])
+            out = table[n_slots + lo : n_slots + hi]
+            if limits is None:
+                out[...] = rows
+            else:
+                prev = records[:, 0]
+                rows -= prev
+                np.maximum(rows, neg_lim, out=rows)
+                np.minimum(rows, lim, out=rows)
+                np.add(rows, prev, out=out)
+        start = end
+    return table, src, codes
 
 
 def run_recovery(
@@ -318,7 +359,8 @@ def run_recovery(
     if len(columns) != len(trace):
         raise ConfigError(f"{len(columns)} outcomes for {len(trace)} commands")
     on_time = on_time_mask(columns, trace.period_ms, policy.cfg)
-    [joints], [codes] = run_recoveries(trace, on_time[None], policy)
+    table, [src], [codes] = run_recoveries(trace, on_time[None], policy)
+    joints = np.take(table, src, axis=0)
     stats = RecoveryStats(*np.bincount(codes, minlength=4).tolist())
     return ExecutedStream(ExecutedCommands(trace, joints, codes), stats, joints, codes, trace.seq0)
 

@@ -8,6 +8,7 @@ motion sampled at a fixed command period. Joint values are rounded to the
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -18,6 +19,14 @@ PROFILES = ("pick-and-place", "sine-mix", "constant")
 
 # Standard deviation of the Gaussian noise added to every non-constant profile.
 NOISE = 1e-3
+
+
+def physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -79,7 +88,9 @@ def synthetic_trace(
     constant (identical rows, noise-free). The motion is sampled at
     period_ms and the timestamps step by it, so a period that is not a whole
     number of microseconds, the resolution of trace timestamps, is a
-    ConfigError.
+    ConfigError, and so is a duration whose rows need more bytes of float64
+    values than the machine has physical memory, before anything is
+    allocated.
     """
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose one of {PROFILES}")
@@ -101,6 +112,12 @@ def synthetic_trace(
         raise ConfigError(f"duration {duration_s} s is too long: timestamps must stay below 2**62 us")
     if n * dim > np.iinfo(np.intp).max // 8:
         raise ConfigError(f"dim {dim} at {n} rows is more float64 values than one array can hold")
+    memory = physical_memory()
+    if memory is not None and n * dim * 8 > memory:
+        raise ConfigError(
+            f"duration_s: {duration_s} s is {n} rows of {dim} float64 values, "
+            f"{n * dim * 8} bytes, more than the {memory} bytes of physical memory"
+        )
     rng = np.random.default_rng(seed)
 
     if profile == "constant":

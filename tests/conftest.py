@@ -113,3 +113,34 @@ def pick_and_place_split():
 
     full = foreco.synthetic_trace("pick-and-place", 150.0, seed=0)
     return foreco.split_dataset(full, 0.8)
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by an inline pool; the returned dict
+    collects the worker counts asked for and the tasks mapped."""
+    import concurrent.futures
+
+    from foreco import evaluation
+
+    record = {"workers": [], "tasks": []}
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            record["workers"].append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            record["tasks"].append(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(evaluation, "_WORKER_CTX", None)
+    return record

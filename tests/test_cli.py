@@ -447,6 +447,18 @@ class TestOutOfMemory:
         assert error["message"] == "out of memory: Unable to allocate 1.63 PiB for an array with shape (230000000000000,)"
         assert not out.exists()
 
+    def test_a_trace_past_physical_memory_is_refused_as_config(self, tmp_path, capsys):
+        # 4.6e12 s is 2.3e14 rows: refused from the row count, before any
+        # array is allocated
+        out = tmp_path / "t.csv"
+        argv = ["gen-trace", "--profile", "pick-and-place", "--duration-s", "4.6e12", "--seed", "0",
+                "--out", str(out)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("duration_s: 4600000000000.0 s is 230000000000000 rows of 6 float64 values")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_all_lost_channel_writes_outputs_with_null_rmse(self, trace_csv, tmp_path, capsys):

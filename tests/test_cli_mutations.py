@@ -21,7 +21,7 @@ import pytest
 
 from foreco.cli import main
 
-VALUES = (-1, 0, 1e308, -1e308, 1e-320, 10**30, "x", None, [1], {"a": 1}, True, math.nan, math.inf)
+VALUES = (-1, 0, 1e308, -1e308, 1e-320, 10**30, 10**400, "x", None, [1], {"a": 1}, True, math.nan, math.inf)
 CHANNEL = {
     "mac": {}, "interference": {"p_if": 0.6, "t_if_slots": 16.0, "n_stations": 15},
     "queue_cap": 50, "period_ms": 20.0, "transport_bound_ms": 0.5, "seed": 23,

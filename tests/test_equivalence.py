@@ -4,10 +4,10 @@ The queue walk of simulate_channel is checked against the per-frame loop,
 its attempt-count draws against Generator.choice, the batched
 simulate_channels against each run alone, the batched run_recoveries
 against the per-slot loop, the sweep's batch scoring against rmse and the
-sweep against the per-run composition of the public functions, the batched
-next_rows against its per-row form, and the array CSV
-reader and writers against their per-cell and per-Command forms, all kept
-below as references. Every comparison of those is exact: no tolerance.
+sweep, in batches and in recovery ranges, against the per-run composition
+of the public functions, the batched next_rows against its per-row form,
+and the array CSV reader and writers against their per-cell and
+per-Command forms, all kept below as references. Every comparison of those is exact: no tolerance.
 The VAR fits, which read Q^T y and the residual Gram from the R of a QR
 of [X | Y], are checked against the explicit-Q factorisation, and the
 blocked tall-skinny QR that takes that R against one QR of the whole
@@ -628,6 +628,12 @@ def on_time_masks(trace: Trace, runs, cfg: RecoveryConfig) -> np.ndarray:
     return np.array([on_time_mask(ChannelOutcomes.from_outcomes(o), trace.period_ms, cfg) for o in runs])
 
 
+def executed_joints(table: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """run_recoveries' (R, H, d) executed joints: each slot's source row of
+    the table."""
+    return np.take(table, src, axis=0)
+
+
 def assert_same_run(joints, codes, slow: SlotRun | ExecutedStream) -> None:
     """One run of run_recoveries' arrays against an oracle run: the same
     codes, joints and stats counted from the codes."""
@@ -668,12 +674,49 @@ class TestBatchedRecovery:
                 RecoveryPolicy(PolicyMode.DROP, cfg),
             ]
             for policy in policies:
-                joints, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
-                assert joints.shape == (len(runs), len(trace), trace.dim)
+                table, src, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+                assert src.shape == (len(runs), len(trace)) and src.dtype == np.int32
                 assert codes.shape == (len(runs), len(trace)) and codes.dtype == np.int8
+                joints = executed_joints(table, src)
                 for outcomes, *arrays in zip(runs, joints, codes):
                     assert_same_run(*arrays, per_slot_recovery(trace, outcomes, policy))
         assert all(count >= 3 for count in kinds.values()), kinds
+
+    @pytest.mark.parametrize("record_rows", [1, 7, 24])
+    def test_levels_forecast_in_parts_equal_whole_levels(self, monkeypatch, record_rows):
+        # a level whose records hold more than _RECORD_ROWS past rows is
+        # forecast in parts of at most _RECORD_ROWS // lag slots
+        rng = np.random.default_rng(18 + record_rows)
+        train = smooth_trace(rng, 600, 3)
+        trace = smooth_trace(rng, 250, 3)
+        cfg = RecoveryConfig(record_len=10)
+        mask = on_time_masks(trace, [random_outcomes(rng, trace, trace.period_ms) for _ in range(30)], cfg)
+        for model in (fit_var_ols(train, 4), WholeRecordMean()):
+            policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model, max_step_per_joint=(0.05, 0.1, 0.2))
+            whole = run_recoveries(trace, mask, policy)
+            _, ends = recovery._forecast_levels(whole[2] == 1, cfg.record_len)
+            assert np.diff(ends, prepend=0).max() > max(1, record_rows // model.min_history)
+            monkeypatch.setattr(recovery, "_RECORD_ROWS", record_rows)
+            for a, b in zip(run_recoveries(trace, mask, policy), whole):
+                np.testing.assert_array_equal(a, b)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_few_joint_runs_equal_the_per_slot_loop(self, dim):
+        # one joint is the case where numpy multiplies a record with or
+        # without BLAS depending on its layout
+        rng = np.random.default_rng(14 + dim)
+        train = smooth_trace(rng, 600, dim)
+        trace = smooth_trace(rng, 300, dim)
+        cfg = RecoveryConfig(record_len=12)
+        runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(6)]
+        for lag in (3, 12):
+            for step in (None, step_limit_from_trace(train, 1.1)):
+                policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, fit_var_ols(train, lag), max_step_per_joint=step)
+                table, src, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+                assert np.count_nonzero(codes == 1) > 0
+                for outcomes, *arrays in zip(runs, executed_joints(table, src), codes):
+                    assert_same_run(*arrays, per_slot_recovery(trace, outcomes, policy))
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_forecasts_a_record_apart(self, extra):
@@ -691,8 +734,8 @@ class TestBatchedRecovery:
         ]
         for model in (fit_var_ols(train, record_len), WindowMean(3, record_len), WholeRecordMean()):
             policy = RecoveryPolicy(PolicyMode.FORECAST, cfg, model)
-            joints, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
-            for outcomes, *arrays in zip(runs, joints, codes):
+            table, src, codes = run_recoveries(trace, on_time_masks(trace, runs, cfg), policy)
+            for outcomes, *arrays in zip(runs, executed_joints(table, src), codes):
                 assert_same_run(*arrays, per_slot_recovery(trace, outcomes, policy))
             assert np.count_nonzero(codes[0] == 1) == 7
 
@@ -702,29 +745,49 @@ class TestBatchedRecovery:
         model = fit_var_ols(smooth_trace(rng, 600, 3), 6)
         runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(5)]
         policy = RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model)
-        batch = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
-        for outcomes, *arrays in zip(runs, *batch):
-            assert_same_run(*arrays, run_recovery(trace, outcomes, policy))
+        table, src, codes = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
+        for outcomes, joints, run_codes in zip(runs, executed_joints(table, src), codes):
+            assert_same_run(joints, run_codes, run_recovery(trace, outcomes, policy))
             alone = run_recoveries(trace, on_time_masks(trace, [outcomes], policy.cfg), policy)
-            for a, b in zip(arrays, alone):
-                np.testing.assert_array_equal(a, b[0])
+            np.testing.assert_array_equal(joints, executed_joints(*alone[:2])[0])
+            np.testing.assert_array_equal(run_codes, alone[2][0])
 
-    def test_out_receives_the_joints(self):
-        """Written into a given array that holds stale values, the joints
-        are those of a fresh array, and the array is what is returned."""
+    def test_sources_point_into_one_table(self):
+        """The table is the trace's rows, then one row per forecast slot;
+        repeat-last and drop return the trace's joints and the mask's
+        held_sources, and a given held_sources gives what run_recoveries
+        computes without it."""
         rng = np.random.default_rng(17)
         trace = smooth_trace(rng, 300, 3)
         model = fit_var_ols(smooth_trace(rng, 600, 3), 6)
         runs = [random_outcomes(rng, trace, trace.period_ms) for _ in range(4)]
+        forecasts = 0
         for policy in (RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=10), model),
                        RecoveryPolicy(PolicyMode.REPEAT_LAST), RecoveryPolicy(PolicyMode.DROP)):
             mask = on_time_masks(trace, runs, policy.cfg)
-            out = np.full((len(runs), len(trace), trace.dim), np.nan)
-            joints, codes = run_recoveries(trace, mask, policy, out)
-            fresh_joints, fresh_codes = run_recoveries(trace, mask, policy)
-            assert joints is out
-            np.testing.assert_array_equal(joints, fresh_joints)
-            np.testing.assert_array_equal(codes, fresh_codes)
+            held = recovery.held_sources(mask)
+            table, src, codes = run_recoveries(trace, mask, policy)
+            given = run_recoveries(trace, mask, policy, held)
+            for a, b in zip((table, src, codes), given):
+                np.testing.assert_array_equal(a, b)
+            n_forecast = np.count_nonzero(codes == 1)
+            forecasts += n_forecast
+            assert table.shape == (len(trace) + n_forecast, trace.dim)
+            np.testing.assert_array_equal(table[: len(trace)], trace.joints)
+            # each forecast slot has a row of its own, every other slot the
+            # trace row it holds
+            assert sorted(src[codes == 1].tolist()) == list(range(len(trace), len(table)))
+            np.testing.assert_array_equal(src[codes != 1], held[codes != 1])
+            if policy.mode is not PolicyMode.FORECAST:
+                assert table is trace.joints and given[1] is held
+        assert forecasts > 0
+
+    def test_a_mask_past_int32_sources_is_refused(self):
+        # 2**15 runs of 2**16 slots: a broadcast view, so nothing is allocated
+        mask = np.broadcast_to(np.ones((1, 1 << 16), dtype=bool), (1 << 15, 1 << 16))
+        with pytest.raises(ConfigError, match="32768 runs of 65536 slots are more than a recovery can index"):
+            recovery.held_sources(mask)
+        recovery.held_sources(mask[:1])
 
     def test_mask_of_the_wrong_shape_is_rejected(self):
         rng = np.random.default_rng(16)
@@ -761,15 +824,15 @@ class TestBatchScoring:
             ]
             for policy in policies:
                 # each policy's own mask: the tolerances differ
-                joints, codes = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
+                table, src, codes = run_recoveries(trace, on_time_masks(trace, runs, policy.cfg), policy)
                 executed = ~(codes != 0).all(axis=1)
                 streams = [run_recovery(trace, outcomes, policy) for outcomes in runs]
                 expected = [rmse(stream, trace) for stream, ok in zip(streams, executed) if ok]
-                got = evaluation._run_errors(trace, joints[executed], codes[executed])
+                got = evaluation._run_errors(trace, table, src[executed], codes[executed])
                 assert got.tolist() == expected
                 # in the whole batch, a run with no executed slot scores NaN,
                 # where rmse fails, and the other runs score as alone
-                whole = evaluation._run_errors(trace, joints, codes)
+                whole = evaluation._run_errors(trace, table, src, codes)
                 assert whole[executed].tolist() == expected
                 assert np.isnan(whole[~executed]).all()
                 if not executed.all():
@@ -866,6 +929,84 @@ class TestSweepPipeline:
         assert 0 < nan_runs[1] < 2 * 12 * len(policies)
 
 
+class PredictOnly:
+    """A forecaster with predict_next only, no next_rows: a model reached
+    through predict, one Command history per forecast."""
+
+    def __init__(self, model):
+        self.dim = model.dim
+        self.min_history = model.min_history
+        self._model = model
+
+    def predict_next(self, history, period_ms):
+        return self._model.predict_next(history, period_ms)
+
+
+class TestRecoveryRanges:
+    """A sweep's recovery ranges (several channel batches, one hold pass per
+    on-time mask and one forecast level loop per policy) against the per-run
+    composition, bit for bit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_random_ranges_equal_the_per_run_composition(self, pick_and_place_split, monkeypatch,
+                                                         recording_pool, jobs):
+        train, test = pick_and_place_split
+        var = fit_var_ols(train, 5, ridge=0.1)
+        limits = step_limit_from_trace(train, 1.5)
+        rng = np.random.default_rng(29 + jobs)
+        spans = []
+        masks = []
+        ranges = evaluation._recovery_ranges
+        held_sources = evaluation.held_sources
+
+        def spy_ranges(batches, n_slots):
+            groups = ranges(batches, n_slots)
+            spans.append([len(group) for group in groups])
+            return groups
+
+        def spy_held(mask):
+            masks.append(mask.shape)
+            return held_sources(mask)
+
+        monkeypatch.setattr(evaluation, "_recovery_ranges", spy_ranges)
+        monkeypatch.setattr(evaluation, "held_sources", spy_held)
+        for case in range(6):
+            n = int(rng.integers(40, 200))
+            start = int(rng.integers(0, len(test) - n + 1))
+            trace = test.slice(start, start + n)
+            grid = SweepGrid(probs=(0.0, 0.6, 0.9), durations=(8.0, 32.0), robot_counts=(25,),
+                             repetitions=int(rng.integers(1, 4)), master_seed=int(rng.integers(0, 1000)))
+            n_runs = len(grid.cells()) * grid.repetitions
+            forecaster = var if case % 2 else PredictOnly(var)
+            # forecast and repeat-last share one mask, drop has its own
+            policies = (
+                RecoveryPolicy(PolicyMode.FORECAST, RecoveryConfig(record_len=8), forecaster,
+                               max_step_per_joint=limits if case % 3 else None),
+                RecoveryPolicy(PolicyMode.REPEAT_LAST, RecoveryConfig(record_len=8)),
+                RecoveryPolicy(PolicyMode.DROP, RecoveryConfig(tolerance_ms=2.0)),
+            )
+            batch_runs = int(rng.integers(1, 4))
+            monkeypatch.setattr(evaluation, "_BATCH_SLOTS", batch_runs * n)
+            # a range of one batch, of two or three, or of every batch
+            range_runs = (batch_runs, int(rng.integers(2, 4)) * batch_runs, n_runs)[case % 3]
+            monkeypatch.setattr(evaluation, "_RANGE_SLOTS", range_runs * n)
+            masks.clear()
+            result = run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0), policies, jobs=jobs)
+            # repr tells floats apart exactly and reads NaN as NaN
+            assert repr(result.cells) == repr(per_run_sweep(trace, grid, ChannelConfig(transport_bound_ms=2.0),
+                                                            policies))
+            # two masks per range, as many rows as runs
+            assert sum(rows for rows, _ in masks) == 2 * n_runs
+        if jobs == 1:
+            assert len(recording_pool["tasks"]) == 0
+            # ranges of one batch, of several and of all the batches
+            assert any(max(groups) == 1 < len(groups) for groups in spans)
+            assert any(1 < max(groups) and len(groups) > 1 for groups in spans)
+            assert any(len(groups) == 1 < groups[0] for groups in spans)
+        else:
+            assert len(recording_pool["tasks"]) == 6 and all(groups == [1] for groups in spans)
+
+
 class TestNextRows:
     """Batched next_rows against the per-row forms, bit for bit."""
 
@@ -882,6 +1023,10 @@ class TestNextRows:
         expected = [model.bias + model.stacked @ record[::-1][:lag].reshape(-1) for record in records]
         assert got.shape == (n, dim)
         assert np.array_equal(got, np.array(expected))
+        # records stored newest first, as recovery gathers them, and passed
+        # as a reversed view give the same rows, one joint included
+        newest_first = np.ascontiguousarray(records[:, ::-1])
+        assert np.array_equal(model.next_rows(newest_first[:, ::-1]), got)
 
 
 # ---------------------------------------------------------------------------

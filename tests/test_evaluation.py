@@ -244,35 +244,6 @@ def per_cell_sweep(trace, grid, template, policies):
     return cells
 
 
-@pytest.fixture()
-def recording_pool(monkeypatch):
-    """ProcessPoolExecutor replaced by an inline pool; the returned dict
-    collects the worker counts asked for and the tasks mapped."""
-    import concurrent.futures
-
-    record = {"workers": [], "tasks": []}
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            record["workers"].append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            record["tasks"].append(items)
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(evaluation, "_WORKER_CTX", None)
-    return record
-
-
 def recorded_batches(monkeypatch, grid, n_slots, jobs) -> list[range]:
     """The run ranges run_sweep hands to _run_batches for a grid over a
     trace of n_slots commands, the runs themselves not run."""
@@ -385,6 +356,22 @@ class TestSweepBounds:
             tracemalloc.stop()
         assert all(len(values) == 160 for values in result.cells[(25, 0.9, 32.0)].values())
         assert peak < 16 * 2**20
+
+    def test_a_sweep_pass_fits_in_6_mib(self, sweep_setup):
+        # one pass of the benchmark's shape: the default grid at one
+        # repetition, 180 runs of the 1,500-command test split, forecast and
+        # repeat-last; no (run, slot, joint) array is built, and the missed
+        # slots are scored a batch at a time (7.0 MiB before either)
+        test, policies = sweep_setup
+        assert len(test) == 1500
+        tracemalloc.start()
+        try:
+            result = run_sweep(test, default_grid(repetitions=1), ChannelConfig(), policies)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.cells) == 180
+        assert peak < 6 * 2**20
 
     def test_result_bound_is_checked_before_any_run(self, sweep_setup, monkeypatch):
         def refuse(*args):

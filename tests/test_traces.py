@@ -1,7 +1,10 @@
-"""Synthetic trace generation: periods and timestamps."""
+"""Synthetic trace generation: periods, timestamps and the memory bound."""
+
+import tracemalloc
 
 import pytest
 
+from foreco import traces
 from foreco.errors import ConfigError
 from foreco.traces import synthetic_trace
 
@@ -17,3 +20,27 @@ def test_timestamps_step_by_the_sampled_period(period_ms):
     trace = synthetic_trace("sine-mix", 1.0, 0, period_ms=period_ms, dim=2)
     assert trace.period_ms == period_ms
     assert len(trace) == round(1000.0 / period_ms)
+
+
+def test_a_trace_larger_than_physical_memory_is_refused_before_any_allocation(monkeypatch):
+    # 20 s at 20 ms is 1,000 rows of 6 float64 values, 48,000 bytes
+    monkeypatch.setattr(traces, "physical_memory", lambda: 48_000)
+    assert len(synthetic_trace("sine-mix", 20.0, 0)) == 1000
+    monkeypatch.setattr(traces, "physical_memory", lambda: 47_999)
+    with pytest.raises(ConfigError, match=r"^duration_s: 20.0 s is 1000 rows of 6 float64 values, 48000 bytes, "
+                                          r"more than the 47999 bytes of physical memory$"):
+        synthetic_trace("sine-mix", 20.0, 0)
+    # 10,000 s would be 24 MB of values: refused with next to nothing allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^duration_s: 10000.0 s is 500000 rows"):
+            synthetic_trace("pick-and-place", 10_000.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_physical_memory_is_read_from_sysconf():
+    memory = traces.physical_memory()
+    assert memory is None or memory > 0
